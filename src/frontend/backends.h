@@ -31,6 +31,7 @@ class PretzelBackend : public Backend {
   void PredictAsync(const std::string& name, const std::string& input,
                     std::function<void(Result<float>)> callback,
                     int64_t deadline_ns = 0) override;
+  bool PredictAsyncNeverBlocks() const override { return true; }
 
   // Zero-copy: the borrowed record bytes go straight to
   // Runtime::PredictBinary (validated in place, never converted).

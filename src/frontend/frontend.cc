@@ -21,6 +21,8 @@ uint64_t Mix64(uint64_t x) {
 FrontEnd::FrontEnd(Backend* backend, const FrontEndOptions& options)
     : backend_(backend),
       options_(options),
+      hop_owed_(options.network_delay_us > 0),
+      submit_inline_(!hop_owed_ && backend->PredictAsyncNeverBlocks()),
       now_ns_(options.now_ns ? options.now_ns : [] { return NowNs(); }),
       sleep_us_(options.sleep_us ? options.sleep_us
                                  : [](int64_t us) { SleepUs(us); }) {
@@ -37,7 +39,7 @@ FrontEnd::~FrontEnd() {
     // backend, whose completion will call back into this FrontEnd.
     MutexLock lock(mu_);
     while (pending_ != 0) {
-      cv_.wait(lock.native());
+      drained_cv_.wait(lock.native());
     }
     stop_ = true;
   }
@@ -64,9 +66,21 @@ int64_t FrontEnd::RetryWaitUs(const Status& status, uint32_t attempt) {
   return std::max(status.retry_after_us(), jittered);
 }
 
-Result<float> FrontEnd::Request(const std::string& name,
-                                const std::string& input,
-                                int64_t deadline_ns) {
+void FrontEnd::CountOutcome(const Status& status) {
+  if (status.ok()) {
+    return;
+  }
+  if (status.IsResourceExhausted()) {
+    dropped_backpressure_.fetch_add(1, std::memory_order_relaxed);
+  } else if (status.IsDeadlineExceeded()) {
+    expired_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    dropped_error_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+template <typename Predict>
+Result<float> FrontEnd::SyncRequest(int64_t deadline_ns, Predict predict) {
   sleep_us_(options_.network_delay_us);  // Client -> frontend.
   Result<float> result = Status::Error("unsent");
   for (uint32_t attempt = 0;; ++attempt) {
@@ -75,7 +89,7 @@ Result<float> FrontEnd::Request(const std::string& name,
                    .WithDeadlineStage(DeadlineStage::kAdmission);
       break;
     }
-    result = backend_->Predict(name, input, deadline_ns);
+    result = predict();
     if (!Retryable(result.status(), attempt)) {
       break;
     }
@@ -86,52 +100,25 @@ Result<float> FrontEnd::Request(const std::string& name,
     retries_.fetch_add(1, std::memory_order_relaxed);
     sleep_us_(wait_us);
   }
-  if (!result.ok()) {
-    if (result.status().IsResourceExhausted()) {
-      dropped_backpressure_.fetch_add(1, std::memory_order_relaxed);
-    } else if (result.status().IsDeadlineExceeded()) {
-      expired_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      dropped_error_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  CountOutcome(result.status());
   sleep_us_(options_.network_delay_us);  // Frontend -> client.
   return result;
+}
+
+Result<float> FrontEnd::Request(const std::string& name,
+                                const std::string& input,
+                                int64_t deadline_ns) {
+  return SyncRequest(deadline_ns, [&] {
+    return backend_->Predict(name, input, deadline_ns);
+  });
 }
 
 Result<float> FrontEnd::RequestBinary(const std::string& name,
                                       std::span<const uint8_t> record,
                                       int64_t deadline_ns) {
-  sleep_us_(options_.network_delay_us);  // Client -> frontend.
-  Result<float> result = Status::Error("unsent");
-  for (uint32_t attempt = 0;; ++attempt) {
-    if (deadline_ns > 0 && now_ns_() >= deadline_ns) {
-      result = Status::DeadlineExceeded("expired at frontend before send")
-                   .WithDeadlineStage(DeadlineStage::kAdmission);
-      break;
-    }
-    result = backend_->PredictBinary(name, record, deadline_ns);
-    if (!Retryable(result.status(), attempt)) {
-      break;
-    }
-    const int64_t wait_us = RetryWaitUs(result.status(), attempt);
-    if (deadline_ns > 0 && now_ns_() + wait_us * 1000 >= deadline_ns) {
-      break;
-    }
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    sleep_us_(wait_us);
-  }
-  if (!result.ok()) {
-    if (result.status().IsResourceExhausted()) {
-      dropped_backpressure_.fetch_add(1, std::memory_order_relaxed);
-    } else if (result.status().IsDeadlineExceeded()) {
-      expired_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      dropped_error_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  sleep_us_(options_.network_delay_us);  // Frontend -> client.
-  return result;
+  return SyncRequest(deadline_ns, [&] {
+    return backend_->PredictBinary(name, record, deadline_ns);
+  });
 }
 
 Status FrontEnd::RequestAsync(const std::string& name, const std::string& input,
@@ -139,11 +126,17 @@ Status FrontEnd::RequestAsync(const std::string& name, const std::string& input,
                               int64_t deadline_ns) {
   if (deadline_ns > 0 && now_ns_() >= deadline_ns) {
     // Shed at the door: admitting work that already missed its deadline
-    // only burns IO-thread time producing a late failure.
+    // only burns frontend time producing a late failure.
     expired_.fetch_add(1, std::memory_order_relaxed);
     return Status::DeadlineExceeded("expired at frontend admission")
         .WithDeadlineStage(DeadlineStage::kAdmission);
   }
+  Work work;
+  work.name = name;
+  work.input = input;
+  work.callback = std::move(callback);
+  work.admit_ns = now_ns_();
+  work.deadline_ns = deadline_ns;
   {
     MutexLock lock(mu_);
     if (stop_) {
@@ -157,19 +150,46 @@ Status FrontEnd::RequestAsync(const std::string& name, const std::string& input,
           .WithRetryAfterUs(retry_after_hint_us());
     }
     ++pending_;
-    Work work;
-    work.name = name;
-    work.input = input;
-    work.callback = std::move(callback);
-    work.admit_ns = now_ns_();
-    work.deadline_ns = deadline_ns;
-    queue_.push_back(std::move(work));
+    if (!submit_inline_) {
+      queue_.push_back(std::move(work));
+    }
   }
-  // notify_all: the draining destructor waits on this cv too, and a
-  // notify_one it consumes (its predicate being false) would strand the
-  // queued work with every worker asleep.
+  if (submit_inline_) {
+    // No hop owed and the backend only enqueues: hand off right here rather
+    // than paying a wake-up per thread crossing. A rejection at submit may
+    // complete (callback included) before this returns.
+    Dispatch(std::move(work));
+    return Status::OK();
+  }
+  // Safe outside the lock: the caller holds this FrontEnd alive, and only
+  // IO threads wait on cv_.
   cv_.notify_all();
   return Status::OK();
+}
+
+void FrontEnd::Dispatch(Work work) {
+  if (work.attempt == 0 && hop_owed_) {
+    sleep_us_(options_.network_delay_us);  // Client -> frontend.
+  }
+  // A popped retry is already due: its backoff was served queue-side.
+  if (work.deadline_ns > 0 && now_ns_() >= work.deadline_ns) {
+    // Expired before the hand-off (typically while queued here): don't
+    // burn a backend slot on it.
+    Complete(std::move(work),
+             Status::DeadlineExceeded("expired in frontend queue")
+                 .WithDeadlineStage(DeadlineStage::kQueue));
+    return;
+  }
+  // The result hook may schedule a retry instead of completing.
+  const std::string name = work.name;
+  const std::string input = work.input;
+  const int64_t deadline_ns = work.deadline_ns;
+  backend_->PredictAsync(
+      name, input,
+      [this, work = std::move(work)](Result<float> result) mutable {
+        RetryOrComplete(std::move(work), std::move(result));
+      },
+      deadline_ns);
 }
 
 void FrontEnd::RetryOrComplete(Work work, Result<float> result) {
@@ -180,58 +200,57 @@ void FrontEnd::RetryOrComplete(Work work, Result<float> result) {
       retries_.fetch_add(1, std::memory_order_relaxed);
       work.attempt += 1;
       work.not_before_ns = now + wait_us * 1000;
-      work.is_completion = false;
-      {
-        MutexLock lock(mu_);
-        // Retries go to the back: fresher work shouldn't starve behind a
-        // request the backend just shed.
-        queue_.push_back(std::move(work));
-        // Same lifetime rule as EnqueueCompletion: this runs on a backend
-        // thread, so notify under the lock.
-        cv_.notify_all();
-      }
+      MutexLock lock(mu_);
+      // Retries go to the back: fresher work shouldn't starve behind a
+      // request the backend just shed.
+      queue_.push_back(std::move(work));
+      // Notify under the lock: this may run on a backend thread (see
+      // Deliver for the lifetime rule).
+      cv_.notify_all();
       return;
     }
   }
-  EnqueueCompletion(std::move(work.callback), std::move(result),
-                    work.admit_ns);
+  Complete(std::move(work), std::move(result));
 }
 
-void FrontEnd::EnqueueCompletion(std::function<void(Result<float>)> callback,
-                                 Result<float> result, int64_t admit_ns) {
-  // Final-outcome bookkeeping: why did the async request fail, if it did.
-  if (!result.ok()) {
-    if (result.status().IsResourceExhausted()) {
-      dropped_backpressure_.fetch_add(1, std::memory_order_relaxed);
-    } else if (result.status().IsDeadlineExceeded()) {
-      expired_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      dropped_error_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+void FrontEnd::Complete(Work work, Result<float> result) {
+  CountOutcome(result.status());
   // Admission -> backend-completion latency feeds the retry-after hint this
   // tier attaches to its own drops. Racy EWMA updates are fine (estimate).
-  const int64_t sample_us = (now_ns_() - admit_ns) / 1000;
+  const int64_t sample_us = (now_ns_() - work.admit_ns) / 1000;
   const int64_t prev = latency_ewma_us_.load(std::memory_order_relaxed);
   latency_ewma_us_.store(prev + (sample_us - prev) / 8,
                          std::memory_order_relaxed);
+  work.result = std::move(result);
+  if (!hop_owed_) {
+    Deliver(std::move(work));
+    return;
+  }
+  // The response hop is a sleep: never on a backend executor thread.
+  work.is_completion = true;
+  MutexLock lock(mu_);
+  // Completions jump the queue: finishing in-flight work beats admitting
+  // more of the backlog.
+  queue_.push_front(std::move(work));
+  cv_.notify_all();  // Under the lock, as in RetryOrComplete.
+}
+
+void FrontEnd::Deliver(Work work) {
+  if (hop_owed_) {
+    sleep_us_(options_.network_delay_us);  // Frontend -> client.
+  }
   {
-    MutexLock lock(mu_);
-    Work work;
-    work.is_completion = true;
-    work.callback = std::move(callback);
-    work.result = std::move(result);
-    // Completions jump the queue: finishing in-flight work beats admitting
-    // more of the backlog.
-    queue_.push_front(std::move(work));
-    // Lock order / lifetime note (the PR-4 use-after-free class): notify
-    // UNDER the lock. This runs on a backend thread, and the draining
-    // destructor may destroy this FrontEnd the moment pending_ hits zero —
-    // which can only happen after an IO thread pops this work, i.e. after
-    // we release mu_. Notifying after the unlock would touch cv_ beyond
-    // that point (use-after-free); see RequestAsync for why it is
-    // notify_all (the drain waiter shares this cv).
-    cv_.notify_all();
+    // Destroyed before pending_ drops: a drained FrontEnd holds no user
+    // closure.
+    auto callback = std::move(work.callback);
+    callback(std::move(work.result));
+  }
+  MutexLock lock(mu_);
+  // Lifetime rule: notify UNDER the lock. Off the IO pool, the draining
+  // destructor may destroy this FrontEnd the moment pending_ hits zero and
+  // mu_ is released, so nothing here may touch a member after the unlock.
+  if (--pending_ == 0) {
+    drained_cv_.notify_all();
   }
 }
 
@@ -281,48 +300,11 @@ void FrontEnd::IoLoop() {
     }
     if (poll_us > 0) {
       sleep_us_(poll_us);
-      continue;
+    } else if (work.is_completion) {
+      Deliver(std::move(work));
+    } else {
+      Dispatch(std::move(work));
     }
-    if (work.is_completion) {
-      sleep_us_(options_.network_delay_us);  // Frontend -> client.
-      work.callback(std::move(work.result));
-      {
-        MutexLock lock(mu_);
-        --pending_;
-      }
-      // Admission and the draining destructor both wait on this cv. Unlike
-      // EnqueueCompletion, notifying outside the lock is safe HERE only
-      // because this is an IO thread: the destructor joins io_threads_
-      // before members are destroyed, so cv_ outlives this call even when
-      // this notify releases the drain waiter.
-      cv_.notify_all();
-      continue;
-    }
-    if (work.attempt == 0) {
-      sleep_us_(options_.network_delay_us);  // Client -> frontend.
-    }
-    // A popped retry is already due: its backoff was served queue-side.
-    if (work.deadline_ns > 0 && now_ns_() >= work.deadline_ns) {
-      // Expired while queued here: don't burn a backend slot on it.
-      EnqueueCompletion(
-          std::move(work.callback),
-          Status::DeadlineExceeded("expired in frontend queue")
-              .WithDeadlineStage(DeadlineStage::kQueue),
-          work.admit_ns);
-      continue;
-    }
-    // Hand off to the backend's async path; the completion re-enters the IO
-    // queue so the response hop never runs on a backend executor thread.
-    // The result hook may instead schedule a retry (RetryOrComplete).
-    const std::string name = work.name;
-    const std::string input = work.input;
-    const int64_t deadline_ns = work.deadline_ns;
-    backend_->PredictAsync(
-        name, input,
-        [this, work = std::move(work)](Result<float> result) mutable {
-          RetryOrComplete(std::move(work), std::move(result));
-        },
-        deadline_ns);
   }
 }
 

@@ -1,10 +1,20 @@
 // FrontEnd: the client-facing serving tier (the paper's ASP.Net front-end).
 // Every request pays an emulated client<->frontend network hop each way.
-// Asynchronous requests are admitted into a bounded queue (backpressure:
-// over max_pending they fail fast with ResourceExhausted instead of growing
-// memory without limit), handed to the backend's async path — which for the
-// PRETZEL backend rides the Runtime's event scheduler rather than blocking
-// an IO thread — and completed by the IO pool, which pays the response hop.
+// Asynchronous requests are admitted against a bound (backpressure: over
+// max_pending they fail fast with ResourceExhausted instead of growing
+// memory without limit) and handed to the backend's async path, which for
+// the PRETZEL backends rides the Runtime's event scheduler rather than
+// blocking a thread.
+//
+// Who runs what. The IO pool only carries work that must wait: an owed hop
+// (network_delay_us > 0), a retry serving out its backoff, or a hand-off to
+// a backend whose PredictAsync blocks (the default, and the container
+// baseline). With no hop owed and a backend whose async entry only enqueues
+// (Backend::PredictAsyncNeverBlocks), RequestAsync submits on the caller's
+// thread and the completion is delivered on whichever thread completed it:
+// a runtime executor, or the caller itself (before RequestAsync returns)
+// when the backend rejects at submit. Callbacks therefore must not block,
+// and must not take a lock the caller holds across RequestAsync.
 //
 // Backpressure composition with the Runtime's bounded event rings: a
 // backend enqueue that fails (e.g. the per-plan ResourceExhausted cap,
@@ -43,12 +53,18 @@ class Backend {
                                 int64_t deadline_ns = 0) = 0;
   // Asynchronous entry point. The default blocks the calling thread on the
   // sync path; scheduler-backed backends override it to enqueue instead.
-  // `callback` must be invoked exactly once, from any thread.
+  // `callback` must be invoked exactly once, from any thread: an executor
+  // thread on completion, or the calling thread itself (possibly before
+  // PredictAsync returns) on a submit-time rejection.
   virtual void PredictAsync(const std::string& name, const std::string& input,
                             std::function<void(Result<float>)> callback,
                             int64_t deadline_ns = 0) {
     callback(Predict(name, input, deadline_ns));
   }
+  // True when PredictAsync only enqueues and never blocks the caller on the
+  // prediction, so the FrontEnd may call it on the client's thread. Backends
+  // that keep the blocking default must leave this false.
+  virtual bool PredictAsyncNeverBlocks() const { return false; }
   // Binary wire record (src/common/serialize.h). The default copies the
   // bytes through the text entry point — zero-parse backends override it to
   // hand the borrowed bytes to the runtime without a copy.
@@ -113,10 +129,16 @@ class FrontEnd {
                               std::span<const uint8_t> record,
                               int64_t deadline_ns = 0);
 
-  // Queues the request for the IO pool; the callback fires from an IO
-  // thread after the response hop. Fails fast (callback never runs) with
-  // ResourceExhausted when max_pending admitted requests are in flight, or
-  // DeadlineExceeded when the deadline already passed at admission.
+  // Admits the request and hands it to the backend. With a hop owed or a
+  // blocking backend, the hand-off and the callback (after the response hop)
+  // run on the IO pool. Otherwise the hand-off runs on this thread and the
+  // callback runs on the thread that completed the request: a runtime
+  // executor, or this thread before RequestAsync returns (a rejection at
+  // submit). Either way it fires exactly once per OK return, so it must not
+  // block, nor take a lock the caller holds across this call. Fails fast
+  // (callback never runs) with ResourceExhausted when max_pending admitted
+  // requests are in flight, or DeadlineExceeded when the deadline already
+  // passed at admission.
   Status RequestAsync(const std::string& name, const std::string& input,
                       std::function<void(Result<float>)> callback,
                       int64_t deadline_ns = 0);
@@ -146,9 +168,9 @@ class FrontEnd {
   }
 
  private:
-  // IO work: an inbound request awaiting its backend hand-off (possibly a
-  // scheduled retry), or a completed backend response awaiting its response
-  // hop + user callback.
+  // An admitted async request: awaiting its backend hand-off (possibly a
+  // scheduled retry), or, on the IO queue with is_completion set, a
+  // finished request awaiting its response hop + user callback.
   struct Work {
     bool is_completion = false;
     std::string name;
@@ -162,14 +184,24 @@ class FrontEnd {
   };
 
   void IoLoop() EXCLUDES(mu_);
-  // Runs on backend (executor) threads; see the lock-order note in the .cc:
-  // it must notify cv_ while still holding mu_. Books the final-outcome
-  // counters (backpressure / error / expired split).
-  void EnqueueCompletion(std::function<void(Result<float>)> callback,
-                         Result<float> result, int64_t admit_ns) EXCLUDES(mu_);
-  // Backend-result hook for async requests: schedules a retry when the
-  // status is a retryable shed and budget remains, else completes.
+  // The one hand-off path, on the caller's thread or an IO thread: request
+  // hop (first attempt), queue-expiry check, backend PredictAsync.
+  void Dispatch(Work work) EXCLUDES(mu_);
+  // Backend-result hook: queues a retry for the IO pool when the status is a
+  // retryable shed and budget remains, else completes.
   void RetryOrComplete(Work work, Result<float> result) EXCLUDES(mu_);
+  // The one completion path, on the thread that finished the request. Books
+  // the outcome and the EWMA; with a hop owed, queues the rest for the IO
+  // pool, else delivers in place.
+  void Complete(Work work, Result<float> result) EXCLUDES(mu_);
+  // Response hop (when owed), user callback, then releases pending_.
+  void Deliver(Work work) EXCLUDES(mu_);
+  // Books a failed final outcome: backpressure / expired / error.
+  void CountOutcome(const Status& status);
+  // Synchronous hop + predict-with-retries + hop, shared by Request and
+  // RequestBinary; `predict` is the backend call for one attempt.
+  template <typename Predict>
+  Result<float> SyncRequest(int64_t deadline_ns, Predict predict);
   // max(retry-after hint, jittered exponential backoff) for `attempt`.
   int64_t RetryWaitUs(const Status& status, uint32_t attempt);
   bool Retryable(const Status& status, uint32_t attempt) const {
@@ -179,14 +211,17 @@ class FrontEnd {
 
   Backend* backend_;
   const FrontEndOptions options_;
+  const bool hop_owed_;       // network_delay_us > 0.
+  const bool submit_inline_;  // No hop owed and an enqueue-only backend.
   // Resolved clock/wait seams (options_ hooks or the real clock).
   const std::function<int64_t()> now_ns_;
   const std::function<void(int64_t)> sleep_us_;
   Mutex mu_;
-  // Waiters on cv_: IO threads (work available / stop), the draining
-  // destructor (pending_ == 0). Every notify site must use notify_all — a
-  // notify_one can be swallowed by a waiter whose predicate is false.
+  // IO threads wait on cv_ (work available / stop); the draining destructor
+  // waits on drained_cv_ (pending_ == 0), so completions delivered off the
+  // IO pool never wake idle IO threads.
   std::condition_variable cv_;
+  std::condition_variable drained_cv_;
   std::deque<Work> queue_ GUARDED_BY(mu_);
   // Admitted async requests not yet completed.
   size_t pending_ GUARDED_BY(mu_) = 0;

@@ -29,9 +29,11 @@ class ShardedBackend : public Backend {
   Result<float> Predict(const std::string& name, const std::string& input,
                         int64_t deadline_ns = 0) override;
 
+  // Enqueues on the owning shard's event scheduler; never blocks.
   void PredictAsync(const std::string& name, const std::string& input,
                     std::function<void(Result<float>)> callback,
                     int64_t deadline_ns = 0) override;
+  bool PredictAsyncNeverBlocks() const override { return true; }
 
   // Zero-copy: the borrowed wire record routes to the owning shard's
   // binary entry point; admission drops land in the same counter.

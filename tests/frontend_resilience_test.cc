@@ -1,18 +1,29 @@
 // FrontEnd resilience: the retry policy (hinted waits, jittered backoff,
 // deadline-bounded), the dropped_backpressure / dropped_error / expired
-// outcome split, and deadline admission at the tier's edge. The retry-wait
-// tests run on a fake clock injected through FrontEndOptions, so every wait
-// is observed exactly, not timed.
+// outcome split, deadline admission at the tier's edge, and the dispatch
+// rules — which thread hands a request to the backend and which delivers
+// its callback — including re-entrant requests from callbacks and teardown
+// with executor-thread completions in flight. The retry-wait tests run on a
+// fake clock injected through FrontEndOptions, so every wait is observed
+// exactly, not timed.
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/rng.h"
 #include "src/frontend/frontend.h"
+#include "src/serving/shard_router.h"
+#include "src/serving/sharded_backend.h"
+#include "src/workload/sa_workload.h"
 #include "tests/test_util.h"
 
 using namespace pretzel;
@@ -295,6 +306,361 @@ void TestBackoffDoesNotStallQueue() {
   CHECK_EQ(frontend.GetMetrics().dropped_backpressure, uint64_t{1});
 }
 
+// An async backend with its own completion thread standing in for a
+// runtime executor. PredictAsync records the submitting thread and either
+// enqueues the completion for that thread, or (reject_at_submit) rejects
+// synchronously on the caller's thread, as the runtime does over its cap.
+class ThreadedBackend : public Backend {
+ public:
+  explicit ThreadedBackend(bool never_blocks)
+      : never_blocks_(never_blocks), worker_([this] { Run(); }) {}
+  ~ThreadedBackend() override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    worker_.join();
+  }
+
+  Result<float> Predict(const std::string&, const std::string&,
+                        int64_t) override {
+    return 1.0f;
+  }
+  void PredictAsync(const std::string&, const std::string&,
+                    std::function<void(Result<float>)> callback,
+                    int64_t) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      submit_threads_.push_back(std::this_thread::get_id());
+      if (now_ns) {
+        submit_ns_.push_back(now_ns());
+      }
+      if (!reject_at_submit) {
+        jobs_.push_back(std::move(callback));
+        cv_.notify_all();
+        return;
+      }
+    }
+    callback(Status::ResourceExhausted("ring full").WithRetryAfterUs(hint_us));
+  }
+  bool PredictAsyncNeverBlocks() const override { return never_blocks_; }
+
+  std::thread::id worker_id() const { return worker_.get_id(); }
+  std::vector<std::thread::id> submit_threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return submit_threads_;
+  }
+  std::vector<int64_t> submit_ns() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return submit_ns_;
+  }
+
+  std::atomic<bool> reject_at_submit{false};
+  int64_t hint_us = 0;
+  std::function<int64_t()> now_ns;  // Stamps each submit when set.
+
+ private:
+  void Run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      cv_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
+      if (jobs_.empty()) {
+        return;
+      }
+      auto job = std::move(jobs_.front());
+      jobs_.pop_front();
+      lock.unlock();
+      job(0.75f);
+      lock.lock();
+    }
+  }
+
+  const bool never_blocks_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void(Result<float>)>> jobs_;
+  std::vector<std::thread::id> submit_threads_;
+  std::vector<int64_t> submit_ns_;
+  bool stop_ = false;
+  std::thread worker_;
+};
+
+// Records the thread each callback ran on and how often it fired.
+struct CallbackProbe {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::thread::id> threads;
+  std::vector<Result<float>> results;
+
+  std::function<void(Result<float>)> Callback() {
+    return [this](Result<float> r) {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.push_back(std::this_thread::get_id());
+      results.push_back(std::move(r));
+      cv.notify_all();
+    };
+  }
+  void WaitFor(size_t n) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return threads.size() >= n; });
+  }
+  size_t fired() {
+    std::lock_guard<std::mutex> lock(mu);
+    return threads.size();
+  }
+};
+
+// Zero hop + enqueue-only backend: the hand-off runs on the RequestAsync
+// caller's thread and the callback on the thread that completed the
+// request (here the backend's executor stand-in), with no IO-pool hop.
+void TestZeroHopSubmitsOnCallerThread() {
+  ThreadedBackend backend(/*never_blocks=*/true);
+  FrontEndOptions options;
+  options.network_delay_us = 0;
+  options.num_io_threads = 1;
+  FrontEnd frontend(&backend, options);
+
+  CallbackProbe probe;
+  for (int i = 0; i < 8; ++i) {
+    CHECK(frontend.RequestAsync("m", "x", probe.Callback()).ok());
+  }
+  probe.WaitFor(8);
+  const auto submits = backend.submit_threads();
+  CHECK_EQ(submits.size(), size_t{8});
+  for (const auto& id : submits) {
+    CHECK(id == std::this_thread::get_id());
+  }
+  std::lock_guard<std::mutex> lock(probe.mu);
+  for (size_t i = 0; i < probe.threads.size(); ++i) {
+    CHECK(probe.threads[i] == backend.worker_id());
+    CHECK(probe.results[i].ok());
+  }
+}
+
+// A blocking backend (the default PredictAsync) or an owed hop keeps the
+// hand-off on the IO pool, and RequestAsync never blocks the caller.
+void TestBlockingOrHopDispatchesOnIoPool() {
+  // Blocking default: Predict waits on a gate the caller opens only after
+  // RequestAsync returned. An inline hand-off would block the caller until
+  // the gate's timeout, then complete before RequestAsync returns.
+  struct GatedBackend : Backend {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+    std::thread::id predict_thread;
+    Result<float> Predict(const std::string&, const std::string&,
+                          int64_t) override {
+      std::unique_lock<std::mutex> lock(mu);
+      predict_thread = std::this_thread::get_id();
+      if (!cv.wait_for(lock, std::chrono::seconds(5),
+                       [this] { return open; })) {
+        return Status::Error("gate never opened");
+      }
+      return 0.5f;
+    }
+  } gated;
+  {
+    FrontEndOptions options;
+    options.network_delay_us = 0;
+    options.num_io_threads = 1;
+    FrontEnd frontend(&gated, options);
+    CallbackProbe probe;
+    CHECK(frontend.RequestAsync("m", "x", probe.Callback()).ok());
+    CHECK_EQ(probe.fired(), size_t{0});
+    {
+      std::lock_guard<std::mutex> lock(gated.mu);
+      gated.open = true;
+    }
+    gated.cv.notify_all();
+    probe.WaitFor(1);
+    std::lock_guard<std::mutex> lock(gated.mu);
+    CHECK(gated.predict_thread != std::thread::id());
+    CHECK(gated.predict_thread != std::this_thread::get_id());
+  }
+
+  // Owed hop, enqueue-only backend: both hops are IO-pool sleeps, so the
+  // hand-off leaves the caller and the callback leaves the executor.
+  ThreadedBackend backend(/*never_blocks=*/true);
+  FrontEndOptions options;
+  options.network_delay_us = 50;
+  options.num_io_threads = 1;
+  FakeClock clock;
+  clock.Install(&options);
+  FrontEnd frontend(&backend, options);
+  CallbackProbe probe;
+  CHECK(frontend.RequestAsync("m", "x", probe.Callback()).ok());
+  probe.WaitFor(1);
+  const auto submits = backend.submit_threads();
+  CHECK_EQ(submits.size(), size_t{1});
+  CHECK(submits[0] != std::this_thread::get_id());
+  {
+    std::lock_guard<std::mutex> lock(probe.mu);
+    CHECK(probe.threads[0] != std::this_thread::get_id());
+    CHECK(probe.threads[0] != backend.worker_id());
+    CHECK(probe.results[0].ok());
+  }
+  CHECK(clock.RecordedWaits() == (std::vector<int64_t>{50, 50}));
+}
+
+// A rejection at submit on the inline path completes exactly once. Without
+// retries it fires before RequestAsync returns, on the caller's thread;
+// with a retry budget the retry is queued for the IO pool and waits out
+// the hinted backoff there. Either way dropped_backpressure counts it once.
+void TestSubmitRejectionInline() {
+  ThreadedBackend backend(/*never_blocks=*/true);
+  backend.reject_at_submit = true;
+  backend.hint_us = 5'000;
+  {
+    FrontEndOptions options;
+    options.network_delay_us = 0;
+    options.num_io_threads = 1;
+    FrontEnd frontend(&backend, options);
+    CallbackProbe probe;
+    CHECK(frontend.RequestAsync("m", "x", probe.Callback()).ok());
+    CHECK_EQ(probe.fired(), size_t{1});  // Before RequestAsync returned.
+    std::lock_guard<std::mutex> lock(probe.mu);
+    CHECK(probe.threads[0] == std::this_thread::get_id());
+    CHECK(probe.results[0].status().IsResourceExhausted());
+    CHECK_EQ(frontend.GetMetrics().dropped_backpressure, uint64_t{1});
+    CHECK_EQ(frontend.GetMetrics().retries, uint64_t{0});
+  }
+
+  FrontEndOptions options;
+  options.network_delay_us = 0;
+  options.num_io_threads = 1;
+  options.max_retries = 1;
+  options.retry_base_us = 100;  // The hint dominates the backoff.
+  FakeClock clock;
+  clock.Install(&options);
+  backend.now_ns = [&clock] { return clock.now_ns.load(); };
+  FrontEnd frontend(&backend, options);
+  CallbackProbe probe;
+  CHECK(frontend.RequestAsync("m", "x", probe.Callback()).ok());
+  probe.WaitFor(1);
+  // Give a stray second delivery the chance to show.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  CHECK_EQ(probe.fired(), size_t{1});
+  {
+    std::lock_guard<std::mutex> lock(probe.mu);
+    CHECK(probe.results[0].status().IsResourceExhausted());
+  }
+  const auto threads = backend.submit_threads();
+  const auto stamps = backend.submit_ns();
+  CHECK_EQ(threads.size(), size_t{3});  // Earlier no-retry call + 2 here.
+  CHECK(threads[1] == std::this_thread::get_id());
+  CHECK(threads[2] != std::this_thread::get_id());  // Retry on the IO pool.
+  CHECK_MSG(stamps[1] - stamps[0] >= backend.hint_us * 1000,
+            "retry resubmitted %lldus after the rejection, before the %lldus "
+            "hint",
+            static_cast<long long>((stamps[1] - stamps[0]) / 1000),
+            static_cast<long long>(backend.hint_us));
+  const FrontEndMetrics metrics = frontend.GetMetrics();
+  CHECK_EQ(metrics.retries, uint64_t{1});
+  CHECK_EQ(metrics.dropped_backpressure, uint64_t{1});
+}
+
+SaWorkload SmallSa(size_t pipelines) {
+  SaWorkloadOptions opts;
+  opts.num_pipelines = pipelines;
+  opts.char_dict_entries = 400;
+  opts.word_dict_entries = 120;
+  opts.vocabulary_size = 250;
+  return SaWorkload::Generate(opts);
+}
+
+std::unique_ptr<ShardRouter> SmallRouter(const SaWorkload& sa) {
+  ShardRouterOptions sopts;
+  sopts.num_shards = 2;
+  sopts.runtime.num_executors = 1;
+  auto router = std::make_unique<ShardRouter>(sopts);
+  for (const auto& spec : sa.pipelines()) {
+    CHECK(router->Place(spec).ok());
+  }
+  return router;
+}
+
+// RequestAsync issued from inside a completion callback — here on a shard
+// executor thread — is served: every chain runs to its end, each request
+// completing exactly once.
+void TestRequestFromCallback() {
+  auto sa = SmallSa(4);
+  auto router = SmallRouter(sa);
+  ShardedBackend backend(router.get());
+  FrontEndOptions options;
+  options.network_delay_us = 0;
+  options.num_io_threads = 1;
+  FrontEnd frontend(&backend, options);
+
+  constexpr int kChains = 4;
+  constexpr int kLength = 50;
+  Rng rng(5);
+  std::vector<std::string> inputs;
+  for (int i = 0; i < 16; ++i) {
+    inputs.push_back(sa.SampleInput(rng));
+  }
+  std::vector<std::atomic<int>> fired(kChains * kLength);
+  std::atomic<int> done{0};
+  std::function<void(int, int)> send = [&](int chain, int step) {
+    const auto& spec = sa.pipelines()[(chain + step) % sa.pipelines().size()];
+    const Status st = frontend.RequestAsync(
+        spec.name, inputs[(chain * 7 + step) % inputs.size()],
+        [&, chain, step](Result<float> r) {
+          CHECK(r.ok());
+          fired[chain * kLength + step].fetch_add(1);
+          if (step + 1 < kLength) {
+            send(chain, step + 1);
+          }
+          done.fetch_add(1);
+        });
+    CHECK(st.ok());
+  };
+  for (int c = 0; c < kChains; ++c) {
+    send(c, 0);
+  }
+  while (done.load() < kChains * kLength) {
+    std::this_thread::yield();
+  }
+  for (const auto& f : fired) {
+    CHECK_EQ(f.load(), 1);
+  }
+}
+
+// Teardown with executor-thread completions in flight: the destructor
+// drains every admitted request, and the completing threads touch nothing
+// of the FrontEnd once it may be gone (ASan/UBSan builds run this loop).
+// Odd rounds destroy it the moment the last callback fired, racing the
+// tail of that completion on its executor thread.
+void TestDestroyWithCompletionsInFlight() {
+  auto sa = SmallSa(4);
+  auto router = SmallRouter(sa);
+  ShardedBackend backend(router.get());
+  Rng rng(9);
+  const std::string input = sa.SampleInput(rng);
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> fired{0};
+    int admitted = 0;
+    FrontEndOptions options;
+    options.network_delay_us = 0;
+    options.num_io_threads = 1;
+    auto frontend = std::make_unique<FrontEnd>(&backend, options);
+    for (int i = 0; i < 16; ++i) {
+      const auto& spec = sa.pipelines()[(round + i) % sa.pipelines().size()];
+      if (frontend->RequestAsync(spec.name, input, [&fired](Result<float> r) {
+            CHECK(r.ok());
+            fired.fetch_add(1);
+          }).ok()) {
+        ++admitted;
+      }
+    }
+    while (round % 2 == 1 && fired.load() < admitted) {
+      std::this_thread::yield();
+    }
+    frontend.reset();
+    CHECK_EQ(fired.load(), admitted);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -308,5 +674,15 @@ int main() {
   std::printf("TestAsyncOutcomeSplit: PASS\n");
   TestBackoffDoesNotStallQueue();
   std::printf("TestBackoffDoesNotStallQueue: PASS\n");
+  TestZeroHopSubmitsOnCallerThread();
+  std::printf("TestZeroHopSubmitsOnCallerThread: PASS\n");
+  TestBlockingOrHopDispatchesOnIoPool();
+  std::printf("TestBlockingOrHopDispatchesOnIoPool: PASS\n");
+  TestSubmitRejectionInline();
+  std::printf("TestSubmitRejectionInline: PASS\n");
+  TestRequestFromCallback();
+  std::printf("TestRequestFromCallback: PASS\n");
+  TestDestroyWithCompletionsInFlight();
+  std::printf("TestDestroyWithCompletionsInFlight: PASS\n");
   return 0;
 }
