@@ -22,6 +22,12 @@
 //    1-core host the margin compresses under timeslicing noise, so the
 //    check degrades to a >= 0.9x no-regression guard.
 //
+//  - AC trees: the featurizer forest plus the final forest per record over
+//    >= 512 distinct dense records (distinct, so no record's tree paths are
+//    still warm in the branch predictor or caches from its last visit).
+//    Informational: ac_forest_ns. The AC end-to-end line times text
+//    records, where parsing hides the trees.
+//
 // Writes BENCH_datapath.json (archived by the CI bench-smoke job).
 #include <memory>
 
@@ -405,6 +411,54 @@ int main(int argc, char** argv) {
     std::printf("  Zipf(%.2f) SA+AC fused-plan mix: %.0f ns/prediction\n",
                 zipf, mix_ns);
     json.Add("zipf_mix_ns", mix_ns);
+  }
+
+  // -------------------------------------------------------------------
+  // 5. AC trees over distinct records (informational).
+  {
+    const size_t records = 512;
+    struct Trees {
+      const Forest* featurizer;
+      const Forest* final_forest;
+      size_t tree_off;
+    };
+    std::vector<Trees> trees;
+    for (const auto& spec : ac.pipelines()) {
+      const Forest& tf =
+          NodeParams<TreeFeaturizerParams>(spec, OpKind::kTreeFeaturizer)
+              ->forest;
+      const Forest& ff =
+          NodeParams<ForestParams>(spec, OpKind::kForest)->forest;
+      trees.push_back({&tf, &ff, ff.num_features - tf.roots.size()});
+    }
+    const size_t in_dim = trees[0].featurizer->num_features;
+    const size_t feature_dim = trees[0].final_forest->num_features;
+    Rng frng(4007);
+    std::vector<float> inputs(records * in_dim);
+    std::vector<float> features(records * feature_dim);
+    for (auto& v : inputs) v = static_cast<float>(frng.Normal());
+    for (auto& v : features) v = static_cast<float>(frng.Normal());
+    const auto time_trees = [&] {
+      const int64_t t0 = NowNs();
+      for (size_t r = 0; r < records; ++r) {
+        const Trees& t = trees[r % trees.size()];
+        float* feats = features.data() + r * feature_dim;
+        t.featurizer->EvalTrees(inputs.data() + r * in_dim, feats + t.tree_off);
+        g_sink += t.final_forest->Eval(feats);
+      }
+      return static_cast<double>(NowNs() - t0) / records;
+    };
+    double forest_ns = time_trees();
+    for (int pass = 1; pass < 3; ++pass) {
+      forest_ns = std::min(forest_ns, time_trees());
+    }
+    std::printf(
+        "\n  AC trees (%zu x depth %zu featurizer + %zu x depth %zu final, "
+        "%zu distinct records): %.0f ns/record\n",
+        trees[0].featurizer->roots.size(), trees[0].featurizer->depth,
+        trees[0].final_forest->roots.size(), trees[0].final_forest->depth,
+        records, forest_ns);
+    json.Add("ac_forest_ns", forest_ns);
   }
 
   json.Add("shape_check", pass ? "PASS" : "FAIL");

@@ -203,9 +203,7 @@ Result<float> BlackBoxModel::PredictDense(const std::string& input) {
           return Status::InvalidArgument("dense input narrower than pipeline");
         }
         tree_out = std::make_unique<std::vector<float>>(tf.forest.roots.size());
-        for (size_t t = 0; t < tf.forest.roots.size(); ++t) {
-          (*tree_out)[t] = tf.forest.EvalTree(t, dense_in->data());
-        }
+        tf.forest.EvalTrees(dense_in->data(), tree_out->data());
         break;
       }
       case OpKind::kConcat: {

@@ -401,22 +401,22 @@ size_t ParseDenseInput(std::string_view input, std::vector<float>* out) {
 
 namespace {
 
+// Pre-order layout: a node's children come after it.
 int32_t BuildTree(Forest* forest, size_t features, size_t depth, Rng& rng) {
-  TreeNode node;
+  const int32_t idx = static_cast<int32_t>(forest->nodes.size());
+  forest->nodes.emplace_back();
   if (depth == 0) {
-    node.feature = -1;
-    node.value = static_cast<float>(rng.Normal()) * 0.25f;
-    forest->nodes.push_back(node);
-    return static_cast<int32_t>(forest->nodes.size() - 1);
+    TreeNode& leaf = forest->nodes[idx];
+    leaf.threshold = static_cast<float>(rng.Normal()) * 0.25f;
+    leaf.child[0] = leaf.child[1] = idx;
+    return idx;
   }
-  node.feature = static_cast<int16_t>(rng.UniformInt(features));
-  node.threshold = static_cast<float>(rng.Normal());
-  forest->nodes.push_back(node);
-  const int32_t idx = static_cast<int32_t>(forest->nodes.size() - 1);
+  forest->nodes[idx].feature = static_cast<int32_t>(rng.UniformInt(features));
+  forest->nodes[idx].threshold = static_cast<float>(rng.Normal());
   const int32_t left = BuildTree(forest, features, depth - 1, rng);
   const int32_t right = BuildTree(forest, features, depth - 1, rng);
-  forest->nodes[idx].left = left;
-  forest->nodes[idx].right = right;
+  forest->nodes[idx].child[0] = left;
+  forest->nodes[idx].child[1] = right;
   return idx;
 }
 
@@ -425,6 +425,7 @@ int32_t BuildTree(Forest* forest, size_t features, size_t depth, Rng& rng) {
 Forest BuildRandomForest(size_t trees, size_t features, size_t depth, Rng& rng) {
   Forest forest;
   forest.num_features = features;
+  forest.depth = trees > 0 ? depth : 0;
   forest.roots.reserve(trees);
   forest.nodes.reserve(trees * ((size_t{1} << (depth + 1)) - 1));
   for (size_t t = 0; t < trees; ++t) {

@@ -1,6 +1,9 @@
 #include "src/ops/params.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "src/common/serialize.h"
 
@@ -21,6 +24,16 @@ uint64_t DictChecksum(const HashDict& dict, uint64_t seed) {
 uint64_t BytesChecksum(const void* data, size_t len, uint64_t seed) {
   return ContentHash64(static_cast<const char*>(data), len, seed);
 }
+
+// Forest checksums and images take node bytes raw, so a node must have no
+// padding: otherwise two identical forests could hash (and serialize)
+// differently and defeat Object Store dedup. (has_unique_object_representations
+// is false for any struct holding a float, so the check is by size.)
+static_assert(std::is_trivially_copyable_v<TreeNode> &&
+                  sizeof(TreeNode) == sizeof(TreeNode::feature) +
+                                          sizeof(TreeNode::threshold) +
+                                          sizeof(TreeNode::child),
+              "TreeNode must have no padding bytes");
 
 uint64_t ForestChecksum(const Forest& forest, uint64_t seed) {
   uint64_t h = SplitMix64(seed ^ forest.num_features);
@@ -47,36 +60,59 @@ bool DeserializeForest(const char** p, const char* end, Forest* forest) {
       !ReadPod(p, end, &nodes)) {
     return false;
   }
+  // Node indices and features are int32; the byte counts below must not
+  // wrap.
+  const uint64_t avail = static_cast<uint64_t>(end - *p);
+  if (roots > avail / sizeof(int32_t) || nodes > avail / sizeof(TreeNode) ||
+      nodes > INT32_MAX) {
+    return false;
+  }
   const size_t roots_bytes = roots * sizeof(int32_t);
   const size_t nodes_bytes = nodes * sizeof(TreeNode);
-  if (static_cast<size_t>(end - *p) < roots_bytes + nodes_bytes) {
+  if (avail < roots_bytes + nodes_bytes) {
     return false;
   }
   forest->num_features = features;
   forest->roots.resize(roots);
-  std::memcpy(forest->roots.data(), *p, roots_bytes);
-  *p += roots_bytes;
   forest->nodes.resize(nodes);
-  std::memcpy(forest->nodes.data(), *p, nodes_bytes);
+  if (roots > 0) {  // An empty vector's data() may be null.
+    std::memcpy(forest->roots.data(), *p, roots_bytes);
+  }
+  *p += roots_bytes;
+  if (nodes > 0) {
+    std::memcpy(forest->nodes.data(), *p, nodes_bytes);
+  }
   *p += nodes_bytes;
-  // Structural validation: a corrupted image must not be able to send
-  // EvalTree out of bounds (or into a cycle — child links must point
-  // forward, matching how BuildTree lays nodes out).
+  // Structural validation: a corrupted image must not be able to send a
+  // walk out of bounds. Every node (leaves too) reads features[feature]; a
+  // leaf points at itself twice; an internal node's children point forward,
+  // so one reverse pass also finds each node's height, and the forest's
+  // depth is its tallest root.
   const int64_t n = static_cast<int64_t>(nodes);
   for (const int32_t root : forest->roots) {
     if (root < 0 || root >= n) {
       return false;
     }
   }
-  for (int64_t i = 0; i < n; ++i) {
+  std::vector<uint32_t> height(nodes, 0);
+  for (int64_t i = n - 1; i >= 0; --i) {
     const TreeNode& node = forest->nodes[i];
-    if (node.feature < 0) {
-      continue;  // Leaf.
-    }
-    if (static_cast<uint64_t>(node.feature) >= features ||
-        node.left <= i || node.left >= n || node.right <= i || node.right >= n) {
+    if (node.feature < 0 || static_cast<uint64_t>(node.feature) >= features) {
       return false;
     }
+    const int32_t c0 = node.child[0];
+    const int32_t c1 = node.child[1];
+    if (c0 == i && c1 == i) {
+      continue;  // Leaf.
+    }
+    if (c0 <= i || c0 >= n || c1 <= i || c1 >= n) {
+      return false;
+    }
+    height[i] = 1 + std::max(height[c0], height[c1]);
+  }
+  forest->depth = 0;
+  for (const int32_t root : forest->roots) {
+    forest->depth = std::max<size_t>(forest->depth, height[root]);
   }
   return true;
 }

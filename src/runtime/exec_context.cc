@@ -394,9 +394,7 @@ Result<float> ExecuteDense(const ModelPlan& plan, std::string_view input,
       case StageKind::kTreeFeaturize: {
         const Forest& forest = b.tree_feat->forest;
         ctx.tree_out.resize(forest.roots.size());
-        for (size_t t = 0; t < forest.roots.size(); ++t) {
-          ctx.tree_out[t] = forest.EvalTree(t, dense);
-        }
+        forest.EvalTrees(dense, ctx.tree_out.data());
         break;
       }
       case StageKind::kConcat: {
@@ -421,10 +419,7 @@ Result<float> ExecuteDense(const ModelPlan& plan, std::string_view input,
                dense, out + b.pca_off);
         KMeansTransform(b.kmeans->centroids.data(), b.kmeans->k, b.kmeans->dim,
                         dense, out + b.kmeans_off);
-        const Forest& forest = b.tree_feat->forest;
-        for (size_t t = 0; t < forest.roots.size(); ++t) {
-          out[b.tree_off + t] = forest.EvalTree(t, dense);
-        }
+        b.tree_feat->forest.EvalTrees(dense, out + b.tree_off);
         if (stage.inlined_forest) {
           score = b.bound_final.Eval(ctx.dense_features.dense_data());
         }
@@ -582,7 +577,7 @@ size_t ExecutePlanBatch(const ModelPlan& plan, const std::string_view* inputs,
   KMeansTransformBatchSoA(b.kmeans->centroids.data(), km_k, b.kmeans->dim,
                           ctx.batch_soa.data(), m, km_soa);
 
-  // Trees and the final forest branch per record; gather each lane's
+  // Trees and the final forest walk per record; gather each lane's
   // feature row from the SoA stage outputs (trees read the lane's row
   // pointer directly — for aligned binary records that is still the wire
   // payload).
@@ -596,10 +591,7 @@ size_t ExecutePlanBatch(const ModelPlan& plan, const std::string_view* inputs,
     for (size_t r = 0; r < km_k; ++r) {
       feats[b.kmeans_off + r] = km_soa[r * m + lane];
     }
-    const float* row = ctx.batch_row_ptrs[lane];
-    for (size_t t = 0; t < trees.roots.size(); ++t) {
-      feats[b.tree_off + t] = trees.EvalTree(t, row);
-    }
+    trees.EvalTrees(ctx.batch_row_ptrs[lane], feats + b.tree_off);
     scores[ctx.batch_valid[lane]] = b.bound_final.Eval(feats);
   }
   if (ctx.pool != nullptr && !ctx.pool->pooling_enabled()) {

@@ -184,7 +184,7 @@ Result<float> ExecutePlan(const ModelPlan& plan, std::string_view input,
 // gathered into a structure-of-arrays transpose (binary records alias their
 // wire payload — no AoS staging row; text records parse into staging) and
 // the PCA/KMeans stages become one blocked matrix-matrix kernel each
-// instead of n matvecs (trees and the final forest stay per-record).
+// instead of n matvecs (trees and the final forest walk per record).
 // Invalid records are masked out of the transpose and attributed
 // individually — the valid rows of a mixed batch still run batch-major.
 // Text-family plans fall back to per-record execution. Returns the number

@@ -1,12 +1,15 @@
 // BinaryRecord wire format: round-trips, structural rejection (truncated,
 // oversized, corrupt, non-finite, unsorted), misaligned-buffer handling,
-// batch framing, a deterministic mutation fuzz pass (ASan/TSan builds run
-// this test, so out-of-bounds reads in the validator would be caught), and
+// batch framing, deterministic mutation fuzz passes over records and over
+// forest parameter images (ASan/TSan builds run this test, so
+// out-of-bounds reads in the validators would be caught), and
 // the end-to-end contract: a binary record must score identically (1e-6) to
 // its text twin on every SA/AC plan under every optimizer config, through
 // the per-record, batch, and Runtime entry points.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -425,6 +428,203 @@ void TestMutationFuzz() {
   std::printf("mutation fuzz: %zu parsed, %zu rejected\n", parsed, rejected);
 }
 
+
+// Forest images (TreeFeaturizerParams, ForestParams bodies). Node i sits
+// after the 3 x u64 header and the roots.
+size_t NodeOffset(const Forest& forest, size_t i) {
+  return 3 * sizeof(uint64_t) + forest.roots.size() * sizeof(int32_t) +
+         i * sizeof(TreeNode);
+}
+
+std::string PatchNode(const std::string& image, const Forest& forest,
+                      size_t i, const TreeNode& node) {
+  std::string out = image;
+  std::memcpy(&out[NodeOffset(forest, i)], &node, sizeof(node));
+  return out;
+}
+
+bool Accepts(OpKind kind, const std::string& image) {
+  return DeserializeOpParams(kind, image.data(), image.size()).ok();
+}
+
+// An accepted forest must be walkable: every root and child in range and
+// every feature below num_features (checked here directly for builds
+// without ASan), then walked with exactly num_features inputs.
+void WalkAccepted(const Forest& forest, Rng& rng) {
+  const int64_t n = static_cast<int64_t>(forest.nodes.size());
+  for (const int32_t root : forest.roots) {
+    CHECK(root >= 0 && root < n);
+  }
+  for (const TreeNode& node : forest.nodes) {
+    CHECK(node.feature >= 0 &&
+          static_cast<uint64_t>(node.feature) < forest.num_features);
+    CHECK(node.child[0] >= 0 && node.child[0] < n);
+    CHECK(node.child[1] >= 0 && node.child[1] < n);
+  }
+  CHECK(forest.depth <= forest.nodes.size());
+  if (forest.num_features > (size_t{1} << 16)) {
+    return;  // Checked above; too wide to materialize an input for.
+  }
+  std::vector<float> x(forest.num_features);
+  for (float& v : x) {
+    v = rng.UniformInt(8) == 0 ? std::numeric_limits<float>::quiet_NaN()
+                               : static_cast<float>(rng.Normal());
+  }
+  std::vector<float> out(forest.roots.size());
+  forest.EvalTrees(x.data(), out.data());
+  float sum = forest.Eval(x.data());
+  for (size_t t = 0; t < forest.roots.size(); ++t) {
+    sum += forest.EvalTree(t, x.data());
+  }
+  (void)sum;
+}
+
+// Named corruptions of a valid image are rejected.
+void TestForestImageRejection() {
+  Rng rng(0xF0F0);
+  ForestParams params;
+  params.forest = BuildRandomForest(2, 4, 2, rng);
+  params.Finalize();
+  const Forest& f = params.forest;
+  std::string image;
+  params.Serialize(&image);
+  const OpKind kind = OpKind::kForest;
+  auto ok = DeserializeOpParams(kind, image.data(), image.size());
+  CHECK(ok.ok());
+  CHECK_EQ(static_cast<const ForestParams&>(**ok).forest.depth, 2);
+
+  // Pre-order, depth 2: node 0 is a root, node 1 its left child (internal),
+  // node 2 a leaf.
+  CHECK(f.nodes[0].child[0] == 1 && f.nodes[2].child[0] == 2);
+  TreeNode node = f.nodes[0];
+  node.child[0] = 0;  // Internal node pointing at itself.
+  CHECK(!Accepts(kind, PatchNode(image, f, 0, node)));
+  node = f.nodes[0];
+  node.child[1] = 0;
+  CHECK(!Accepts(kind, PatchNode(image, f, 0, node)));
+  node = f.nodes[1];
+  node.child[1] = 0;  // Backward child.
+  CHECK(!Accepts(kind, PatchNode(image, f, 1, node)));
+  node = f.nodes[1];
+  node.child[0] = static_cast<int32_t>(f.nodes.size());  // Past the end.
+  CHECK(!Accepts(kind, PatchNode(image, f, 1, node)));
+  node = f.nodes[2];
+  node.child[1] = 3;  // Leaf with only one self child.
+  CHECK(!Accepts(kind, PatchNode(image, f, 2, node)));
+  node = f.nodes[2];
+  node.child[0] = 3;
+  CHECK(!Accepts(kind, PatchNode(image, f, 2, node)));
+  for (const int32_t feature : {-1, INT32_MIN, 4, INT32_MAX}) {
+    for (const size_t i : {size_t{0}, size_t{2}}) {  // Internal, leaf.
+      node = f.nodes[i];
+      node.feature = feature;
+      CHECK(!Accepts(kind, PatchNode(image, f, i, node)));
+    }
+  }
+  for (const int32_t root :
+       {-1, static_cast<int32_t>(f.nodes.size()), INT32_MAX}) {
+    std::string bad = image;
+    std::memcpy(&bad[3 * sizeof(uint64_t)], &root, sizeof(root));
+    CHECK(!Accepts(kind, bad));
+  }
+  // Counts whose byte sizes would wrap, and a truncated image.
+  for (const size_t field : {size_t{1}, size_t{2}}) {
+    for (const uint64_t count :
+         {uint64_t{1} << 62, ~uint64_t{0}, (uint64_t{1} << 60) + 1}) {
+      std::string bad = image;
+      std::memcpy(&bad[field * sizeof(uint64_t)], &count, sizeof(count));
+      CHECK(!Accepts(kind, bad));
+    }
+  }
+  CHECK(!Accepts(kind, image.substr(0, image.size() - 1)));
+  std::printf("forest image rejection: PASS\n");
+}
+
+// Seeded mutation fuzz over serialized TreeFeaturizerParams and
+// ForestParams: every mutation must fail DeserializeOpParams or walk in
+// bounds (the ASan and UBSan jobs run this test).
+void TestForestImageFuzz() {
+  Rng build_rng(0xF0F1);
+  TreeFeaturizerParams featurizer;
+  featurizer.forest = BuildRandomForest(6, 12, 4, build_rng);
+  featurizer.Finalize();
+  ForestParams final_forest;
+  final_forest.forest = BuildRandomForest(17, 20, 3, build_rng);
+  final_forest.Finalize();
+  struct Seed {
+    OpKind kind;
+    const Forest* forest;
+    std::string image;
+  };
+  Seed seeds[] = {{OpKind::kTreeFeaturizer, &featurizer.forest, {}},
+                  {OpKind::kForest, &final_forest.forest, {}}};
+  featurizer.Serialize(&seeds[0].image);
+  final_forest.Serialize(&seeds[1].image);
+
+  Rng rng(0xF0F2);
+  size_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const Seed& seed = seeds[iter % 2];
+    const Forest& f = *seed.forest;
+    std::string image = seed.image;
+    const size_t mutations = 1 + rng.UniformInt(3);
+    for (size_t m = 0; m < mutations && !image.empty(); ++m) {
+      switch (rng.UniformInt(6)) {
+        case 0:  // Byte flip anywhere.
+          image[rng.UniformInt(image.size())] =
+              static_cast<char>(rng.UniformInt(256));
+          break;
+        case 1:  // Truncate.
+          image.resize(rng.UniformInt(image.size() + 1));
+          break;
+        case 2:  // Extend with junk.
+          image.append(1 + rng.UniformInt(16), static_cast<char>(0xAB));
+          break;
+        case 3: {  // Header byte flip.
+          image[rng.UniformInt(std::min<size_t>(image.size(), 24))] =
+              static_cast<char>(rng.UniformInt(256));
+          break;
+        }
+        default: {  // One node field set near its valid range.
+          const size_t i = rng.UniformInt(f.nodes.size());
+          if (NodeOffset(f, i + 1) > image.size()) {
+            break;
+          }
+          TreeNode node;
+          std::memcpy(&node, &image[NodeOffset(f, i)], sizeof(node));
+          const int64_t n = static_cast<int64_t>(f.nodes.size());
+          const auto near = [&](int64_t hi) {
+            return static_cast<int32_t>(
+                static_cast<int64_t>(rng.UniformInt(hi + 4)) - 2);
+          };
+          switch (rng.UniformInt(3)) {
+            case 0: node.feature = near(f.num_features); break;
+            case 1: node.child[0] = near(n); break;
+            default: node.child[1] = near(n); break;
+          }
+          std::memcpy(&image[NodeOffset(f, i)], &node, sizeof(node));
+          break;
+        }
+      }
+    }
+    auto params = DeserializeOpParams(seed.kind, image.data(), image.size());
+    if (!params.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const Forest& loaded =
+        seed.kind == OpKind::kForest
+            ? static_cast<const ForestParams&>(**params).forest
+            : static_cast<const TreeFeaturizerParams&>(**params).forest;
+    WalkAccepted(loaded, rng);
+  }
+  CHECK(accepted > 0);
+  CHECK(rejected > 0);
+  std::printf("forest image fuzz: %zu accepted, %zu rejected\n", accepted,
+              rejected);
+}
+
 }  // namespace
 
 int main() {
@@ -459,6 +659,8 @@ int main() {
 
   TestRuntimeBinaryPath();
   TestMutationFuzz();
+  TestForestImageRejection();
+  TestForestImageFuzz();
 
   std::printf("serialize_test: PASS\n");
   return 0;
