@@ -18,6 +18,8 @@
 //  - EventCount: futex-style sleep/wake for executor parking. Producers pay
 //    one atomic bump and skip the kernel entirely while every consumer is
 //    busy; mutex+condvar survive only on the park/unpark slow path.
+//  - DispatchClaim: the at-most-one-owner flag on a queue's dispatch
+//    quantum, with the release-then-recheck hand-off every owner uses.
 #ifndef PRETZEL_COMMON_LOCKFREE_H_
 #define PRETZEL_COMMON_LOCKFREE_H_
 
@@ -354,6 +356,14 @@ class EventCount {
   void NotifyOne() { Notify(false); }
   void NotifyAll() { Notify(true); }
 
+  // Consumers between PrepareWait and the end of their wait: parked, or
+  // about to re-check and park. A snapshot for heuristics only.
+  uint32_t waiters() const {
+    // relaxed: callers only choose between two correct paths with it (run
+    // on this thread or wake a consumer); no protocol step depends on it.
+    return waiters_.load(PRETZEL_MO(ec_waiters_peek, relaxed));
+  }
+
  private:
   void Notify(bool all) {
     // The bump must precede the waiters check: a waiter whose PrepareWait
@@ -391,6 +401,45 @@ class EventCount {
   PRETZEL_ATOMIC(uint32_t) waiters_{0};
   PRETZEL_LF_MUTEX mu_;
   PRETZEL_LF_CONDVAR cv_;
+};
+
+// The dispatch claim on one queue: at most one owner at a time holds the
+// right to consume it (an executor that popped it from the runnable
+// rotation, or a caller running one quantum inline). Producers publish an
+// event, then TryAcquire; only the winner puts the queue in the rotation.
+// An owner that finds nothing left to do must Release, which re-checks for
+// work: a producer that published while the claim was held saw it taken
+// and left publication to the owner. The claim store/exchange and the
+// producer's counter bump before its exchange are a store-buffering pair,
+// so both run seq_cst — either the producer's exchange sees the release, or
+// the owner's re-check sees the producer's work.
+class DispatchClaim {
+ public:
+  // True when the caller took a free claim and now owns the queue.
+  bool TryAcquire() {
+    return !claimed_.exchange(true, PRETZEL_MO(claim_acquire_xchg, seq_cst));
+  }
+
+  // Owner only. Gives the claim up, then re-checks `has_work()`. True means
+  // work arrived and the caller re-took the claim: it must publish the
+  // queue (or consume it) exactly as a winning producer would. Dropping the
+  // re-check (seeded mutation claim_skip_recheck) strands that producer's
+  // event with no claim holder and no rotation entry.
+  template <typename HasWork>
+  bool Release(HasWork has_work) {
+    claimed_.store(false, PRETZEL_MO(claim_release_store, seq_cst));
+    if (PRETZEL_LF_MUTATION(claim_skip_recheck)) {
+      return false;
+    }
+    return has_work() && TryAcquire();
+  }
+
+  bool held() const {
+    return claimed_.load(PRETZEL_MO(claim_held_load, seq_cst));
+  }
+
+ private:
+  PRETZEL_ATOMIC(bool) claimed_{false};
 };
 
 }  // namespace pretzel

@@ -26,8 +26,9 @@ class PretzelBackend : public Backend {
                         int64_t deadline_ns = 0) override;
 
   // Rides the Runtime's event scheduler (coalescible single-prediction
-  // event) instead of blocking the calling IO thread. The deadline travels
-  // with the event so expiry is enforced inside the scheduler's queues.
+  // event, or one inline quantum on an idle executor group) instead of
+  // blocking the calling IO thread. The deadline travels with the event so
+  // expiry is enforced inside the scheduler's queues.
   void PredictAsync(const std::string& name, const std::string& input,
                     std::function<void(Result<float>)> callback,
                     int64_t deadline_ns = 0) override;

@@ -155,8 +155,9 @@ Status FrontEnd::RequestAsync(const std::string& name, const std::string& input,
     }
   }
   if (submit_inline_) {
-    // No hop owed and the backend only enqueues: hand off right here rather
-    // than paying a wake-up per thread crossing. A rejection at submit may
+    // No hop owed and the backend never blocks: hand off right here rather
+    // than paying a wake-up per thread crossing. A rejection at submit, or
+    // a request the Runtime runs inline on an idle executor group, may
     // complete (callback included) before this returns.
     Dispatch(std::move(work));
     return Status::OK();

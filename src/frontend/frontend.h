@@ -9,11 +9,12 @@
 // Who runs what. The IO pool only carries work that must wait: an owed hop
 // (network_delay_us > 0), a retry serving out its backoff, or a hand-off to
 // a backend whose PredictAsync blocks (the default, and the container
-// baseline). With no hop owed and a backend whose async entry only enqueues
+// baseline). With no hop owed and a backend whose async entry never blocks
 // (Backend::PredictAsyncNeverBlocks), RequestAsync submits on the caller's
 // thread and the completion is delivered on whichever thread completed it:
 // a runtime executor, or the caller itself (before RequestAsync returns)
-// when the backend rejects at submit. Callbacks therefore must not block,
+// when the backend rejects at submit or the Runtime runs the request
+// inline on an idle executor group. Callbacks therefore must not block,
 // and must not take a lock the caller holds across RequestAsync.
 //
 // Backpressure composition with the Runtime's bounded event rings: a
@@ -54,15 +55,18 @@ class Backend {
   // Asynchronous entry point. The default blocks the calling thread on the
   // sync path; scheduler-backed backends override it to enqueue instead.
   // `callback` must be invoked exactly once, from any thread: an executor
-  // thread on completion, or the calling thread itself (possibly before
-  // PredictAsync returns) on a submit-time rejection.
+  // thread on completion, or the calling thread itself before PredictAsync
+  // returns — on a submit-time rejection, or when the Runtime runs the
+  // request inline because its executor group is idle.
   virtual void PredictAsync(const std::string& name, const std::string& input,
                             std::function<void(Result<float>)> callback,
                             int64_t deadline_ns = 0) {
     callback(Predict(name, input, deadline_ns));
   }
-  // True when PredictAsync only enqueues and never blocks the caller on the
-  // prediction, so the FrontEnd may call it on the client's thread. Backends
+  // True when PredictAsync never blocks the caller: it enqueues, or at most
+  // runs one prediction on the caller's thread whose measured cost is below
+  // the Runtime's inline ceiling (kInlineMaxExecNs, about one executor
+  // wake-up), so the FrontEnd may call it on the client's thread. Backends
   // that keep the blocking default must leave this false.
   virtual bool PredictAsyncNeverBlocks() const { return false; }
   // Binary wire record (src/common/serialize.h). The default copies the
@@ -134,7 +138,8 @@ class FrontEnd {
   // run on the IO pool. Otherwise the hand-off runs on this thread and the
   // callback runs on the thread that completed the request: a runtime
   // executor, or this thread before RequestAsync returns (a rejection at
-  // submit). Either way it fires exactly once per OK return, so it must not
+  // submit, or a request the Runtime ran inline on an idle executor group).
+  // Either way it fires exactly once per OK return, so it must not
   // block, nor take a lock the caller holds across this call. Fails fast
   // (callback never runs) with ResourceExhausted when max_pending admitted
   // requests are in flight, or DeadlineExceeded when the deadline already

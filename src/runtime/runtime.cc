@@ -48,8 +48,22 @@ struct Runtime::BatchJob {
 constexpr size_t kMetricsWindow = 4096;
 
 // Capacity of each group's runnable rotation ring; a plan occupies at most
-// one slot (the `scheduled` claim), so this bounds plans per group.
+// one slot (its dispatch claim), so this bounds plans per group.
 constexpr size_t kRunnableRingCapacity = 8192;
+
+// Inline-when-idle ceiling on a plan's per-event execution-time EWMA
+// (execution plus completion callback). Near the measured cost of handing
+// a request to a parked executor (about 14-17us of wake-up and queue wait
+// on a 4-vCPU x86 VM): a plan cheaper than this finishes on the caller's
+// thread sooner than an executor could even start it, while a costlier one
+// would hold the submitting thread longer than the hop it saves.
+constexpr int64_t kInlineMaxExecNs = 20'000;
+
+// Set for the whole life of an executor thread, and on a submitting thread
+// while it runs an inline quantum: such a thread is already doing runtime
+// work, so its own async submissions (say, a callback that resubmits)
+// enqueue instead of nesting another inline quantum on the stack.
+thread_local bool t_runtime_work = false;
 
 static void AddWindowed(SampleStats& stats, double value, size_t window) {
   if (stats.count() >= window) {
@@ -64,12 +78,14 @@ static void MergeStats(SampleStats& into, const SampleStats& from) {
   }
 }
 
-// Retry-after plumbing: every dispatch folds its queue wait into the plan's
-// EWMA (alpha 1/8); a ResourceExhausted rejection attaches that estimate,
-// floored at 1us so callers can test `retry_after_us() > 0` for presence.
-static void RecordQueueDelay(std::atomic<int64_t>& ewma, int64_t wait_us) {
+// Per-plan estimates (alpha 1/8). Every dispatch folds its queue wait into
+// the plan's queue-delay EWMA — a ResourceExhausted rejection attaches that
+// estimate, floored at 1us so callers can test `retry_after_us() > 0` for
+// presence — and every singles quantum its per-event time into the
+// exec-time EWMA the inline rule reads. Racy updates are fine (estimates).
+static void UpdateEwma(std::atomic<int64_t>& ewma, int64_t sample) {
   const int64_t prev = ewma.load(std::memory_order_relaxed);
-  ewma.store(prev + (wait_us - prev) / 8, std::memory_order_relaxed);
+  ewma.store(prev + (sample - prev) / 8, std::memory_order_relaxed);
 }
 
 static int64_t RetryAfterHintUs(const std::atomic<int64_t>& ewma) {
@@ -98,7 +114,8 @@ static Status ExpiredStatus(const char* stage, DeadlineStage stage_tag,
 // owning executor writes it (one lock/unlock per dispatch, uncontended
 // unless a GetMetrics snapshot is copying this exact shard), so metric
 // recording never serializes executors against each other or against
-// snapshots.
+// snapshots. A plan's last shard is the caller shard: inline quanta record
+// there, so executor shards stay single-writer.
 struct Runtime::MetricShard {
   Mutex mu;
   SampleStats batch_records GUARDED_BY(mu);
@@ -158,6 +175,11 @@ struct Runtime::ExecGroup {
   size_t num_executors = 1;
   size_t spawned = 0;  // Shard indices handed to executors (startup only).
   std::atomic<size_t> plan_count{0};
+  // The first executor's sub-plan cache (null when caching is off). Inline
+  // work on this group's plans borrows it — it is mutex-guarded — so a
+  // plan's materializations are shared, not duplicated, across the two
+  // paths.
+  SubPlanCache* inline_cache = nullptr;
 
   // Lock-free mode: the runnable rotation is an MPMC ring; executors park
   // on the eventcount, so producers skip the kernel while executors are
@@ -186,11 +208,11 @@ struct Runtime::ExecGroup {
 // Lock-free mode: producers admit through the atomic `queued` counter, then
 // publish into `ring` (bounded MPSC; bursts spill to the `spill` chain of
 // ring segments, which stays FIFO-ordered after the ring's contents). The
-// `scheduled` flag keeps the plan at most once in the group's runnable
-// rotation; whoever pops it from the rotation is the queue's single
-// consumer until it re-publishes or releases the claim. `held` stashes a
-// chunk event the consumer popped while coalescing singles (consumer-
-// private; ownership transfers with the claim).
+// dispatch `claim` keeps the plan at most once in the group's runnable
+// rotation; whoever pops it from the rotation (or wins it inline) is the
+// queue's single consumer until it re-publishes or releases the claim.
+// `held` stashes a chunk event the consumer popped while coalescing singles
+// (consumer-private; ownership transfers with the claim).
 struct Runtime::PlanQueue {
   explicit PlanQueue(size_t ring_capacity) : ring(ring_capacity) {}
 
@@ -262,9 +284,10 @@ struct Runtime::PlanQueue {
   // Chunk events among them; the adaptive linger must end as soon as batch
   // work exists anywhere in the queue.
   std::atomic<size_t> chunk_count{0};
-  // True while the plan is in the runnable rotation or owned by an
-  // executor; replaces PR-2's `runnable` bookkeeping under the group mutex.
-  std::atomic<bool> scheduled{false};
+  // Held while the plan is in the runnable rotation or owned by an executor
+  // or inline caller; replaces PR-2's `runnable` bookkeeping under the
+  // group mutex.
+  DispatchClaim claim;
   // True while an executor lingers for this plan's batch to fill; enqueues
   // then NotifyAll so the linger predicate is re-evaluated.
   std::atomic<bool> lingering{false};
@@ -283,10 +306,15 @@ struct Runtime::PlanQueue {
   // dispatches; the retry-after hint on this plan's rejections. Racy
   // updates are fine — it is an estimate.
   std::atomic<int64_t> queue_delay_ewma_us{0};
+  // Per-event execution-time EWMA of singles quanta (execution plus the
+  // completion callback, ns); the inline rule compares it to
+  // kInlineMaxExecNs.
+  std::atomic<int64_t> exec_ewma_ns{0};
   std::atomic<uint64_t> inline_predictions{0};
   std::atomic<uint64_t> enqueued{0};
   std::atomic<uint64_t> rejected{0};
   std::atomic<uint64_t> dispatches{0};
+  std::atomic<uint64_t> caller_dispatches{0};
   std::atomic<uint64_t> coalesced{0};
   std::atomic<uint64_t> singles_batched{0};
   std::atomic<uint64_t> errors{0};
@@ -294,7 +322,8 @@ struct Runtime::PlanQueue {
   std::atomic<uint64_t> expired_dequeue{0};
   std::atomic<uint64_t> expired_quantum{0};
   std::atomic<uint64_t> shed_deadline{0};
-  std::vector<std::unique_ptr<MetricShard>> shards;  // One per group executor.
+  // One per group executor, then the caller shard (inline quanta).
+  std::vector<std::unique_ptr<MetricShard>> shards;
 };
 
 Runtime::Runtime(ObjectStore* store, const RuntimeOptions& options)
@@ -307,9 +336,6 @@ Runtime::Runtime(ObjectStore* store, const RuntimeOptions& options)
         return o;
       }()),
       caller_contexts_(&caller_pool_, /*reuse_enabled=*/true) {
-  if (options_.subplan_cache_bytes > 0) {
-    caller_cache_ = std::make_unique<SubPlanCache>(options_.subplan_cache_bytes);
-  }
   shared_group_ = std::make_unique<ExecGroup>(
       options_.lockfree_scheduler ? kRunnableRingCapacity : 2);
   shared_group_->num_executors = options_.num_executors;
@@ -357,6 +383,9 @@ void Runtime::SpawnExecutor(ExecGroup* group) {
   executor_pools_.push_back(std::make_unique<VectorPool>());
   VectorPool* pool = executor_pools_.back().get();
   const size_t shard_idx = group->spawned++;
+  if (shard_idx == 0) {
+    group->inline_cache = cache;
+  }
   threads_.emplace_back([this, group, cache, pool, shard_idx] {
     ExecutorLoop(group, cache, pool, shard_idx);
   });
@@ -381,8 +410,8 @@ Result<Runtime::PlanId> Runtime::Register(std::shared_ptr<ModelPlan> plan,
   pq->max_delay_us = registration.max_delay_us >= 0
                          ? registration.max_delay_us
                          : options_.default_max_delay_us;
-  const size_t cores = std::min(registration.reserve_cores,
-                                options_.max_reserved_cores_per_plan);
+  const size_t cores =
+      std::min(registration.reserve_cores, kMaxReservedCoresPerPlan);
   if (cores > 0) {
     auto group = std::make_unique<ExecGroup>(2);  // Rotates exactly one plan.
     group->num_executors = cores;
@@ -408,7 +437,7 @@ Result<Runtime::PlanId> Runtime::Register(std::shared_ptr<ModelPlan> plan,
   }
   const size_t shard_count = std::max<size_t>(1, pq->group->num_executors);
   pq->shard_window = std::max<size_t>(256, kMetricsWindow / shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
+  for (size_t i = 0; i < shard_count + 1; ++i) {
     pq->shards.push_back(std::make_unique<MetricShard>());
   }
   plan_queues_.push_back(std::move(pq));
@@ -444,7 +473,7 @@ Status Runtime::Retire(PlanId id) {
     if (options_.lockfree_scheduler) {
       drained = pq->queued.load(std::memory_order_seq_cst) == 0 &&
                 pq->overflow_count.load(std::memory_order_seq_cst) == 0 &&
-                !pq->scheduled.load(std::memory_order_seq_cst);
+                !pq->claim.held();
     } else {
       MutexLock lock(pq->group->mu);
       drained = pq->events.empty() && !pq->m_runnable;
@@ -482,8 +511,7 @@ Status Runtime::AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n) {
   // collapse in bench_resilience's post-burst phase).
   // relaxed: queued is a monotonic-noise admission heuristic; a stale read
   // only mis-sheds or mis-admits one request, never corrupts state.
-  if (options_.deadline_admission &&
-      pq->queued.load(std::memory_order_relaxed) > 0) {
+  if (pq->queued.load(std::memory_order_relaxed) > 0) {
     const int64_t est_us =
         pq->queue_delay_ewma_us.load(std::memory_order_relaxed);
     const int64_t remaining_us = (deadline_ns - now) / 1000;
@@ -606,7 +634,7 @@ Status Runtime::EnqueueLockFree(PlanQueue* pq, Event* events, size_t n) {
   pq->enqueued.fetch_add(n, std::memory_order_relaxed);
   // Publish: first producer to find the plan unclaimed puts it in the
   // rotation; everyone else just wakes an executor.
-  if (!pq->scheduled.exchange(true, std::memory_order_seq_cst)) {
+  if (pq->claim.TryAcquire()) {
     PushRunnable(group, pq);
   }
   if (n > 1 || pq->lingering.load(std::memory_order_seq_cst)) {
@@ -641,6 +669,21 @@ bool Runtime::PopRunnable(ExecGroup* group, PlanQueue** pq) {
     return true;
   }
   return false;
+}
+
+// Round-robin hand-off, run by the claim owner BEFORE it executes its
+// quantum: if events remain, the plan goes back in the rotation (the claim
+// travels with the ring slot) so a sibling can take its next quantum
+// meanwhile. Otherwise release the claim, whose re-check re-publishes work
+// a producer enqueued after the owner's last pop.
+void Runtime::HandOff(PlanQueue* pq) {
+  const auto pending = [pq] {
+    return pq->queued.load(std::memory_order_seq_cst) > 0;
+  };
+  if (pq->held_valid || pending() || pq->claim.Release(pending)) {
+    PushRunnable(pq->group, pq);
+    pq->group->ec.NotifyOne();
+  }
 }
 
 // Quantum-owner only: held stash first, then the lock-free ring, then the
@@ -732,7 +775,7 @@ Result<float> Runtime::Predict(PlanId id, std::string_view input,
     }
     pq->inline_predictions.fetch_add(1, std::memory_order_relaxed);
     std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
-    ctx->subplan_cache = caller_cache_.get();
+    ctx->subplan_cache = pq->group->inline_cache;
     Result<float> result = ExecutePlan(*pq->plan, input, *ctx);
     caller_contexts_.Release(std::move(ctx));
     pq->ReleaseLifecycle();
@@ -801,9 +844,59 @@ Status Runtime::PredictAsync(PlanId id, std::string input,
   if (!pq->AdmitLifecycle()) {
     return Status::NotFound("plan " + std::to_string(id) + " retired");
   }
-  Status submitted = EnqueueOne(pq, std::move(event));
+  // The lifecycle ref covers an inline quantum's whole execution, so a
+  // racing Retire drains it like an executor's.
+  Status submitted =
+      TryRunInline(pq, event) ? Status::OK() : EnqueueOne(pq, std::move(event));
   pq->ReleaseLifecycle();
   return submitted;
+}
+
+bool Runtime::TryRunInline(PlanQueue* pq, Event& event) {
+  if (t_runtime_work || pq->reserved || !options_.lockfree_scheduler) {
+    return false;
+  }
+  ExecGroup* group = pq->group;
+  // Every executor parked: running here only replaces a wake-up and never
+  // jumps ahead of work an awake executor would reach. Nothing queued: no
+  // admitted event is waiting on this plan. Both are heuristics choosing
+  // between two correct paths — the claim exchange is what arbitrates.
+  // relaxed: a stale `queued` or exec EWMA only picks the other path.
+  if (group->ec.waiters() < group->num_executors ||
+      pq->queued.load(std::memory_order_relaxed) > 0 ||
+      // relaxed: as above.
+      pq->exec_ewma_ns.load(std::memory_order_relaxed) > kInlineMaxExecNs ||
+      !pq->claim.TryAcquire()) {
+    return false;
+  }
+  // The executor's quantum, on this thread: the same counters (so
+  // enqueued == accepted holds on both branches), batch 1 and queue wait 0
+  // into the caller shard, then the same hand-off before executing.
+  t_runtime_work = true;
+  event.enqueue_ns = NowNs();
+  pq->enqueued.fetch_add(1, std::memory_order_relaxed);
+  pq->dispatches.fetch_add(1, std::memory_order_relaxed);
+  pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
+  pq->coalesced.fetch_add(1, std::memory_order_relaxed);
+  UpdateEwma(pq->queue_delay_ewma_us, 0);
+  const size_t caller_shard = pq->shards.size() - 1;
+  {
+    MetricShard& shard = *pq->shards[caller_shard];
+    MutexLock lock(shard.mu);
+    AddWindowed(shard.batch_records, 1.0, pq->shard_window);
+    AddWindowed(shard.queue_wait_us, 0.0, pq->shard_window);
+  }
+  HandOff(pq);
+  // Never nested on one thread (t_runtime_work), so one buffer per thread.
+  thread_local std::vector<Event> batch;
+  batch.push_back(std::move(event));
+  std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
+  ctx->subplan_cache = group->inline_cache;
+  ExecuteQuantum(pq, batch, *ctx, caller_shard);
+  caller_contexts_.Release(std::move(ctx));
+  batch.clear();
+  t_runtime_work = false;
+  return true;
 }
 
 // Sub-batch size: fill every executor that serves this plan, but never
@@ -1060,6 +1153,7 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
                            VectorPool* pool, size_t shard_idx) {
   // Executor-private pooled state: the paper's per-core ExecContext, with
   // this executor's own sub-plan materialization cache attached.
+  t_runtime_work = true;
   ExecContext ctx(pool);
   ctx.subplan_cache = cache;
   if (!options_.lockfree_scheduler) {
@@ -1135,7 +1229,7 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
                                  ? batch.front().end - batch.front().begin
                                  : batch.size();
       const int64_t wait_ns = dispatch_ns - batch.front().enqueue_ns;
-      RecordQueueDelay(pq->queue_delay_ewma_us, wait_ns / 1000);
+      UpdateEwma(pq->queue_delay_ewma_us, wait_ns / 1000);
       MetricShard& shard = *pq->shards[shard_idx];
       MutexLock lock(shard.mu);
       AddWindowed(shard.batch_records, static_cast<double>(records),
@@ -1143,22 +1237,7 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
       AddWindowed(shard.queue_wait_us, static_cast<double>(wait_ns) / 1e3,
                   pq->shard_window);
     }
-    // Round-robin hand-off BEFORE executing: if events remain, the plan
-    // goes back in the rotation (claim travels with the ring slot) so a
-    // sibling can take its next quantum while we execute this one.
-    // Otherwise release the claim, then re-check: a producer that enqueued
-    // after our last pop saw scheduled == true and left publication to us.
-    if (pq->held_valid || pq->queued.load(std::memory_order_seq_cst) > 0) {
-      PushRunnable(group, pq);
-      group->ec.NotifyOne();
-    } else {
-      pq->scheduled.store(false, std::memory_order_seq_cst);
-      if (pq->queued.load(std::memory_order_seq_cst) > 0 &&
-          !pq->scheduled.exchange(true, std::memory_order_seq_cst)) {
-        PushRunnable(group, pq);
-        group->ec.NotifyOne();
-      }
-    }
+    HandOff(pq);
     if (batch.empty()) {
       // Admitted-but-unpublished producer race; the plan was re-published
       // above if its events are still pending.
@@ -1241,8 +1320,7 @@ void Runtime::ExecutorLoopMutex(ExecGroup* group, ExecContext& ctx,
                       : batch.size();
         wait_us =
             static_cast<double>(dispatch_ns - batch.front().enqueue_ns) / 1e3;
-        RecordQueueDelay(pq->queue_delay_ewma_us,
-                         static_cast<int64_t>(wait_us));
+        UpdateEwma(pq->queue_delay_ewma_us, static_cast<int64_t>(wait_us));
         if (batch.front().job == nullptr) {
           pq->coalesced.fetch_add(batch.size(), std::memory_order_relaxed);
         }
@@ -1282,6 +1360,9 @@ void Runtime::ExecutorLoopMutex(ExecGroup* group, ExecContext& ctx,
 // the sampled latency lands in this executor's shard.
 void Runtime::ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
                              ExecContext& ctx, size_t shard_idx) {
+  // Singles quanta time themselves from here, stall included, into the
+  // exec-time EWMA.
+  const int64_t start_ns = NowNs();
   // Chaos site: an executor pinned mid-quantum (GC pause, page fault storm,
   // noisy neighbor). Injected before the deadline checks so stalled quanta
   // exercise the expiry paths.
@@ -1451,8 +1532,11 @@ void Runtime::ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
   // Sampled latency: one observation per dispatch, for the oldest event in
   // the group (the group's worst case) — keeps the per-event hot path free
   // of clock reads and stats writes.
+  const int64_t end_ns = NowNs();
+  UpdateEwma(pq->exec_ewma_ns,
+             (end_ns - start_ns) / static_cast<int64_t>(batch.size()));
   const double latency_us =
-      static_cast<double>(NowNs() - batch.front().enqueue_ns) / 1e3;
+      static_cast<double>(end_ns - batch.front().enqueue_ns) / 1e3;
   {
     MetricShard& shard = *pq->shards[shard_idx];
     MutexLock lock(shard.mu);
@@ -1481,6 +1565,8 @@ RuntimeMetrics Runtime::GetMetrics() const {
     pm.enqueued_events = pq->enqueued.load(std::memory_order_relaxed);
     pm.rejected_events = pq->rejected.load(std::memory_order_relaxed);
     pm.dispatches = pq->dispatches.load(std::memory_order_relaxed);
+    pm.caller_dispatches =
+        pq->caller_dispatches.load(std::memory_order_relaxed);
     pm.coalesced_singles = pq->coalesced.load(std::memory_order_relaxed);
     pm.batched_singles = pq->singles_batched.load(std::memory_order_relaxed);
     pm.errors = pq->errors.load(std::memory_order_relaxed);
@@ -1528,9 +1614,6 @@ RuntimeMetrics Runtime::GetMetrics() const {
   for (const auto& cache : executor_caches_) {
     aggregate(*cache);
   }
-  if (caller_cache_ != nullptr) {
-    aggregate(*caller_cache_);
-  }
   for (const auto& pool : executor_pools_) {
     metrics.vector_pool += pool->GetStats();
   }
@@ -1565,6 +1648,7 @@ static void MergePlanMetrics(PlanMetrics& into, const PlanMetrics& from) {
   into.enqueued_events += from.enqueued_events;
   into.rejected_events += from.rejected_events;
   into.dispatches += from.dispatches;
+  into.caller_dispatches += from.caller_dispatches;
   into.coalesced_singles += from.coalesced_singles;
   into.batched_singles += from.batched_singles;
   into.errors += from.errors;

@@ -21,7 +21,7 @@
 //    ring by the consumer — so even deep backlogs never take a mutex; the
 //    ResourceExhausted cap is enforced by an atomic counter before any
 //    structure is touched.
-//  - A plan is claimed for dispatch via an atomic `scheduled` flag; the
+//  - A plan is claimed for dispatch via its DispatchClaim (lockfree.h); the
 //    runnable rotation itself is a lock-free MPMC ring of PlanQueue*.
 //  - Executors park and linger on an EventCount: producers skip the kernel
 //    entirely while every executor is busy; mutex+condvar survive only on
@@ -36,14 +36,26 @@
 // Reservations (Section 5.4.1): a registration may reserve cores. Reserved
 // plans get dedicated executors draining a dedicated group, and ALL their
 // traffic — including synchronous Predict — is accounted against those
-// executors, so their latency is isolated from shared-pool load. Unreserved
-// synchronous singles keep the inline fast path (a queue hop buys them
-// nothing).
+// executors, so their latency is isolated from shared-pool load.
 //
-// The Runtime owns one SubPlanCache and one VectorPool per executor (plus
-// one each for the inline path), so Figure-10 sub-plan materialization is
-// active in serving, and exposes per-plan queue/batch/latency metrics plus
-// pool hit/miss counters through GetMetrics().
+// Inline when idle: on an unreserved plan a single prediction may run on
+// the submitting thread. Synchronous singles always do (a queue hop buys
+// them nothing). An asynchronous single does when that is all an idle
+// system would do anyway: every executor of the plan's group is parked,
+// the plan has nothing queued, the caller wins the plan's dispatch claim,
+// the plan's per-event execution-time EWMA is at most kInlineMaxExecNs
+// (runtime.cc; about the cost of waking an executor), and the calling
+// thread is not already doing runtime work (an executor, or inside an
+// inline completion — so a callback that resubmits enqueues instead of
+// recursing). The caller then runs the executor's dispatch quantum itself,
+// with the same admission, lifecycle and accounting; no executor wakes.
+// Batches always enqueue, and so does everything under the mutex baseline.
+//
+// The Runtime owns one SubPlanCache and one VectorPool per executor (plus a
+// pool for the inline path, whose work shares the sub-plan cache of the
+// group it bypasses), so Figure-10 sub-plan materialization is active in
+// serving, and exposes per-plan queue/batch/latency metrics plus pool
+// hit/miss counters through GetMetrics().
 #ifndef PRETZEL_RUNTIME_RUNTIME_H_
 #define PRETZEL_RUNTIME_RUNTIME_H_
 
@@ -72,13 +84,15 @@
 
 namespace pretzel {
 
+// Hard cap on dedicated executors one registration may reserve.
+inline constexpr size_t kMaxReservedCoresPerPlan = 4;
+
 struct RuntimeOptions {
   size_t num_executors = 1;
-  // Hard cap on dedicated executors one registration may reserve.
-  size_t max_reserved_cores_per_plan = 4;
   // Sub-plan materialization cache budget per executor (0 disables). Each
-  // executor owns a private cache, so the hot path never contends on it
-  // across cores.
+  // executor owns a cache, so executors never contend on one across cores;
+  // inline (caller-thread) work borrows the first executor's cache of the
+  // group it bypasses.
   size_t subplan_cache_bytes = 8ull << 20;
   // Per-plan cap on queued events (backpressure); 0 = unbounded. Enqueues
   // that would exceed it fail fast with ResourceExhausted.
@@ -103,18 +117,12 @@ struct RuntimeOptions {
   // one blocked matrix-matrix kernel instead of per-record matvecs. False
   // restores the per-record loop (the before/after bench baseline).
   bool batch_major = true;
-  // Deadline-aware admission: when a request carries a deadline and the
-  // plan's queue-delay EWMA already exceeds the remaining budget, shed at
-  // admission with ResourceExhausted (plus retry-after hint) instead of
-  // queueing work that will expire — the caller can retry elsewhere NOW
-  // rather than learn of the miss after the deadline. Requests without a
-  // deadline are never shed by this check.
-  bool deadline_admission = true;
 };
 
 struct PlanRegistration {
-  // > 0: dedicate this many executors to the plan. Dedicated executors are
-  // additional threads so reservations never starve the shared pool.
+  // > 0: dedicate this many executors to the plan (capped at
+  // kMaxReservedCoresPerPlan). Dedicated executors are additional threads
+  // so reservations never starve the shared pool.
   size_t reserve_cores = 0;
   // Per-plan adaptive batching overrides (0 / negative = runtime default).
   size_t max_batch = 0;
@@ -134,10 +142,19 @@ struct PlanMetrics {
   bool reserved = false;
   bool retired = false;  // Retire() completed; the plan no longer admits.
   size_t queue_depth = 0;           // Events queued right now.
-  uint64_t inline_predictions = 0;  // Unreserved sync fast path.
+  // Synchronous singles on an unreserved plan, run on the caller's thread;
+  // they bypass the scheduler, so the enqueue/dispatch counters below
+  // never include them.
+  uint64_t inline_predictions = 0;
+  // Scheduler events admitted: batch chunks and async/reserved singles,
+  // including the async singles that ran inline (counted as if enqueued
+  // and dispatched at once, so enqueued == accepted holds either way).
   uint64_t enqueued_events = 0;
   uint64_t rejected_events = 0;     // Backpressure drops.
-  uint64_t dispatches = 0;          // Executor pulls (quanta).
+  uint64_t dispatches = 0;          // Dispatch quanta, executor or inline.
+  // The subset of `dispatches` a submitting thread ran inline (one async
+  // single each, queue wait 0) — how much work skipped the executor wake.
+  uint64_t caller_dispatches = 0;
   uint64_t coalesced_singles = 0;   // Singles dispatched via coalescing.
   // Coalesced singles that executed batch-major (dense-family groups routed
   // through ExecutePlanBatch instead of the per-event loop) — the scheduler
@@ -152,15 +169,16 @@ struct PlanMetrics {
   uint64_t expired_dequeue = 0;     // Singles expired awaiting dispatch.
   uint64_t expired_quantum = 0;     // Batch records dropped between quanta.
   // Requests shed at admission because the queue-delay estimate exceeded
-  // the remaining deadline budget (RuntimeOptions::deadline_admission).
+  // the remaining deadline budget (see the entry-point comment below).
   uint64_t shed_deadline = 0;
   // EWMA of enqueue->dispatch delay (the retry-after hint attached to this
   // plan's ResourceExhausted rejections).
   int64_t queue_delay_ewma_us = 0;
-  // The SampleStats below are windowed (each per-executor shard restarts
-  // when its window fills — kMetricsWindow in runtime.cc divided across the
-  // group's shards), so long-running servers keep bounded memory and the
-  // percentiles describe recent traffic. Snapshots merge the shards.
+  // The SampleStats below are windowed (each shard — one per executor plus
+  // one for inline quanta — restarts when its window fills; kMetricsWindow
+  // in runtime.cc divided across the group's executors), so long-running
+  // servers keep bounded memory and the percentiles describe recent
+  // traffic. Snapshots merge the shards.
   SampleStats batch_records;        // Records per dispatch.
   SampleStats queue_wait_us;        // Enqueue -> dispatch.
   // Enqueue -> completion, sampled once per dispatch (the dispatched
@@ -170,7 +188,7 @@ struct PlanMetrics {
 
 struct RuntimeMetrics {
   std::vector<PlanMetrics> plans;
-  // Aggregated over every executor-owned cache plus the inline-path cache.
+  // Aggregated over every executor-owned cache (inline work shares them).
   SubPlanCache::Stats subplan_cache;
   size_t subplan_cache_entries = 0;
   size_t subplan_cache_bytes = 0;
@@ -215,8 +233,10 @@ class Runtime {
   // drains, and then the ModelPlan reference is dropped — so once the
   // ObjectStore has Released the version's params, Retire is the point its
   // unshared blobs can actually leave the heap. Blocking, control-plane
-  // only; MUST NOT be called from an executor thread (it waits on executor
-  // progress). Idempotent: a second call returns OK without re-draining.
+  // only; MUST NOT be called from an executor thread or from a completion
+  // callback (it waits on executor progress, and an inline completion
+  // holds its plan's lifecycle ref). Idempotent: a second call returns OK
+  // without re-draining.
   // The PlanQueue shell itself persists — id stability and the
   // QueueDelayCounter pointer contract are unchanged — only the plan (and
   // its parameter references) is reclaimed.
@@ -227,9 +247,10 @@ class Runtime {
   // reaches dispatch, and between a batch job's chunk quanta — each drop
   // completes with Status::DeadlineExceeded whose message attributes where
   // the budget went (queue wait vs overrun), and lands in the plan's
-  // expired_* counters. With deadline_admission, a request whose remaining
-  // budget is already below the queue-delay estimate is shed up front with
-  // ResourceExhausted (+ retry-after hint) instead.
+  // expired_* counters. While a plan has events queued, a request whose
+  // remaining budget is already below the plan's queue-delay estimate is
+  // shed up front with ResourceExhausted (+ retry-after hint) instead, so
+  // the caller can fail over while budget remains.
 
   // Synchronous single prediction. Unreserved plans execute inline on the
   // caller's thread; reserved plans ride their dedicated queue so latency
@@ -256,8 +277,11 @@ class Runtime {
                        int64_t deadline_ns = 0);
 
   // Asynchronous single prediction: an event on the plan's queue, eligible
-  // for coalescing with other queued singles of the same plan. `callback`
-  // fires exactly once, from an executor thread.
+  // for coalescing with other queued singles of the same plan — or, when
+  // the plan's group is idle (see "Inline when idle" above), one quantum
+  // run right here. `callback` fires exactly once per OK return: from an
+  // executor thread, or from this thread before PredictAsync returns. It
+  // must not block, nor take a lock the caller holds across this call.
   Status PredictAsync(PlanId id, std::string input, SingleCallback callback,
                       int64_t deadline_ns = 0);
 
@@ -335,10 +359,10 @@ class Runtime {
   // the registry lock exclusively (constructor and Register).
   void SpawnExecutor(ExecGroup* group) REQUIRES(registry_mu_);
   // Deadline admission gate, shared by every queued entry point: rejects
-  // already-expired work (DeadlineExceeded, expired_admission) and — with
-  // deadline_admission — sheds work whose remaining budget is below the
-  // queue-delay estimate (ResourceExhausted + hint, shed_deadline). `n` is
-  // the record count the counters move by.
+  // already-expired work (DeadlineExceeded, expired_admission) and, while
+  // the plan has events queued, sheds work whose remaining budget is below
+  // the queue-delay estimate (ResourceExhausted + hint, shed_deadline). `n`
+  // is the record count the counters move by.
   Status AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n);
   // Chunks a prepared BatchJob into per-quantum events and enqueues them.
   Status SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
@@ -349,6 +373,10 @@ class Runtime {
                                size_t max_batch);
   void ExecutorLoop(ExecGroup* group, SubPlanCache* cache, VectorPool* pool,
                     size_t shard_idx);
+  // The inline-when-idle branch of PredictAsync: false (event untouched)
+  // unless the rule holds, else runs the event's quantum on this thread.
+  // The caller holds a lifecycle ref across the call.
+  bool TryRunInline(PlanQueue* pq, Event& event);
   void ExecutorLoopMutex(ExecGroup* group, ExecContext& ctx, size_t shard_idx);
   PlanQueue* GetQueue(PlanId id) const EXCLUDES(registry_mu_);
 
@@ -363,6 +391,9 @@ class Runtime {
   Status EnqueueLockFree(PlanQueue* pq, Event* events, size_t n);
   static void PushRunnable(ExecGroup* group, PlanQueue* pq);
   static bool PopRunnable(ExecGroup* group, PlanQueue** pq);
+  // A claim owner's hand-off: re-publishes the plan if events remain, else
+  // releases the dispatch claim (with its re-check).
+  static void HandOff(PlanQueue* pq);
   // Pops the plan's next event (held slot, then ring, then spill chain).
   // Quantum-owner only.
   static bool PopEvent(PlanQueue* pq, Event* out);
@@ -371,7 +402,8 @@ class Runtime {
   static bool PopSpill(PlanQueue* pq, Event* out);
   void LingerLockFree(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns);
   // Executes one gathered quantum (outside all scheduler structures) and
-  // records error/latency accounting into this executor's shard.
+  // records error/latency accounting into shard `shard_idx` (an executor's,
+  // or the plan's caller shard for an inline quantum).
   void ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
                       ExecContext& ctx, size_t shard_idx);
 
@@ -400,10 +432,10 @@ class Runtime {
   std::atomic<bool> stop_{false};
   std::vector<std::thread> threads_ GUARDED_BY(registry_mu_);
 
-  // Contexts + cache for inline (caller-thread) predictions.
+  // Contexts for inline (caller-thread) predictions; their sub-plan cache
+  // is the bypassed group's (ExecGroup::inline_cache).
   VectorPool caller_pool_;
   ExecContextPool caller_contexts_;
-  std::unique_ptr<SubPlanCache> caller_cache_;
 };
 
 }  // namespace pretzel

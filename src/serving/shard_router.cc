@@ -1183,10 +1183,12 @@ Status ShardRouter::PredictAsync(const std::string& name, std::string input,
   // Outcome books from the completion, not the submit: `this` outlives the
   // callback because shards_ (joined first, reverse declaration order)
   // drains its executors before health_ and the lifecycle pool go away.
-  // The completion runs on an executor thread, so FinishVersion's rollback
-  // verdict is NOT acted on here — the kill switch it fires stops canary
-  // traffic, and a sync caller or the maintenance backstop finishes the
-  // teardown (Runtime::Retire must never run on an executor).
+  // The completion runs on an executor thread, or on this thread before
+  // PredictAsync returns when the shard runs it inline, inside the plan's
+  // lifecycle ref either way. So FinishVersion's rollback verdict is NOT
+  // acted on here — the kill switch it fires stops canary traffic, and a
+  // sync caller or the maintenance backstop finishes the teardown
+  // (Runtime::Retire must never run on an executor or in a completion).
   Status status = shards_[decision.shard]->runtime->PredictAsync(
       decision.plan_id, std::move(input),
       [this, decision, start_ns,

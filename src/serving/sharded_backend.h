@@ -29,7 +29,8 @@ class ShardedBackend : public Backend {
   Result<float> Predict(const std::string& name, const std::string& input,
                         int64_t deadline_ns = 0) override;
 
-  // Enqueues on the owning shard's event scheduler; never blocks.
+  // Submits to the owning shard's event scheduler (which may run it inline
+  // when that shard's executors are idle); never blocks.
   void PredictAsync(const std::string& name, const std::string& input,
                     std::function<void(Result<float>)> callback,
                     int64_t deadline_ns = 0) override;

@@ -30,6 +30,7 @@
 #include "src/workload/ac_workload.h"
 #include "src/workload/load_gen.h"
 #include "src/workload/sa_workload.h"
+#include "tests/executor_hold.h"
 #include "tests/test_util.h"
 
 #if !defined(PRETZEL_FAULT_INJECT)
@@ -175,17 +176,22 @@ void TestRingFullSpillExactlyOnce() {
   const auto models = ZipfModelSequence(h.ids.size(), kRequests, 2.0, 7);
   std::vector<std::atomic<int>> completions(kRequests);
   Waiter waiter;
-  for (size_t i = 0; i < kRequests; ++i) {
-    const size_t m = models[i];
-    const float expect = baseline[m];
-    auto status = h.runtime->PredictAsync(
-        h.ids[m], input, [&, i, expect](Result<float> r) {
-          CHECK(r.ok());
-          CHECK_NEAR(*r, expect, 1e-6);
-          completions[i].fetch_add(1);
-          waiter.Signal();
-        });
-    CHECK(status.ok());
+  {
+    // Both executors held while the requests arrive, so every one queues
+    // and meets the refused ring.
+    ExecutorHold hold(*h.runtime, {h.ids[0], h.ids[1]});
+    for (size_t i = 0; i < kRequests; ++i) {
+      const size_t m = models[i];
+      const float expect = baseline[m];
+      auto status = h.runtime->PredictAsync(
+          h.ids[m], input, [&, i, expect](Result<float> r) {
+            CHECK(r.ok());
+            CHECK_NEAR(*r, expect, 1e-6);
+            completions[i].fetch_add(1);
+            waiter.Signal();
+          });
+      CHECK(status.ok());
+    }
   }
   waiter.Await(kRequests);
   for (size_t i = 0; i < kRequests; ++i) {

@@ -96,16 +96,21 @@ void TestExpiredAtAdmission() {
 }
 
 // Blocks the sole executor for `hold_us` by parking it inside an async
-// callback, guaranteeing anything submitted meanwhile sits in queue.
+// callback, guaranteeing anything submitted meanwhile sits in queue. The
+// callback is a 1-record batch's: batches always run on an executor, while
+// an async single on an idle group may run inline on this thread.
 struct ExecutorBlocker {
   ExecutorBlocker(Runtime& runtime, Runtime::PlanId id,
                   const std::string& input, int64_t hold_us) {
-    Status st = runtime.PredictAsync(id, input, [this, hold_us](Result<float> r) {
-      CHECK(r.ok());
-      entered.store(true);
-      SleepUs(hold_us);
-      done.store(true);
-    });
+    Status st = runtime.PredictBatchAsync(
+        id, {input},
+        [this, hold_us](Status status, std::span<const float>) {
+          CHECK(status.ok());
+          entered.store(true);
+          SleepUs(hold_us);
+          done.store(true);
+        },
+        /*max_batch=*/1);
     CHECK(st.ok());
     while (!entered.load()) {
       SleepUs(100);  // Wait until the executor is provably inside.

@@ -1,4 +1,5 @@
-// Deterministic model-check suite for src/common/lockfree.h, the lock-free
+// Deterministic model-check suite for src/common/lockfree.h (including the
+// Runtime's dispatch-claim hand-off), the lock-free
 // circuit breaker in src/serving/health.h, the RCU snapshot cell in
 // src/common/rcu.h, and the versioned-lifecycle primitives in
 // src/serving/lifecycle_gate.h.
@@ -339,6 +340,67 @@ void EventCountScenario() {
   mc::Check(*resumed_set, "eventcount: waiter resumed without the flag set");
 }
 
+// DispatchClaim: the Runtime's dispatch-claim hand-off, with its three
+// kinds of claimant running at once. A producer admits an event (`queued`
+// bump) and publishes the plan into the rotation only if it wins the claim;
+// an inline claimant (PredictAsync on an idle group) takes the claim on an
+// empty queue; an executor pops the rotation and consumes one event. Every
+// owner then runs Runtime::HandOff: re-publish while work remains, else
+// Release with its re-check. Afterwards no admitted event may be left with
+// queued > 0, no claim and no rotation entry, and a held claim must be
+// exactly one rotation entry. Mutation claim_skip_recheck drops the
+// post-release re-check: a producer that bumped `queued` while the claim
+// was held is then stranded.
+void DispatchClaimScenario() {
+  struct State {
+    DispatchClaim claim;
+    mc::Atomic<int> queued{0};
+    mc::Atomic<int> runnable{0};  // Rotation entries for the plan.
+  };
+  auto st = std::make_shared<State>();
+  const auto hand_off = [](State& s) {
+    const auto pending = [&s] { return s.queued.load(mc::kSeqCst) > 0; };
+    if (pending() || s.claim.Release(pending)) {
+      s.runnable.fetch_add(1, mc::kSeqCst);
+    }
+  };
+  mc::Go({
+      [st] {
+        st->queued.fetch_add(1, mc::kSeqCst);
+        if (st->claim.TryAcquire()) {
+          st->runnable.fetch_add(1, mc::kSeqCst);
+        }
+      },
+      [st, hand_off] {
+        if (st->queued.load(mc::kSeqCst) == 0 && st->claim.TryAcquire()) {
+          hand_off(*st);  // Then executes its own event, outside the queue.
+        }
+      },
+      [st, hand_off] {
+        for (int turn = 0; turn < 2; ++turn) {
+          int r = st->runnable.load(mc::kSeqCst);
+          if (r == 0 ||
+              !st->runnable.compare_exchange_strong(r, r - 1, mc::kSeqCst)) {
+            continue;
+          }
+          if (st->queued.load(mc::kSeqCst) > 0) {
+            st->queued.fetch_sub(1, mc::kSeqCst);
+          }
+          hand_off(*st);
+        }
+      },
+  });
+  if (mc::Pruned() || mc::Failed()) return;
+  const int queued = st->queued.load(mc::kSeqCst);
+  const int runnable = st->runnable.load(mc::kSeqCst);
+  mc::Check(runnable <= 1, "claim: plan in the rotation twice");
+  mc::Check(queued == 0 || runnable == 1,
+            "claim: admitted event stranded with no claim and no rotation "
+            "entry");
+  mc::Check(st->claim.held() == (runnable == 1),
+            "claim: held without a rotation entry, or published unclaimed");
+}
+
 // CircuitBreaker trip visibility: the reopen deadline is stored relaxed and
 // published by the trip CAS's release. A reader that observes state=open must
 // therefore see the fresh deadline; weakening the trip CAS (mutation
@@ -615,6 +677,7 @@ const CleanCase kClean[] = {
     {"index_stack", StackScenario, 1000},
     {"mpsc_queue", MpscScenario, 1200},
     {"event_count", EventCountScenario, 2000},
+    {"dispatch_claim", DispatchClaimScenario, 2000},
     {"breaker_trip_visibility", BreakerTripVisibilityScenario, 1500},
     {"breaker_probe_lifecycle", BreakerProbeLifecycleScenario, 20},
     {"breaker_reopen_refresh", BreakerReopenRefreshScenario, 20},
@@ -644,6 +707,8 @@ const MutationCase kMutations[] = {
     {"ec_notify_waiters_load", EventCountScenario},
     {"ec_notify_skip_bump", EventCountScenario},
     {"ec_notify_skip_mutex", EventCountScenario},
+    // DispatchClaim (structural: drops the post-release re-check).
+    {"claim_skip_recheck", DispatchClaimScenario},
     // CircuitBreaker (src/serving/health.h).
     {"brk_trip_cas", BreakerTripVisibilityScenario},
     {"brk_halfopen_keep_tokens", BreakerProbeLifecycleScenario},

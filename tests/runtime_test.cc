@@ -1,19 +1,342 @@
 // Runtime: registration, inline predict, batch fan-out ordering, async
-// completion, error propagation, and reservations.
+// completion, error propagation, reservations, and the inline-when-idle rule
+// for async singles.
 #include "src/runtime/runtime.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <thread>
 
+#include "src/common/clock.h"
+#include "src/common/fault.h"
 #include "src/flour/flour.h"
 #include "src/oven/model_plan.h"
 #include "src/workload/sa_workload.h"
+#include "tests/executor_hold.h"
 #include "tests/test_util.h"
 
 using namespace pretzel;
+
+namespace {
+
+// A fresh Runtime over small SA plans; `reserve_first` dedicates an
+// executor to plan 0.
+struct Harness {
+  Harness(size_t executors, size_t pipelines, bool reserve_first = false) {
+    SaWorkloadOptions opts;
+    opts.num_pipelines = pipelines;
+    opts.char_dict_entries = 400;
+    opts.word_dict_entries = 120;
+    opts.vocabulary_size = 250;
+    workload = SaWorkload::Generate(opts);
+    RuntimeOptions ropts;
+    ropts.num_executors = executors;
+    runtime = std::make_unique<Runtime>(&store, ropts);
+    FlourContext flour(&store);
+    for (size_t i = 0; i < workload.pipelines().size(); ++i) {
+      const auto& spec = workload.pipelines()[i];
+      auto program = flour.FromPipeline(spec);
+      auto plan = Plan(*program, spec.name);
+      CHECK(plan.ok());
+      PlanRegistration reg;
+      reg.reserve_cores = reserve_first && i == 0 ? 1 : 0;
+      auto id = runtime->Register(*plan, reg);
+      CHECK(id.ok());
+      ids.push_back(*id);
+    }
+  }
+  PlanMetrics Metrics(Runtime::PlanId id) const {
+    for (const PlanMetrics& pm : runtime->GetMetrics().plans) {
+      if (pm.plan_id == id) {
+        return pm;
+      }
+    }
+    CHECK_MSG(false, "plan %zu has no metrics", id);
+    return {};
+  }
+  SaWorkload workload;
+  ObjectStore store;
+  std::unique_ptr<Runtime> runtime;
+  std::vector<Runtime::PlanId> ids;
+  // Short, so a quantum stays under the inline ceiling even in sanitizer
+  // builds.
+  std::string input = "a fine film";
+};
+
+// Completion bookkeeping for one async single.
+struct Completion {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  bool ok = false;
+  std::thread::id thread;
+
+  void Fire(bool result_ok) {
+    std::lock_guard<std::mutex> lock(mu);
+    ok = result_ok;
+    thread = std::this_thread::get_id();
+    done = true;
+    cv.notify_all();
+  }
+  void Await() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done; });
+  }
+};
+
+// Submits one async single. True when its callback ran on this thread
+// before PredictAsync returned (the inline branch); otherwise waits for
+// the completion and returns false.
+bool SubmitRanInline(Runtime& runtime, Runtime::PlanId id,
+                     const std::string& input) {
+  Completion c;
+  CHECK(runtime
+            .PredictAsync(id, input,
+                          [&c](Result<float> r) { c.Fire(r.ok()); })
+            .ok());
+  bool inline_done;
+  {
+    std::lock_guard<std::mutex> lock(c.mu);
+    inline_done = c.done && c.thread == std::this_thread::get_id();
+  }
+  c.Await();
+  CHECK(c.ok);
+  return inline_done;
+}
+
+// Executors park moments after they start or finish work; returns once an
+// async single on `id` has run inline, i.e. its group is provably idle.
+// Retries also ride out a transiently high exec-time EWMA (a cold first
+// quantum, a descheduled caller).
+void AwaitIdleGroup(Runtime& runtime, Runtime::PlanId id,
+                    const std::string& input) {
+  for (int attempt = 0; attempt < 2000; ++attempt) {
+    if (SubmitRanInline(runtime, id, input)) {
+      return;
+    }
+    SleepUs(1000);
+  }
+  CHECK_MSG(false, "plan %zu never ran inline on an idle group", id);
+}
+
+// Idle group: the callback runs on the caller's thread before PredictAsync
+// returns, with the executor's accounting — enqueued_events, dispatches and
+// caller_dispatches each move by exactly 1 — and the same score.
+void TestIdleGroupRunsInline() {
+  Harness h(/*executors=*/2, /*pipelines=*/2);
+  const Runtime::PlanId id = h.ids[1];
+  auto want = h.runtime->Predict(id, h.input);
+  CHECK(want.ok());
+  // Until the group is idle a submission may enqueue; every one that runs
+  // inline must show exactly the executor's accounting.
+  for (int attempt = 0; attempt < 2000; ++attempt) {
+    const PlanMetrics before = h.Metrics(id);
+    Completion c;
+    float score = -1.0f;
+    CHECK(h.runtime
+              ->PredictAsync(id, h.input,
+                             [&](Result<float> r) {
+                               score = r.ok() ? *r : -1.0f;
+                               c.Fire(r.ok());
+                             })
+              .ok());
+    bool ran_inline;
+    {
+      std::lock_guard<std::mutex> lock(c.mu);
+      ran_inline = c.done && c.thread == std::this_thread::get_id();
+    }
+    c.Await();
+    CHECK(c.ok);
+    CHECK_NEAR(score, *want, 1e-6);
+    if (!ran_inline) {
+      SleepUs(1000);
+      continue;
+    }
+    const PlanMetrics after = h.Metrics(id);
+    CHECK_EQ(after.enqueued_events, before.enqueued_events + 1);
+    CHECK_EQ(after.dispatches, before.dispatches + 1);
+    CHECK_EQ(after.caller_dispatches, before.caller_dispatches + 1);
+    CHECK_EQ(after.coalesced_singles, before.coalesced_singles + 1);
+    CHECK_EQ(after.queue_depth, size_t{0});
+    CHECK_EQ(after.errors, uint64_t{0});
+    return;
+  }
+  CHECK_MSG(false, "no async single ran inline on an idle group");
+}
+
+// Busy group: with its only executor held, singles enqueue, run on the
+// executor once it frees up, and still coalesce into shared quanta.
+void TestBusyGroupEnqueuesAndCoalesces() {
+  Harness h(/*executors=*/1, /*pipelines=*/2);
+  const Runtime::PlanId id = h.ids[1];
+  constexpr int kSingles = 8;
+  std::vector<std::unique_ptr<Completion>> done;
+  {
+    ExecutorHold hold(*h.runtime, {h.ids[0]});
+    for (int i = 0; i < kSingles; ++i) {
+      done.push_back(std::make_unique<Completion>());
+      Completion* c = done.back().get();
+      CHECK(h.runtime
+                ->PredictAsync(id, h.input,
+                               [c](Result<float> r) { c->Fire(r.ok()); })
+                .ok());
+    }
+    CHECK_EQ(h.Metrics(id).queue_depth, static_cast<size_t>(kSingles));
+  }
+  for (auto& c : done) {
+    c->Await();
+    CHECK(c->ok);
+    CHECK(c->thread != std::this_thread::get_id());
+  }
+  const PlanMetrics pm = h.Metrics(id);
+  CHECK_EQ(pm.caller_dispatches, uint64_t{0});
+  CHECK_EQ(pm.enqueued_events, static_cast<uint64_t>(kSingles));
+  CHECK_EQ(pm.coalesced_singles, static_cast<uint64_t>(kSingles));
+  CHECK_MSG(pm.dispatches < static_cast<uint64_t>(kSingles),
+            "%llu dispatches for %d queued singles: no coalescing",
+            static_cast<unsigned long long>(pm.dispatches), kSingles);
+}
+
+// A reserved plan keeps its isolation: its async singles always ride the
+// dedicated executor, even when that executor is parked.
+void TestReservedPlanNeverInline() {
+  Harness h(/*executors=*/1, /*pipelines=*/2, /*reserve_first=*/true);
+  AwaitIdleGroup(*h.runtime, h.ids[1], h.input);  // Shared group idle too.
+  for (int i = 0; i < 20; ++i) {
+    SleepUs(200);  // Let the dedicated executor park again.
+    CHECK(!SubmitRanInline(*h.runtime, h.ids[0], h.input));
+  }
+  const PlanMetrics pm = h.Metrics(h.ids[0]);
+  CHECK(pm.reserved);
+  CHECK_EQ(pm.caller_dispatches, uint64_t{0});
+  CHECK(pm.dispatches >= 20);
+}
+
+// A plan whose exec-time EWMA exceeds the inline ceiling enqueues even on
+// an idle group. One slow quantum inflates the EWMA: the
+// runtime.executor_stall fault site where fault injection is compiled in,
+// else a record long enough that featurizing it takes milliseconds.
+void TestSlowPlanEnqueues() {
+  Harness h(/*executors=*/1, /*pipelines=*/1);
+  const Runtime::PlanId id = h.ids[0];
+  AwaitIdleGroup(*h.runtime, id, h.input);
+#if defined(PRETZEL_FAULT_INJECT)
+  fault::DisarmAll();
+  fault::Spec stall;
+  stall.latency_us = 2'000;
+  stall.budget = 1;
+  stall.arg = static_cast<int64_t>(id);
+  fault::Arm("runtime.executor_stall", stall);
+  const std::string slow = h.input;
+#else
+  std::string slow;
+  while (slow.size() < (1u << 19)) {
+    slow += h.input + " ";
+  }
+#endif
+  SubmitRanInline(*h.runtime, id, slow);  // Either branch feeds the EWMA.
+  fault::DisarmAll();
+  const uint64_t caller_before = h.Metrics(id).caller_dispatches;
+  SleepUs(2'000);  // The executor is parked again.
+  CHECK(!SubmitRanInline(*h.runtime, id, h.input));
+  CHECK_EQ(h.Metrics(id).caller_dispatches, caller_before);
+}
+
+// A callback that resubmits to its own plan: the resubmission comes from a
+// thread already doing runtime work, so it enqueues instead of nesting — a
+// 100,000-long chain completes on a flat stack.
+void TestResubmittingCallbackDoesNotRecurse() {
+  Harness h(/*executors=*/1, /*pipelines=*/1);
+  const Runtime::PlanId id = h.ids[0];
+  AwaitIdleGroup(*h.runtime, id, h.input);
+  const uint64_t enqueued_before = h.Metrics(id).enqueued_events;
+  constexpr int kChain = 100'000;
+  std::atomic<int> fired{0};
+  std::atomic<int> on_caller{0};
+  std::atomic<uintptr_t> sp_lo{UINTPTR_MAX};
+  std::atomic<uintptr_t> sp_hi{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::function<void(Result<float>)> step = [&](Result<float> r) {
+    CHECK(r.ok());
+    int local = 0;
+    const auto sp = reinterpret_cast<uintptr_t>(&local);
+    if (std::this_thread::get_id() == caller) {
+      on_caller.fetch_add(1);
+    } else {
+      // Executor-side frames only: they must all sit at one depth.
+      sp_lo.store(std::min(sp_lo.load(), sp));
+      sp_hi.store(std::max(sp_hi.load(), sp));
+    }
+    if (fired.fetch_add(1) + 1 < kChain) {
+      CHECK(h.runtime->PredictAsync(id, h.input, step).ok());
+    }
+  };
+  CHECK(h.runtime->PredictAsync(id, h.input, step).ok());
+  while (fired.load() < kChain) {
+    SleepUs(1000);
+  }
+  CHECK(on_caller.load() <= 1);  // Only the first ran inline.
+  CHECK_MSG(sp_hi.load() - sp_lo.load() < 64 * 1024,
+            "callback frames spread over %llu bytes of stack",
+            static_cast<unsigned long long>(sp_hi.load() - sp_lo.load()));
+  const PlanMetrics pm = h.Metrics(id);
+  CHECK_EQ(pm.enqueued_events - enqueued_before, static_cast<uint64_t>(kChain));
+}
+
+// Retire racing an in-flight quantum waits for it, then drops the plan.
+// Returns whether that quantum ran inline on the submitting thread.
+bool RetireWaitsForQuantum(Harness& h, Runtime::PlanId id) {
+  AwaitIdleGroup(*h.runtime, id, h.input);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> retiring{false};
+  std::atomic<bool> exited{false};
+  std::atomic<bool> ran_inline{false};
+  std::thread submitter([&] {
+    const std::thread::id self = std::this_thread::get_id();
+    CHECK(h.runtime
+              ->PredictAsync(id, h.input,
+                             [&](Result<float> r) {
+                               CHECK(r.ok());
+                               ran_inline.store(std::this_thread::get_id() ==
+                                                self);
+                               entered.store(true);
+                               while (!retiring.load()) {
+                                 SleepUs(100);
+                               }
+                               SleepUs(30'000);  // Retire must outwait this.
+                               exited.store(true);
+                             })
+              .ok());
+  });
+  while (!entered.load()) {
+    SleepUs(100);
+  }
+  retiring.store(true);
+  CHECK(h.runtime->Retire(id).ok());
+  CHECK(exited.load());
+  submitter.join();
+  CHECK(h.Metrics(id).retired);
+  Status refused = h.runtime->PredictAsync(id, h.input, [](Result<float>) {});
+  CHECK(refused.code() == StatusCode::kNotFound);
+  return ran_inline.load();
+}
+
+// One plan per attempt (Retire is final): the idle group's next single
+// almost always runs inline, and every attempt must drain either way.
+void TestRetireWaitsForInlineQuantum() {
+  Harness h(/*executors=*/1, /*pipelines=*/4);
+  bool saw_inline = false;
+  for (size_t i = 0; i < h.ids.size() && !saw_inline; ++i) {
+    saw_inline = RetireWaitsForQuantum(h, h.ids[i]);
+  }
+  CHECK_MSG(saw_inline, "no retired quantum ran inline");
+}
+
+}  // namespace
 
 int main() {
   SaWorkloadOptions opts;
@@ -154,6 +477,13 @@ int main() {
     CHECK(m.subplan_cache_bytes > 0);
     CHECK(m.subplan_cache_entries > 0);
   }
+
+  TestIdleGroupRunsInline();
+  TestBusyGroupEnqueuesAndCoalesces();
+  TestReservedPlanNeverInline();
+  TestSlowPlanEnqueues();
+  TestResubmittingCallbackDoesNotRecurse();
+  TestRetireWaitsForInlineQuantum();
 
   std::printf("runtime_test: PASS\n");
   return 0;

@@ -23,6 +23,7 @@
 #include "src/serving/sharded_backend.h"
 #include "src/workload/load_gen.h"
 #include "src/workload/sa_workload.h"
+#include "tests/executor_hold.h"
 #include "tests/test_util.h"
 
 using namespace pretzel;
@@ -319,6 +320,17 @@ void TestShardedBackendDrops() {
   ShardedBackend backend(&router);
 
   Rng rng(101);
+  // Hold every serving shard's executor while the singles arrive: an idle
+  // shard would run each single inline on this thread, one at a time, and
+  // its queue would never fill.
+  std::vector<std::unique_ptr<ExecutorHold>> holds;
+  for (size_t shard = 0; shard < router.num_shards(); ++shard) {
+    Runtime& runtime = *router.runtime(shard);
+    if (!runtime.GetMetrics().plans.empty()) {
+      holds.push_back(std::make_unique<ExecutorHold>(
+          runtime, std::vector<Runtime::PlanId>{0}));
+    }
+  }
   std::atomic<int> pending{0};
   std::atomic<int> rejected{0};
   std::atomic<int64_t> max_hint{0};
@@ -337,11 +349,12 @@ void TestShardedBackendDrops() {
       pending.fetch_sub(1);
     });
   }
+  holds.clear();
   while (pending.load() > 0) {
     std::this_thread::yield();
   }
-  // 400 back-to-back submissions against cap-2 queues on single-executor
-  // shards doing real scoring: some must shed.
+  // 400 back-to-back submissions against cap-2 queues on busy
+  // single-executor shards: some must shed.
   CHECK_MSG(rejected.load() > 0, "no submission was shed at cap 2");
   CHECK_EQ(backend.dropped(), static_cast<uint64_t>(rejected.load()));
   CHECK_MSG(max_hint.load() >= 1, "rejections carried no retry-after hint");
