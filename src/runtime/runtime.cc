@@ -10,10 +10,11 @@
 
 namespace pretzel {
 
-// One logical batch request. Executors decrement `remaining` as they finish
-// sub-ranges; the last one out invokes the callback. Inputs and results are
-// either owned (async submissions) or borrowed from a blocked synchronous
-// caller (the span PredictBatch — no string copies, no result copy).
+// One logical batch request. Whoever runs a chunk (an executor, or the
+// job's blocked synchronous caller) decrements `remaining`; the last one out
+// invokes the callback. Inputs and results are either owned (async
+// submissions) or borrowed from a blocked synchronous caller (the span
+// PredictBatch — no string copies, no result copy).
 struct Runtime::BatchJob {
   std::shared_ptr<ModelPlan> plan;
   std::vector<std::string> owned_inputs;
@@ -28,6 +29,11 @@ struct Runtime::BatchJob {
   const std::string_view* view_inputs = nullptr;
   float* results = nullptr;
   size_t count = 0;
+  // SubmitBatchJob's split: chunk i covers records [i * chunk, (i + 1) *
+  // chunk), and its take flag makes it run exactly once whether its
+  // executor ticket or the synchronous caller reaches it first.
+  size_t chunk = 1;
+  ChunkClaims claims;
   std::atomic<size_t> remaining{0};
   BatchCallback callback;
   // Absolute expiry shared by every chunk; checked between quanta so a
@@ -267,6 +273,16 @@ struct Runtime::PlanQueue {
     lifecycle_refs.fetch_sub(1, std::memory_order_seq_cst);
   }
 
+  // `queued_events` (the queue's occupancy, read first) less its stale
+  // chunk tickets: the work the cap and the shedding estimate should see. A
+  // closed-loop synchronous batch caller that outruns the executors then
+  // never has more than its own call's chunks counted.
+  size_t LiveQueued(size_t queued_events) const {
+    const auto stale = static_cast<size_t>(
+        std::max<int64_t>(0, stale_chunks.load(std::memory_order_seq_cst)));
+    return queued_events - std::min(queued_events, stale);
+  }
+
   // ---- Lock-free mode ----
   BoundedMpmcRing<Event> ring;
   // Overflow spill: FIFO chain of SpillSegments (wait-free producer push);
@@ -310,6 +326,12 @@ struct Runtime::PlanQueue {
   // completion callback, ns); the inline rule compares it to
   // kInlineMaxExecNs.
   std::atomic<int64_t> exec_ewma_ns{0};
+  // Chunk tickets still queued whose chunk the job's synchronous caller ran
+  // (both modes): the caller adds one per chunk it takes, the executor that
+  // drops the ticket subtracts it AFTER its `queued` decrement, so
+  // LiveQueued may under-count for a moment but never over-counts (no false
+  // cap rejection). Signed — the caller's add may land after the drop.
+  std::atomic<int64_t> stale_chunks{0};
   std::atomic<uint64_t> inline_predictions{0};
   std::atomic<uint64_t> enqueued{0};
   std::atomic<uint64_t> rejected{0};
@@ -511,7 +533,7 @@ Status Runtime::AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n) {
   // collapse in bench_resilience's post-burst phase).
   // relaxed: queued is a monotonic-noise admission heuristic; a stale read
   // only mis-sheds or mis-admits one request, never corrupts state.
-  if (pq->queued.load(std::memory_order_relaxed) > 0) {
+  if (pq->LiveQueued(pq->queued.load(std::memory_order_relaxed)) > 0) {
     const int64_t est_us =
         pq->queue_delay_ewma_us.load(std::memory_order_relaxed);
     const int64_t remaining_us = (deadline_ns - now) / 1000;
@@ -543,7 +565,8 @@ Status Runtime::EnqueueEvents(PlanQueue* pq, Event* events, size_t n) {
   {
     MutexLock lock(group->mu);
     if (options_.max_queued_events_per_plan > 0 &&
-        pq->events.size() + n > options_.max_queued_events_per_plan) {
+        pq->LiveQueued(pq->events.size()) + n >
+            options_.max_queued_events_per_plan) {
       pq->rejected.fetch_add(n, std::memory_order_relaxed);
       return Status::ResourceExhausted(
                  "plan " + std::to_string(pq->id) + " queue over " +
@@ -582,11 +605,12 @@ Status Runtime::EnqueueLockFree(PlanQueue* pq, Event* events, size_t n) {
   // group mutex. With a cap, admit by CAS so a rejected submission never
   // even transiently inflates `queued` (a blind fetch_add+undo could make a
   // concurrent fitting submission observe phantom occupancy and bounce).
+  // Stale chunk tickets do not count against the cap (LiveQueued).
   const size_t cap = options_.max_queued_events_per_plan;
   if (cap > 0) {
     size_t queued_now = pq->queued.load(std::memory_order_seq_cst);
     for (;;) {
-      if (queued_now + n > cap) {
+      if (pq->LiveQueued(queued_now) + n > cap) {
         pq->rejected.fetch_add(n, std::memory_order_relaxed);
         return Status::ResourceExhausted("plan " + std::to_string(pq->id) +
                                          " queue over " + std::to_string(cap) +
@@ -707,6 +731,16 @@ bool Runtime::PopEvent(PlanQueue* pq, Event* out) {
   // A producer may have published between the ring check and the (empty)
   // spill check.
   return pq->ring.TryPop(out);
+}
+
+bool Runtime::PopLive(PlanQueue* pq, Event* out, size_t* stale) {
+  while (PopEvent(pq, out)) {
+    if (out->job == nullptr || TakeChunk(*out)) {
+      return true;
+    }
+    ++*stale;
+  }
+  return false;
 }
 
 // Quantum-owner only. Returns the oldest spilled event, then drains as much
@@ -875,28 +909,54 @@ bool Runtime::TryRunInline(PlanQueue* pq, Event& event) {
   t_runtime_work = true;
   event.enqueue_ns = NowNs();
   pq->enqueued.fetch_add(1, std::memory_order_relaxed);
-  pq->dispatches.fetch_add(1, std::memory_order_relaxed);
-  pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
   pq->coalesced.fetch_add(1, std::memory_order_relaxed);
-  UpdateEwma(pq->queue_delay_ewma_us, 0);
-  const size_t caller_shard = pq->shards.size() - 1;
-  {
-    MetricShard& shard = *pq->shards[caller_shard];
-    MutexLock lock(shard.mu);
-    AddWindowed(shard.batch_records, 1.0, pq->shard_window);
-    AddWindowed(shard.queue_wait_us, 0.0, pq->shard_window);
-  }
+  AccountCallerDispatch(pq, 1);
   HandOff(pq);
   // Never nested on one thread (t_runtime_work), so one buffer per thread.
   thread_local std::vector<Event> batch;
   batch.push_back(std::move(event));
   std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
   ctx->subplan_cache = group->inline_cache;
-  ExecuteQuantum(pq, batch, *ctx, caller_shard);
+  ExecuteQuantum(pq, batch, *ctx, pq->shards.size() - 1);
   caller_contexts_.Release(std::move(ctx));
   batch.clear();
   t_runtime_work = false;
   return true;
+}
+
+void Runtime::AccountCallerDispatch(PlanQueue* pq, size_t records) {
+  pq->dispatches.fetch_add(1, std::memory_order_relaxed);
+  pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
+  UpdateEwma(pq->queue_delay_ewma_us, 0);
+  MetricShard& shard = *pq->shards.back();
+  MutexLock lock(shard.mu);
+  AddWindowed(shard.batch_records, static_cast<double>(records),
+              pq->shard_window);
+  AddWindowed(shard.queue_wait_us, 0.0, pq->shard_window);
+}
+
+bool Runtime::TakeChunk(const Event& event) {
+  return event.job->claims.TryTake(event.begin / event.job->chunk);
+}
+
+void Runtime::AccountDispatch(PlanQueue* pq, const std::vector<Event>& batch,
+                              size_t shard_idx) {
+  const Event& first = batch.front();
+  size_t records = batch.size();
+  if (first.job != nullptr) {
+    records = first.end - first.begin;
+  } else {
+    pq->coalesced.fetch_add(batch.size(), std::memory_order_relaxed);
+  }
+  const int64_t wait_ns = NowNs() - first.enqueue_ns;
+  pq->dispatches.fetch_add(1, std::memory_order_relaxed);
+  UpdateEwma(pq->queue_delay_ewma_us, wait_ns / 1000);
+  MetricShard& shard = *pq->shards[shard_idx];
+  MutexLock lock(shard.mu);
+  AddWindowed(shard.batch_records, static_cast<double>(records),
+              pq->shard_window);
+  AddWindowed(shard.queue_wait_us, static_cast<double>(wait_ns) / 1e3,
+              pq->shard_window);
 }
 
 // Sub-batch size: fill every executor that serves this plan, but never
@@ -911,8 +971,11 @@ Status Runtime::SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
     chunk = std::min(chunk, max_batch);
   }
   chunk = std::max<size_t>(1, chunk);
+  const size_t chunks = (n + chunk - 1) / chunk;
+  job->chunk = chunk;
+  job->claims = ChunkClaims(chunks);
   std::vector<Event> events;
-  events.reserve((n + chunk - 1) / chunk);
+  events.reserve(chunks);
   for (size_t begin = 0; begin < n; begin += chunk) {
     Event event;
     event.job = job;
@@ -959,9 +1022,10 @@ Status Runtime::PredictBatchAsync(PlanId id, std::vector<std::string> inputs,
   return submitted;
 }
 
-// The synchronous borrowed-input protocol: submit, block until the last
-// chunk's callback fires. Blocking is what makes borrowing safe — the
-// caller's inputs and output span outlive every executor touch.
+// The synchronous borrowed-input protocol: submit, run the job's own chunks
+// from the tail while executors take them from the head, then block until
+// the last chunk's callback fires. Blocking is what makes borrowing safe —
+// the caller's inputs and output span outlive every executor touch.
 Status Runtime::SubmitBatchJobAndWait(PlanQueue* pq,
                                       std::shared_ptr<BatchJob> job,
                                       size_t max_batch) {
@@ -977,9 +1041,27 @@ Status Runtime::SubmitBatchJobAndWait(PlanQueue* pq,
     waiter.done = true;
     waiter.cv.notify_one();
   };
-  Status submit = SubmitBatchJob(pq, std::move(job), max_batch);
+  Status submit = SubmitBatchJob(pq, job, max_batch);
   if (!submit.ok()) {
     return submit;
+  }
+  // The caller is blocked anyway and runs only its own job's chunks, so it
+  // never jumps ahead of other work; reserved plans keep all their work on
+  // their dedicated executors. Every chunk stays enqueued, so an executor
+  // that pops one the caller took drops it (TakeChunk); until then the
+  // ticket counts in `stale_chunks`, not against the cap. When the caller
+  // finishes the last chunk, the wait below returns at once.
+  if (!pq->reserved) {
+    std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
+    ctx->subplan_cache = pq->group->inline_cache;
+    for (size_t i = job->claims.size(); i-- > 0 && job->claims.TryTake(i);) {
+      pq->stale_chunks.fetch_add(1, std::memory_order_seq_cst);
+      const size_t begin = i * job->chunk;
+      const size_t end = std::min(job->count, begin + job->chunk);
+      AccountCallerDispatch(pq, end - begin);
+      RunChunk(pq, *job, begin, end, /*enqueue_ns=*/0, *ctx);
+    }
+    caller_contexts_.Release(std::move(ctx));
   }
   std::unique_lock<std::mutex> lock(waiter.mu);
   waiter.cv.wait(lock, [&] { return waiter.done; });
@@ -1180,7 +1262,8 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
     // We hold the plan's dispatch quantum: single consumer of its queue.
     batch.clear();
     Event first;
-    bool have = PopEvent(pq, &first);
+    size_t stale = 0;
+    bool have = PopLive(pq, &first, &stale);
     // Adaptive linger: if only a thin run of singles is waiting and no
     // other plan has work, wait out the plan's max-delay budget for more
     // arrivals to coalesce. Never delays when the system has other work.
@@ -1212,36 +1295,34 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
         }
       }
     }
-    if (!batch.empty()) {
+    const bool popped = stale > 0 || !batch.empty();
+    if (popped) {
       // Quantum lifecycle ref, taken BEFORE the queued decrement below:
       // Retire's drain checks occupancy first and refs second, so gathered
       // events are never in neither count.
       pq->lifecycle_refs.fetch_add(1, std::memory_order_seq_cst);
-      const int64_t dispatch_ns = NowNs();
-      pq->dispatches.fetch_add(1, std::memory_order_relaxed);
-      if (chunk_quantum) {
-        pq->chunk_count.fetch_sub(1, std::memory_order_seq_cst);
-      } else {
-        pq->coalesced.fetch_add(batch.size(), std::memory_order_relaxed);
+      const size_t chunks = stale + (chunk_quantum ? 1 : 0);
+      if (chunks > 0) {
+        pq->chunk_count.fetch_sub(chunks, std::memory_order_seq_cst);
       }
-      pq->queued.fetch_sub(batch.size(), std::memory_order_seq_cst);
-      const size_t records = chunk_quantum
-                                 ? batch.front().end - batch.front().begin
-                                 : batch.size();
-      const int64_t wait_ns = dispatch_ns - batch.front().enqueue_ns;
-      UpdateEwma(pq->queue_delay_ewma_us, wait_ns / 1000);
-      MetricShard& shard = *pq->shards[shard_idx];
-      MutexLock lock(shard.mu);
-      AddWindowed(shard.batch_records, static_cast<double>(records),
-                  pq->shard_window);
-      AddWindowed(shard.queue_wait_us, static_cast<double>(wait_ns) / 1e3,
-                  pq->shard_window);
+      pq->queued.fetch_sub(batch.size() + stale, std::memory_order_seq_cst);
+      if (stale > 0) {
+        pq->stale_chunks.fetch_sub(static_cast<int64_t>(stale),
+                                   std::memory_order_seq_cst);
+      }
+      if (!batch.empty()) {
+        AccountDispatch(pq, batch, shard_idx);
+      }
     }
     HandOff(pq);
     if (batch.empty()) {
-      // Admitted-but-unpublished producer race; the plan was re-published
-      // above if its events are still pending.
-      std::this_thread::yield();
+      if (popped) {
+        pq->ReleaseLifecycle();  // Only stale tickets: nothing to run.
+      } else {
+        // Admitted-but-unpublished producer race; the plan was re-published
+        // above if its events are still pending.
+        std::this_thread::yield();
+      }
       continue;
     }
     ExecuteQuantum(pq, batch, ctx, shard_idx);
@@ -1254,11 +1335,11 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
 void Runtime::ExecutorLoopMutex(ExecGroup* group, ExecContext& ctx,
                                 size_t shard_idx) {
   std::vector<Event> batch;
+  std::vector<Event> stale;  // Dropped tickets, destroyed off the lock.
   while (true) {
     batch.clear();
+    stale.clear();
     PlanQueue* pq = nullptr;
-    size_t records = 0;
-    double wait_us = 0.0;
     bool wake_sibling = false;
     {
       MutexLock lock(group->mu);
@@ -1297,6 +1378,17 @@ void Runtime::ExecutorLoopMutex(ExecGroup* group, ExecContext& ctx,
         }
         pq->m_lingering = false;
       }
+      // Every stale chunk ticket at the head goes in this one turn.
+      while (!pq->events.empty() && pq->events.front().job != nullptr &&
+             !TakeChunk(pq->events.front())) {
+        stale.push_back(std::move(pq->events.front()));
+        pq->events.pop_front();
+        --pq->m_queued_chunks;
+      }
+      if (!stale.empty()) {
+        pq->stale_chunks.fetch_sub(static_cast<int64_t>(stale.size()),
+                                   std::memory_order_seq_cst);
+      }
       if (!pq->events.empty() && pq->events.front().job != nullptr) {
         batch.push_back(std::move(pq->events.front()));
         pq->events.pop_front();
@@ -1313,17 +1405,6 @@ void Runtime::ExecutorLoopMutex(ExecGroup* group, ExecContext& ctx,
         // Retire's baseline drain checks the deque under this same mutex,
         // then refs, so a gathered-but-executing quantum is always covered.
         pq->lifecycle_refs.fetch_add(1, std::memory_order_seq_cst);
-        const int64_t dispatch_ns = NowNs();
-        pq->dispatches.fetch_add(1, std::memory_order_relaxed);
-        records = batch.front().job != nullptr
-                      ? batch.front().end - batch.front().begin
-                      : batch.size();
-        wait_us =
-            static_cast<double>(dispatch_ns - batch.front().enqueue_ns) / 1e3;
-        UpdateEwma(pq->queue_delay_ewma_us, static_cast<int64_t>(wait_us));
-        if (batch.front().job == nullptr) {
-          pq->coalesced.fetch_add(batch.size(), std::memory_order_relaxed);
-        }
       }
       // Round-robin: back of the ring if more events remain, so the next
       // runnable plan gets the next quantum.
@@ -1343,16 +1424,83 @@ void Runtime::ExecutorLoopMutex(ExecGroup* group, ExecContext& ctx,
     if (batch.empty()) {
       continue;
     }
-    {
-      // Off the dispatch lock: stats ride this executor's shard.
-      MetricShard& shard = *pq->shards[shard_idx];
-      MutexLock lock(shard.mu);
-      AddWindowed(shard.batch_records, static_cast<double>(records),
-                  pq->shard_window);
-      AddWindowed(shard.queue_wait_us, wait_us, pq->shard_window);
-    }
+    // Off the dispatch lock: stats ride this executor's shard.
+    AccountDispatch(pq, batch, shard_idx);
     ExecuteQuantum(pq, batch, ctx, shard_idx);
     pq->ReleaseLifecycle();
+  }
+}
+
+// One chunk of a batch job, run by an executor (its quantum) or by the job's
+// blocked synchronous caller. `enqueue_ns` (0 for the caller) attributes a
+// deadline drop's queue wait.
+void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
+                       size_t end, int64_t enqueue_ns, ExecContext& ctx) {
+  const size_t count = end - begin;
+  float* out = job.results + begin;
+  Status chunk_error;
+  const int64_t now = job.deadline_ns > 0 ? NowNs() : 0;
+  if (job.deadline_ns > 0 && now >= job.deadline_ns) {
+    // Between-quanta deadline check: chunks of an expired batch complete
+    // immediately (score 0.0f, batch status DeadlineExceeded) instead of
+    // burning a thread on records nobody is waiting for. Chunks that ran
+    // before expiry keep their scores — per-record attribution stays
+    // correct for partial batches.
+    std::fill(out, out + count, 0.0f);
+    chunk_error = ExpiredStatus("between batch quanta",
+                                DeadlineStage::kExecution, now,
+                                job.deadline_ns, enqueue_ns);
+    pq->expired_quantum.fetch_add(count, std::memory_order_relaxed);
+  } else {
+    // Kernels consume record views; string jobs stage borrowed views in
+    // scratch moved out of the context for the duration (ExecutePlan's
+    // no-pooling ablation calls ReleaseScratch mid-chunk, which would
+    // otherwise free the views out from under the loop).
+    std::vector<std::string_view> views;
+    const std::string_view* in;
+    if (job.view_inputs != nullptr) {
+      in = job.view_inputs + begin;
+    } else {
+      views = std::move(ctx.batch_views);
+      views.resize(count);
+      for (size_t i = 0; i < count; ++i) {
+        views[i] = job.str_inputs[begin + i];
+      }
+      in = views.data();
+    }
+    size_t failed = 0;
+    if (options_.batch_major && count > 1) {
+      // Batch-major: dense-family chunks run their PCA/KMeans stages as one
+      // SoA matrix-matrix kernel over the whole chunk (text-family chunks
+      // fall back to the per-record loop inside; invalid records are masked
+      // out of the transpose and attributed individually).
+      failed = ExecutePlanBatch(*job.plan, in, count, out, ctx, &chunk_error);
+    } else {
+      failed =
+          ExecutePlanPerRecord(*job.plan, in, count, out, ctx, &chunk_error);
+    }
+    if (!views.empty()) {
+      ctx.batch_views = std::move(views);
+    }
+    if (failed > 0) {
+      pq->errors.fetch_add(failed, std::memory_order_relaxed);
+    }
+  }
+  if (!chunk_error.ok()) {
+    MutexLock lock(job.error_mu);
+    if (job.first_error.ok()) {
+      job.first_error = std::move(chunk_error);
+    }
+  }
+  // Counted above, before completing: a caller woken by the callback must
+  // already see this chunk in GetMetrics.
+  if (job.remaining.fetch_sub(count) == count) {
+    Status status;
+    {
+      MutexLock lock(job.error_mu);
+      status = job.first_error;
+    }
+    job.callback(status, std::span<const float>(job.results, job.count));
   }
 }
 
@@ -1369,86 +1517,7 @@ void Runtime::ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
   PRETZEL_FAULT_STALL("runtime.executor_stall", static_cast<int64_t>(pq->id));
   if (batch.front().job != nullptr) {
     const Event& item = batch.front();
-    BatchJob& job = *item.job;
-    const size_t count = item.end - item.begin;
-    float* out = job.results + item.begin;
-    if (job.deadline_ns > 0) {
-      // Between-quanta deadline check: chunks of an expired batch complete
-      // immediately (score 0.0f, batch status DeadlineExceeded) instead of
-      // burning an executor on records nobody is waiting for. Chunks that
-      // dispatched before expiry keep their scores — per-record attribution
-      // stays correct for partial batches.
-      const int64_t now = NowNs();
-      if (now >= job.deadline_ns) {
-        std::fill(out, out + count, 0.0f);
-        {
-          MutexLock lock(job.error_mu);
-          if (job.first_error.ok()) {
-            job.first_error =
-                ExpiredStatus("between batch quanta", DeadlineStage::kExecution,
-                              now, job.deadline_ns, item.enqueue_ns);
-          }
-        }
-        pq->expired_quantum.fetch_add(count, std::memory_order_relaxed);
-        if (job.remaining.fetch_sub(count) == count) {
-          Status status;
-          {
-            MutexLock lock(job.error_mu);
-            status = job.first_error;
-          }
-          job.callback(status, std::span<const float>(job.results, job.count));
-        }
-        return;
-      }
-    }
-    // Executors consume record views; string jobs stage borrowed views in
-    // scratch moved out of the context for the duration (ExecutePlan's
-    // no-pooling ablation calls ReleaseScratch mid-chunk, which would
-    // otherwise free the views out from under the loop).
-    std::vector<std::string_view> views;
-    const std::string_view* in;
-    if (job.view_inputs != nullptr) {
-      in = job.view_inputs + item.begin;
-    } else {
-      views = std::move(ctx.batch_views);
-      views.resize(count);
-      for (size_t i = 0; i < count; ++i) {
-        views[i] = job.str_inputs[item.begin + i];
-      }
-      in = views.data();
-    }
-    size_t failed = 0;
-    Status chunk_error;
-    if (options_.batch_major && count > 1) {
-      // Batch-major: dense-family chunks run their PCA/KMeans stages as one
-      // SoA matrix-matrix kernel over the whole chunk (text-family chunks
-      // fall back to the per-record loop inside; invalid records are masked
-      // out of the transpose and attributed individually).
-      failed = ExecutePlanBatch(*job.plan, in, count, out, ctx, &chunk_error);
-    } else {
-      failed =
-          ExecutePlanPerRecord(*job.plan, in, count, out, ctx, &chunk_error);
-    }
-    if (!views.empty()) {
-      ctx.batch_views = std::move(views);
-    }
-    if (failed > 0) {
-      MutexLock lock(job.error_mu);
-      if (job.first_error.ok()) {
-        job.first_error = chunk_error;
-      }
-    }
-    if (job.remaining.fetch_sub(count) == count) {
-      Status status;
-      {
-        MutexLock lock(job.error_mu);
-        status = job.first_error;
-      }
-      job.callback(status, std::span<const float>(job.results, job.count));
-    }
-    if (failed > 0) {
-      pq->errors.fetch_add(failed, std::memory_order_relaxed);
-    }
+    RunChunk(pq, *item.job, item.begin, item.end, item.enqueue_ns, ctx);
     return;
   }
   // Dequeue-time deadline check: singles that expired while queued complete

@@ -2,10 +2,11 @@
 // Object Store; executor threads (one warm ExecContext each, so hot paths
 // stay allocation-free) drain per-plan event queues.
 //
-// Scheduling model (Section 5.4): every request — sync, async single, batch
-// — becomes an event on its plan's queue. Executors drain plans
-// round-robin, one dispatch quantum per turn, so a 10k-record batch cannot
-// head-of-line-block a 1-record request on another plan. An adaptive
+// Scheduling model (Section 5.4): every queued request — async single,
+// reserved-plan single, batch chunk — becomes an event on its plan's
+// queue. Executors drain plans round-robin, one dispatch quantum per turn,
+// so a 10k-record batch cannot head-of-line-block a 1-record request on
+// another plan. An adaptive
 // batcher coalesces queued single predictions for the same plan into
 // sub-batches bounded by a per-plan max_batch / max-delay policy, amortizing
 // queue and wakeup costs under load while leaving idle-system latency
@@ -49,7 +50,18 @@
 // inline completion — so a callback that resubmits enqueues instead of
 // recursing). The caller then runs the executor's dispatch quantum itself,
 // with the same admission, lifecycle and accounting; no executor wakes.
-// Batches always enqueue, and so does everything under the mutex baseline.
+// Under the mutex baseline async singles always enqueue.
+//
+// Caller-assisted batches: a batch is split into chunks and every chunk is
+// enqueued as an event. A synchronous batch caller on an unreserved plan,
+// blocked anyway, then runs its own job's chunks from the tail while
+// executors pop them from the head; a per-chunk take flag (ChunkClaims,
+// lockfree.h) makes each chunk run exactly once. An executor that pops a
+// chunk the caller already ran drops that ticket, and every stale ticket
+// behind it, in the same quantum without recording a dispatch; until then
+// stale tickets do not count against the queue cap. The caller only ever
+// runs its own job, so it never jumps ahead of another plan's work. Async
+// batches and reserved plans leave all chunks to the executors.
 //
 // The Runtime owns one SubPlanCache and one VectorPool per executor (plus a
 // pool for the inline path, whose work shares the sub-plan cache of the
@@ -95,7 +107,8 @@ struct RuntimeOptions {
   // group it bypasses.
   size_t subplan_cache_bytes = 8ull << 20;
   // Per-plan cap on queued events (backpressure); 0 = unbounded. Enqueues
-  // that would exceed it fail fast with ResourceExhausted.
+  // that would exceed it fail fast with ResourceExhausted. Chunk tickets
+  // whose chunk a synchronous batch caller already ran do not count.
   size_t max_queued_events_per_plan = 0;
   // Coalescing policy for plans whose registration does not override it:
   // up to default_max_batch queued singles dispatch as one sub-batch; an
@@ -141,7 +154,10 @@ struct PlanMetrics {
   std::string plan_name;
   bool reserved = false;
   bool retired = false;  // Retire() completed; the plan no longer admits.
-  size_t queue_depth = 0;           // Events queued right now.
+  // Events queued right now, including chunk tickets whose chunk the
+  // job's synchronous caller already ran, until an executor drops them
+  // (those do not count against max_queued_events_per_plan).
+  size_t queue_depth = 0;
   // Synchronous singles on an unreserved plan, run on the caller's thread;
   // they bypass the scheduler, so the enqueue/dispatch counters below
   // never include them.
@@ -149,11 +165,15 @@ struct PlanMetrics {
   // Scheduler events admitted: batch chunks and async/reserved singles,
   // including the async singles that ran inline (counted as if enqueued
   // and dispatched at once, so enqueued == accepted holds either way).
+  // Every chunk is enqueued, including those its synchronous caller ran.
   uint64_t enqueued_events = 0;
   uint64_t rejected_events = 0;     // Backpressure drops.
-  uint64_t dispatches = 0;          // Dispatch quanta, executor or inline.
-  // The subset of `dispatches` a submitting thread ran inline (one async
-  // single each, queue wait 0) — how much work skipped the executor wake.
+  // Dispatch quanta run, by an executor or a submitting thread. A batch
+  // chunk counts once, whoever ran it; a ticket dropped because the
+  // job's caller already ran its chunk does not count.
+  uint64_t dispatches = 0;
+  // The subset of `dispatches` a submitting thread ran itself, queue wait
+  // 0: an inline async single, or a chunk of its own synchronous batch.
   uint64_t caller_dispatches = 0;
   uint64_t coalesced_singles = 0;   // Singles dispatched via coalescing.
   // Coalesced singles that executed batch-major (dense-family groups routed
@@ -175,10 +195,10 @@ struct PlanMetrics {
   // plan's ResourceExhausted rejections).
   int64_t queue_delay_ewma_us = 0;
   // The SampleStats below are windowed (each shard — one per executor plus
-  // one for inline quanta — restarts when its window fills; kMetricsWindow
-  // in runtime.cc divided across the group's executors), so long-running
-  // servers keep bounded memory and the percentiles describe recent
-  // traffic. Snapshots merge the shards.
+  // one for caller-run quanta — restarts when its window fills;
+  // kMetricsWindow in runtime.cc divided across the group's executors), so
+  // long-running servers keep bounded memory and the percentiles describe
+  // recent traffic. Snapshots merge the shards.
   SampleStats batch_records;        // Records per dispatch.
   SampleStats queue_wait_us;        // Enqueue -> dispatch.
   // Enqueue -> completion, sampled once per dispatch (the dispatched
@@ -229,7 +249,8 @@ class Runtime {
                           const PlanRegistration& registration = {});
 
   // Retires a plan: new work is refused with NotFound, in-flight work (an
-  // inline predict mid-execution, queued events, a dispatching quantum)
+  // inline predict mid-execution, a synchronous batch caller running its
+  // chunks, queued events, a dispatching quantum)
   // drains, and then the ModelPlan reference is dropped — so once the
   // ObjectStore has Released the version's params, Retire is the point its
   // unshared blobs can actually leave the heap. Blocking, control-plane
@@ -269,9 +290,10 @@ class Runtime {
   // Zero-copy binary batch: `records` is a back-to-back concatenation of
   // BinaryRecords (the wire batch framing — SplitBinaryBatch). The buffer
   // is split into borrowed per-record views and ridden through the
-  // borrowed-span batch path: executors gather aligned payloads straight
-  // into the SoA transpose and write scores through `out`
-  // (out.size() >= record count). Blocks until completion.
+  // borrowed-span batch path: whoever runs a chunk (an executor, or this
+  // caller on an unreserved plan) gathers aligned payloads straight into
+  // the SoA transpose and writes scores through `out` (out.size() >= record
+  // count). Blocks until completion.
   Status PredictBinary(PlanId id, std::span<const uint8_t> records,
                        size_t max_batch, std::span<float> out,
                        int64_t deadline_ns = 0);
@@ -285,14 +307,16 @@ class Runtime {
   Status PredictAsync(PlanId id, std::string input, SingleCallback callback,
                       int64_t deadline_ns = 0);
 
-  // Splits `inputs` into sub-batches of at most `max_batch` records, fans
-  // them across the executors, and returns the scores in input order.
+  // Splits `inputs` into sub-batches of at most `max_batch` records and
+  // enqueues each; the executors take them from the head while this caller
+  // runs them from the tail (unreserved plans; see "Caller-assisted
+  // batches" above). Returns the scores in input order.
   Result<std::vector<float>> PredictBatch(PlanId id,
                                           const std::vector<std::string>& inputs,
                                           size_t max_batch,
                                           int64_t deadline_ns = 0);
 
-  // Copy-free variant: executors write scores straight through the caller's
+  // Copy-free variant: chunks write scores straight through the caller's
   // span (out.size() >= inputs.size()), and the inputs are borrowed, not
   // copied — the caller blocks until completion, so both stay valid. This
   // is the batch hot path; the vector-returning overload wraps it.
@@ -367,10 +391,35 @@ class Runtime {
   // Chunks a prepared BatchJob into per-quantum events and enqueues them.
   Status SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
                         size_t max_batch);
-  // Submits a borrowed-input job and blocks until its callback fires
-  // (the synchronous span/views/binary batch entry points share this).
+  // Submits a borrowed-input job, runs its chunks from the tail on this
+  // thread (unreserved plans), and blocks until its callback fires (the
+  // synchronous span/views/binary batch entry points share this).
   Status SubmitBatchJobAndWait(PlanQueue* pq, std::shared_ptr<BatchJob> job,
                                size_t max_batch);
+  // The one place an executor decides a popped chunk ticket, shared by both
+  // executor loops: true takes the chunk (the executor must run it); false
+  // means the job's synchronous caller already ran it, and the ticket is
+  // stale. A loop drops every stale ticket at the head of the queue in the
+  // same quantum, so stale tickets never cost a rotation turn, and records
+  // nothing for them beyond its queue occupancy and lifecycle ref — no
+  // dispatch, batch size, queue wait or queue-delay sample (stale waits
+  // would inflate the shedding estimate and a router's load signal).
+  static bool TakeChunk(const Event& event);
+  // Dispatch accounting for a quantum an executor gathered and will run,
+  // shared by both executor loops.
+  void AccountDispatch(PlanQueue* pq, const std::vector<Event>& batch,
+                       size_t shard_idx);
+  // Accounting for a quantum a submitting thread runs itself (an inline
+  // async single, or a chunk of its own synchronous batch): one dispatch
+  // and caller dispatch, `records` and a queue wait of 0 into the plan's
+  // caller shard, and 0 into the queue-delay EWMA.
+  void AccountCallerDispatch(PlanQueue* pq, size_t records);
+  // One chunk, records [begin, end) of `job`: the between-quanta deadline
+  // check, the kernels, error attribution and the countdown whose last
+  // decrement fires the job callback. Executors and the job's caller share
+  // it.
+  void RunChunk(PlanQueue* pq, BatchJob& job, size_t begin, size_t end,
+                int64_t enqueue_ns, ExecContext& ctx);
   void ExecutorLoop(ExecGroup* group, SubPlanCache* cache, VectorPool* pool,
                     size_t shard_idx);
   // The inline-when-idle branch of PredictAsync: false (event untouched)
@@ -397,6 +446,10 @@ class Runtime {
   // Pops the plan's next event (held slot, then ring, then spill chain).
   // Quantum-owner only.
   static bool PopEvent(PlanQueue* pq, Event* out);
+  // PopEvent, dropping stale chunk tickets (TakeChunk) on the way and
+  // counting them in `*stale`; a chunk it returns is taken. Quantum-owner
+  // only.
+  static bool PopLive(PlanQueue* pq, Event* out, size_t* stale);
   // Takes the oldest spilled event and bulk-refills the ring from the
   // remaining chain. Quantum-owner only.
   static bool PopSpill(PlanQueue* pq, Event* out);

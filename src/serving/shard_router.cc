@@ -16,6 +16,8 @@ namespace pretzel {
 namespace {
 
 constexpr double kEwmaAlpha = 1.0 / 16.0;
+// Share of slow canary requests at which the latency verdict fires.
+constexpr double kCanarySlowShare = 0.5;
 
 double LoadEwma(const std::atomic<uint64_t>& bits) {
   return std::bit_cast<double>(bits.load(std::memory_order_relaxed));
@@ -499,9 +501,20 @@ bool ShardRouter::FinishVersion(const RouteDecision& decision,
       decision.stats->faults.fetch_add(1, std::memory_order_relaxed);
     }
     if (status.ok() || fault) {
+      const double latency_us =
+          static_cast<double>(NowNs() - start_ns) / 1000.0;
       UpdateEwma(decision.stats->failure_ewma_bits, fault ? 1.0 : 0.0);
-      UpdateEwma(decision.stats->latency_ewma_bits,
-                 static_cast<double>(NowNs() - start_ns) / 1000.0);
+      UpdateEwma(decision.stats->latency_ewma_bits, latency_us);
+      if (decision.canary && decision.baseline != nullptr) {
+        // Judged per request, so one preempted request moves the share by
+        // 1/16 instead of moving a latency mean by its full stall.
+        const double stable_us =
+            LoadEwma(decision.baseline->latency_ewma_bits);
+        const bool slow =
+            stable_us > 0.0 &&
+            latency_us > stable_us * options_.rollout.rollback_latency_x;
+        UpdateEwma(decision.stats->slow_ewma_bits, slow ? 1.0 : 0.0);
+      }
     }
     if (decision.canary && options_.rollout.auto_rollback &&
         decision.split != nullptr && decision.baseline != nullptr) {
@@ -514,10 +527,8 @@ bool ShardRouter::FinishVersion(const RouteDecision& decision,
           decision.stats->routed.load(std::memory_order_relaxed);
       if (seen >= ro.min_canary_requests) {
         const double fail = LoadEwma(decision.stats->failure_ewma_bits);
-        const double canary_lat = LoadEwma(decision.stats->latency_ewma_bits);
-        const double stable_lat = LoadEwma(decision.baseline->latency_ewma_bits);
-        if (fail >= ro.rollback_failure_ewma ||
-            (stable_lat > 0.0 && canary_lat > stable_lat * ro.rollback_latency_x)) {
+        const double slow = LoadEwma(decision.stats->slow_ewma_bits);
+        if (fail >= ro.rollback_failure_ewma || slow >= kCanarySlowShare) {
           // Kill switch first — lock-free, stops canary traffic NOW; the
           // heavyweight teardown follows outside the gate.
           decision.split->Publish(0, decision.version);

@@ -120,8 +120,12 @@ struct RolloutOptions {
   uint64_t min_canary_requests = 64;
   // Canary failure EWMA at or above this triggers auto-rollback.
   double rollback_failure_ewma = 0.5;
-  // Canary latency EWMA above this multiple of the stable version's
-  // triggers auto-rollback (inert until the stable EWMA is nonzero).
+  // A canary request slower than this multiple of the stable version's
+  // latency EWMA is slow; when slow requests make up half of the canary's
+  // recent traffic (an EWMA over the per-request indicator, like the
+  // failure verdict's) auto-rollback triggers. A sustained regression
+  // trips it within a dozen requests; a few preempted requests do not.
+  // Inert until the stable EWMA is nonzero.
   double rollback_latency_x = 8.0;
   // false disables the controller: rollouts end only by explicit
   // Promote()/Rollback() calls.
@@ -403,6 +407,9 @@ class ShardRouter {
     // EWMAs, alpha = 1/16, stored as double bits advanced by CAS.
     std::atomic<uint64_t> failure_ewma_bits{0};
     std::atomic<uint64_t> latency_ewma_bits{0};
+    // Canary versions only: the share of slow requests (see
+    // RolloutOptions::rollback_latency_x).
+    std::atomic<uint64_t> slow_ewma_bits{0};
   };
 
   // One materialized registration of a plan on a shard. Control-plane

@@ -6,18 +6,22 @@
 // here. Sites covered:
 //   runtime.ring_full          — enqueue spills to the overflow chain
 //   runtime.pool_exhausted     — vector-pool acquires take the miss path
-//   runtime.executor_stall     — a quantum stalls before dispatching
+//   runtime.executor_stall     — a quantum stalls before dispatching (also
+//                                under concurrent caller-assisted batches,
+//                                and as a canary's latency regression)
 //   serving.shard_unresponsive — a shard faults every request it is routed
 //   serialize.corrupt_record   — binary records arrive failing validation
 //   ops.slow_kernel            — plan execution stalls inside the operator
 //   oven.compile_fail          — a versioned deploy's compile blows up
 //   store.swap_stall           — version reclamation stalls before draining
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -327,6 +331,82 @@ void TestExecutorStallBoundedInFlight() {
   auto r = h.runtime->Predict(h.ids[0], input);
   CHECK(r.ok());
   CHECK_NEAR(*r, *baseline, 1e-6);
+}
+
+// runtime.executor_stall under concurrent synchronous batches: executors
+// stall mid-quantum while three callers each run their own batches' chunks
+// from the tail, under a queue cap. Every batch completes exactly once with
+// exact scores — each of its chunks ran once, whoever took it (dispatches
+// == chunks submitted once the stale tickets drain). Live work stays
+// bounded by the callers' 12 chunks in flight, under the cap of 16, so no
+// batch is rejected however many stale tickets the stalls leave queued.
+void TestExecutorStallUnderSyncBatches() {
+  fault::DisarmAll();
+  RuntimeOptions ropts;
+  ropts.max_queued_events_per_plan = 16;
+  Harness h(2, 1, ropts);
+  const Runtime::PlanId id = h.ids[0];
+  // Long records, so a chunk outlasts an executor's wake-up and the
+  // executors win (and stall on) some chunks.
+  Rng rng(0x5B);
+  std::vector<std::string> inputs(8);
+  for (std::string& input : inputs) {
+    for (int k = 0; k < 24; ++k) {
+      input += h.workload.SampleInput(rng) + " ";
+    }
+  }
+  std::vector<float> baseline;
+  for (const std::string& input : inputs) {
+    auto r = h.runtime->Predict(id, input);
+    CHECK(r.ok());
+    baseline.push_back(*r);
+  }
+
+  fault::Spec stall;
+  stall.latency_us = 1'000;
+  stall.budget = 48;
+  fault::Arm("runtime.executor_stall", stall);
+
+  constexpr int kCallers = 3;
+  constexpr int kBatches = 20;
+  constexpr size_t kMaxBatch = 2;  // 8 records: 4 chunks per batch.
+  constexpr uint64_t kChunks = 4;
+  std::atomic<uint64_t> accepted{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<float> out(inputs.size(), -1.0f);
+        const Status status = h.runtime->PredictBatch(id, inputs, kMaxBatch,
+                                                      std::span<float>(out));
+        CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
+        accepted.fetch_add(1);
+        for (size_t i = 0; i < inputs.size(); ++i) {
+          CHECK_MSG(out[i] == baseline[i], "record %zu: %a, want %a", i,
+                    out[i], baseline[i]);
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+  CHECK_EQ(accepted.load(), static_cast<uint64_t>(kCallers * kBatches));
+  CHECK(fault::Fires("runtime.executor_stall") > 0);
+
+  fault::DisarmAll();
+  PlanMetrics pm = MetricsFor(*h.runtime, id);
+  for (int spin = 0; pm.queue_depth > 0 && spin < 20'000; ++spin) {
+    SleepUs(100);
+    pm = MetricsFor(*h.runtime, id);
+  }
+  CHECK_EQ(pm.queue_depth, size_t{0});
+  CHECK_EQ(pm.enqueued_events, kChunks * accepted.load());
+  CHECK_EQ(pm.rejected_events, uint64_t{0});
+  CHECK_EQ(pm.dispatches, kChunks * accepted.load());
+  CHECK(pm.caller_dispatches > 0);
+  CHECK(pm.caller_dispatches < pm.dispatches);  // The executors ran some.
+  CHECK_EQ(pm.errors, uint64_t{0});
 }
 
 // serving.shard_unresponsive: one shard faults every routed request. The
@@ -654,6 +734,141 @@ void TestCanaryAutoRollbackOnFaults() {
   CHECK_EQ(*after, *baseline);
 }
 
+// One async predict through the router, awaited. Async singles run in an
+// ExecuteQuantum (inline or on the executor), where runtime.executor_stall
+// fires; the synchronous single path never reaches it.
+Result<float> AwaitPredict(ShardRouter& router, const std::string& name,
+                           const std::string& input) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  Result<float> result = Status::Error("unset");
+  CHECK(router
+            .PredictAsync(name, input,
+                          [&](Result<float> r) {
+                            std::lock_guard<std::mutex> lock(mu);
+                            result = std::move(r);
+                            done = true;
+                            cv.notify_one();
+                          })
+            .ok());
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return done; });
+  return result;
+}
+
+// A one-shard router with a same-spec canary deployed at a 50% split, the
+// stable version's latency EWMA warmed first. Returns the canary's runtime
+// plan id (the plan registered last).
+Runtime::PlanId DeploySameSpecCanary(ShardRouter& router,
+                                     const PipelineSpec& target,
+                                     const std::string& input) {
+  for (int i = 0; i < 64; ++i) {
+    CHECK(AwaitPredict(router, target.name, input).ok());
+  }
+  CHECK(router.Deploy(target).ok());
+  Runtime::PlanId canary = 0;
+  const ShardedMetrics metrics = router.GetMetrics();
+  for (const PlanMetrics& pm : metrics.shards[0].runtime.plans) {
+    canary = std::max(canary, pm.plan_id);
+  }
+  return canary;
+}
+
+ShardRouterOptions CanaryRouterOptions() {
+  ShardRouterOptions sopts;
+  sopts.num_shards = 1;
+  sopts.runtime.num_executors = 1;
+  sopts.rollout.canary_fraction_bp = 5000;
+  sopts.breaker.failure_threshold = 100000;
+  return sopts;
+}
+
+// runtime.executor_stall as a latency regression: every canary request
+// stalls 20x the stable version's latency EWMA. The latency verdict kills
+// the canary and the stable version serves on, scoring as before.
+void TestCanaryLatencyRegressionRollsBack() {
+  fault::DisarmAll();
+  ShardRouterOptions sopts = CanaryRouterOptions();
+  sopts.rollout.min_canary_requests = 8;
+  ShardRouter router(sopts);
+  auto sa = SmallSa(2);
+  for (const auto& spec : sa.pipelines()) {
+    CHECK(router.Place(spec).ok());
+  }
+  const PipelineSpec& target = sa.pipelines()[0];
+  Rng rng(53);
+  const std::string input = sa.SampleInput(rng);
+  auto baseline = router.Predict(target.name, input);
+  CHECK(baseline.ok());
+  const Runtime::PlanId canary = DeploySameSpecCanary(router, target, input);
+  const double stable_us =
+      router.VersionInfo(target.name)->stable_latency_ewma_us;
+  fault::Spec slow;
+  slow.latency_us = std::max<int64_t>(20, static_cast<int64_t>(20 * stable_us));
+  slow.arg = static_cast<int64_t>(canary);
+  fault::Arm("runtime.executor_stall", slow);
+
+  // An async completion only flips the kill switch (the canary's split
+  // drops to 0); Promote then finishes the rollback and reports it.
+  bool killed = false;
+  for (int i = 0; i < 400 && !killed; ++i) {
+    auto r = AwaitPredict(router, target.name, input);
+    CHECK(r.ok());
+    CHECK_EQ(*r, *baseline);
+    killed = router.VersionInfo(target.name)->canary_fraction_bp == 0;
+  }
+  fault::DisarmAll();
+  CHECK_MSG(killed,
+            "a canary stalled %lld us per request (stable %.1f us) survived "
+            "400 requests",
+            static_cast<long long>(slow.latency_us), stable_us);
+  const Status promoted = router.Promote(target.name);
+  CHECK(promoted.code() == StatusCode::kError);
+  CHECK_MSG(promoted.message().find("killed by the health gate") !=
+                std::string::npos,
+            "%s", promoted.ToString().c_str());
+  CHECK_EQ(router.GetMetrics().auto_rollbacks, uint64_t{1});
+  CHECK_EQ(router.VersionInfo(target.name)->active_version, uint64_t{1});
+  auto after = router.Predict(target.name, input);
+  CHECK(after.ok());
+  CHECK_EQ(*after, *baseline);
+}
+
+// runtime.executor_stall as one preempted canary request: a 2 ms stall on
+// a single request shortly before the verdict may first fire. One slow
+// request is no regression — the canary survives and Promote succeeds.
+void TestCanaryOutlierNotKilled() {
+  fault::DisarmAll();
+  ShardRouterOptions sopts = CanaryRouterOptions();
+  ShardRouter router(sopts);
+  auto sa = SmallSa(2);
+  for (const auto& spec : sa.pipelines()) {
+    CHECK(router.Place(spec).ok());
+  }
+  const PipelineSpec& target = sa.pipelines()[0];
+  Rng rng(59);
+  const std::string input = sa.SampleInput(rng);
+  const Runtime::PlanId canary = DeploySameSpecCanary(router, target, input);
+  while (router.VersionInfo(target.name)->canary_routed + 8 <
+         sopts.rollout.min_canary_requests) {
+    CHECK(AwaitPredict(router, target.name, input).ok());
+  }
+  fault::Spec outlier;
+  outlier.latency_us = 2'000;
+  outlier.budget = 1;
+  outlier.arg = static_cast<int64_t>(canary);
+  fault::Arm("runtime.executor_stall", outlier);
+  for (int i = 0; i < 200; ++i) {
+    CHECK(AwaitPredict(router, target.name, input).ok());
+  }
+  CHECK_EQ(fault::Fires("runtime.executor_stall"), uint64_t{1});
+  fault::DisarmAll();
+  const Status promoted = router.Promote(target.name);
+  CHECK_MSG(promoted.ok(), "%s", promoted.ToString().c_str());
+  CHECK_EQ(router.GetMetrics().auto_rollbacks, uint64_t{0});
+}
+
 // store.swap_stall: version reclamation stalls at the head of the epoch
 // sweep. The stall must be CONTROL-PLANE ONLY — Promote blocks, but the
 // data path keeps serving the already-published new version the whole time
@@ -721,6 +936,8 @@ int main() {
   std::printf("TestPoolExhaustedMissPath: PASS\n");
   TestExecutorStallBoundedInFlight();
   std::printf("TestExecutorStallBoundedInFlight: PASS\n");
+  TestExecutorStallUnderSyncBatches();
+  std::printf("TestExecutorStallUnderSyncBatches: PASS\n");
   TestShardBreakerTripFailoverRecover();
   std::printf("TestShardBreakerTripFailoverRecover: PASS\n");
   TestCorruptRecordRejectedWithoutTrip();
@@ -731,6 +948,10 @@ int main() {
   std::printf("TestCompileFailDeployKeepsServing: PASS\n");
   TestCanaryAutoRollbackOnFaults();
   std::printf("TestCanaryAutoRollbackOnFaults: PASS\n");
+  TestCanaryLatencyRegressionRollsBack();
+  std::printf("TestCanaryLatencyRegressionRollsBack: PASS\n");
+  TestCanaryOutlierNotKilled();
+  std::printf("TestCanaryOutlierNotKilled: PASS\n");
   TestSwapStallServesThrough();
   std::printf("TestSwapStallServesThrough: PASS\n");
   return 0;

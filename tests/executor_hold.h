@@ -14,9 +14,10 @@
 namespace pretzel {
 
 // Holds one executor per plan in `plans` inside a 1-record batch callback
-// until destroyed (batches never run inline). Async singles submitted
-// meanwhile queue, where an idle group would run each inline on the
-// submitting thread and skip the queue paths a test exercises.
+// until destroyed (async batches never run on the submitting thread).
+// Async singles submitted meanwhile queue, where an idle group would run
+// each inline on the submitting thread and skip the queue paths a test
+// exercises.
 class ExecutorHold {
  public:
   ExecutorHold(Runtime& runtime, const std::vector<Runtime::PlanId>& plans)

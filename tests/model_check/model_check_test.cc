@@ -1,5 +1,5 @@
 // Deterministic model-check suite for src/common/lockfree.h (including the
-// Runtime's dispatch-claim hand-off), the lock-free
+// Runtime's dispatch-claim hand-off and batch chunk claims), the lock-free
 // circuit breaker in src/serving/health.h, the RCU snapshot cell in
 // src/common/rcu.h, and the versioned-lifecycle primitives in
 // src/serving/lifecycle_gate.h.
@@ -401,6 +401,52 @@ void DispatchClaimScenario() {
             "claim: held without a rotation entry, or published unclaimed");
 }
 
+// ChunkClaims: one batch job of 3 chunks whose every chunk is both an
+// executor's ticket and a chunk its blocked synchronous caller may run. The
+// executor takes its tickets head-first; the caller walks tail-first until
+// it loses a chunk. Whoever takes a chunk runs it and counts down
+// `remaining`, whose last decrement fires the job callback. Each chunk must
+// run exactly once, and the callback fire exactly once. Mutation
+// chunk_take_load_store replaces the exchange with a load-then-store: both
+// sides can then see a flag clear and run one chunk twice.
+void ChunkClaimScenario() {
+  constexpr int kChunks = 3;
+  struct State {
+    ChunkClaims claims{kChunks};
+    mc::Atomic<int> remaining{kChunks};
+    std::array<mc::Atomic<int>, kChunks> runs;
+    mc::Atomic<int> callbacks{0};
+  };
+  auto st = std::make_shared<State>();
+  const auto run = [](State& s, int i) {
+    s.runs[i].fetch_add(1, mc::kSeqCst);
+    if (s.remaining.fetch_sub(1, mc::kSeqCst) == 1) {
+      s.callbacks.fetch_add(1, mc::kSeqCst);
+    }
+  };
+  mc::Go({
+      [st, run] {
+        for (int i = 0; i < kChunks; ++i) {
+          if (st->claims.TryTake(i)) {
+            run(*st, i);
+          }
+        }
+      },
+      [st, run] {
+        for (int i = kChunks; i-- > 0 && st->claims.TryTake(i);) {
+          run(*st, i);
+        }
+      },
+  });
+  if (mc::Pruned() || mc::Failed()) return;
+  for (int i = 0; i < kChunks; ++i) {
+    mc::Check(st->runs[i].load(mc::kSeqCst) == 1,
+              "chunk claims: a chunk ran twice or never");
+  }
+  mc::Check(st->callbacks.load(mc::kSeqCst) == 1,
+            "chunk claims: the job callback did not fire exactly once");
+}
+
 // CircuitBreaker trip visibility: the reopen deadline is stored relaxed and
 // published by the trip CAS's release. A reader that observes state=open must
 // therefore see the fresh deadline; weakening the trip CAS (mutation
@@ -678,6 +724,7 @@ const CleanCase kClean[] = {
     {"mpsc_queue", MpscScenario, 1200},
     {"event_count", EventCountScenario, 2000},
     {"dispatch_claim", DispatchClaimScenario, 2000},
+    {"chunk_claims", ChunkClaimScenario, 2000},
     {"breaker_trip_visibility", BreakerTripVisibilityScenario, 1500},
     {"breaker_probe_lifecycle", BreakerProbeLifecycleScenario, 20},
     {"breaker_reopen_refresh", BreakerReopenRefreshScenario, 20},
@@ -709,6 +756,8 @@ const MutationCase kMutations[] = {
     {"ec_notify_skip_mutex", EventCountScenario},
     // DispatchClaim (structural: drops the post-release re-check).
     {"claim_skip_recheck", DispatchClaimScenario},
+    // ChunkClaims (structural: the take exchange becomes load-then-store).
+    {"chunk_take_load_store", ChunkClaimScenario},
     // CircuitBreaker (src/serving/health.h).
     {"brk_trip_cas", BreakerTripVisibilityScenario},
     {"brk_halfopen_keep_tokens", BreakerProbeLifecycleScenario},

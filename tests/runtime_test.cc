@@ -1,13 +1,15 @@
 // Runtime: registration, inline predict, batch fan-out ordering, async
-// completion, error propagation, reservations, and the inline-when-idle rule
-// for async singles.
+// completion, error propagation, reservations, the inline-when-idle rule
+// for async singles, and caller-assisted synchronous batches.
 #include "src/runtime/runtime.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -15,6 +17,7 @@
 #include "src/common/fault.h"
 #include "src/flour/flour.h"
 #include "src/oven/model_plan.h"
+#include "src/workload/ac_workload.h"
 #include "src/workload/sa_workload.h"
 #include "tests/executor_hold.h"
 #include "tests/test_util.h"
@@ -23,17 +26,27 @@ using namespace pretzel;
 
 namespace {
 
+PlanMetrics MetricsOf(const Runtime& runtime, Runtime::PlanId id) {
+  for (const PlanMetrics& pm : runtime.GetMetrics().plans) {
+    if (pm.plan_id == id) {
+      return pm;
+    }
+  }
+  CHECK_MSG(false, "plan %zu has no metrics", id);
+  return {};
+}
+
 // A fresh Runtime over small SA plans; `reserve_first` dedicates an
 // executor to plan 0.
 struct Harness {
-  Harness(size_t executors, size_t pipelines, bool reserve_first = false) {
+  Harness(size_t executors, size_t pipelines, bool reserve_first = false,
+          RuntimeOptions ropts = {}) {
     SaWorkloadOptions opts;
     opts.num_pipelines = pipelines;
     opts.char_dict_entries = 400;
     opts.word_dict_entries = 120;
     opts.vocabulary_size = 250;
     workload = SaWorkload::Generate(opts);
-    RuntimeOptions ropts;
     ropts.num_executors = executors;
     runtime = std::make_unique<Runtime>(&store, ropts);
     FlourContext flour(&store);
@@ -50,13 +63,7 @@ struct Harness {
     }
   }
   PlanMetrics Metrics(Runtime::PlanId id) const {
-    for (const PlanMetrics& pm : runtime->GetMetrics().plans) {
-      if (pm.plan_id == id) {
-        return pm;
-      }
-    }
-    CHECK_MSG(false, "plan %zu has no metrics", id);
-    return {};
+    return MetricsOf(*runtime, id);
   }
   SaWorkload workload;
   ObjectStore store;
@@ -336,6 +343,363 @@ void TestRetireWaitsForInlineQuantum() {
   CHECK_MSG(saw_inline, "no retired quantum ran inline");
 }
 
+bool BitEqual(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// A record long enough that featurizing it takes milliseconds. `salt`
+// makes it unique, so no sub-plan cache entry from an earlier call can
+// shortcut it.
+std::string SlowRecord(const std::string& input, int salt) {
+  std::string slow = "salt" + std::to_string(salt);
+  while (slow.size() < (1u << 21)) {
+    slow += " " + input;
+  }
+  return slow;
+}
+
+// Waits for `id`'s queued events — stale chunk tickets included — to drain.
+PlanMetrics AwaitEmptyQueue(const Runtime& runtime, Runtime::PlanId id) {
+  for (int spin = 0; spin < 20'000; ++spin) {
+    PlanMetrics pm = MetricsOf(runtime, id);
+    if (pm.queue_depth == 0) {
+      return pm;
+    }
+    SleepUs(100);
+  }
+  CHECK_MSG(false, "plan %zu never drained its queue", id);
+  return {};
+}
+
+// With the group's only executor held, a synchronous batch of 4 chunks
+// completes on the calling thread: every chunk is still enqueued, the
+// caller runs all 4, and the scores are bit-equal to the same batch through
+// PredictBatchAsync, over every AC pipeline shape built here and both the
+// string and the binary-wire entry points. Once the hold lifts, the stale
+// tickets drain with nothing recorded.
+void TestHeldExecutorCallerRunsSyncBatch() {
+  AcWorkloadOptions aopts;
+  aopts.num_pipelines = 4;
+  aopts.featurizer_trees = 6;
+  aopts.featurizer_depth = 4;
+  aopts.final_trees = 4;
+  aopts.final_depth = 3;
+  const AcWorkload ac = AcWorkload::Generate(aopts);
+  ObjectStore store;
+  RuntimeOptions ropts;
+  ropts.num_executors = 1;
+  Runtime runtime(&store, ropts);
+  FlourContext flour(&store);
+  std::vector<Runtime::PlanId> ids;
+  for (const auto& spec : ac.pipelines()) {
+    auto program = flour.FromPipeline(spec);
+    auto plan = Plan(*program, spec.name);
+    CHECK(plan.ok());
+    auto id = runtime.Register(*plan);
+    CHECK(id.ok());
+    ids.push_back(*id);
+  }
+  // 32 records, max_batch 8, one executor: 4 chunks of 8.
+  constexpr size_t kRecords = 32;
+  constexpr size_t kMaxBatch = 8;
+  constexpr uint64_t kChunks = 4;
+  Rng rng(41);
+  std::vector<std::string> inputs;
+  std::string wire;
+  for (size_t i = 0; i < kRecords; ++i) {
+    inputs.push_back(ac.SampleInput(rng, WireFormat::kBinary));
+    wire += inputs.back();
+  }
+  const std::span<const uint8_t> wire_span(
+      reinterpret_cast<const uint8_t*>(wire.data()), wire.size());
+  // Plan 0 holds the executor; the others are under test.
+  const std::vector<Runtime::PlanId> tested(ids.begin() + 1, ids.end());
+  std::vector<std::vector<float>> sync_scores, binary_scores;
+  std::vector<PlanMetrics> held;
+  {
+    ExecutorHold hold(runtime, {ids[0]});
+    for (const Runtime::PlanId id : tested) {
+      const PlanMetrics before = MetricsOf(runtime, id);
+      std::vector<float> out(kRecords, -1.0f);
+      CHECK(runtime.PredictBatch(id, inputs, kMaxBatch, out).ok());
+      std::vector<float> out_binary(kRecords, -1.0f);
+      CHECK(runtime.PredictBinary(id, wire_span, kMaxBatch, out_binary).ok());
+      const PlanMetrics after = MetricsOf(runtime, id);
+      CHECK_EQ(after.enqueued_events, before.enqueued_events + 2 * kChunks);
+      CHECK_EQ(after.caller_dispatches,
+               before.caller_dispatches + 2 * kChunks);
+      CHECK_EQ(after.dispatches, before.dispatches + 2 * kChunks);
+      CHECK_EQ(after.batch_records.count(),
+               before.batch_records.count() + 2 * kChunks);
+      // Every ticket still waits for the held executor.
+      CHECK_EQ(after.queue_depth, static_cast<size_t>(2 * kChunks));
+      CHECK_EQ(after.errors, uint64_t{0});
+      sync_scores.push_back(std::move(out));
+      binary_scores.push_back(std::move(out_binary));
+      held.push_back(after);
+    }
+  }
+  // Stale tickets: queue occupancy settles, and nothing else moves — no
+  // dispatch, no batch-size or queue-wait sample, no queue-delay sample.
+  for (size_t k = 0; k < tested.size(); ++k) {
+    const PlanMetrics drained = AwaitEmptyQueue(runtime, tested[k]);
+    CHECK_EQ(drained.dispatches, held[k].dispatches);
+    CHECK_EQ(drained.caller_dispatches, held[k].caller_dispatches);
+    CHECK_EQ(drained.batch_records.count(), held[k].batch_records.count());
+    CHECK_EQ(drained.queue_wait_us.count(), held[k].queue_wait_us.count());
+    CHECK_EQ(drained.queue_delay_ewma_us, held[k].queue_delay_ewma_us);
+  }
+  // The same batch through the async path, run by the executor.
+  for (size_t k = 0; k < tested.size(); ++k) {
+    Completion c;
+    std::vector<float> async_scores;
+    CHECK(runtime
+              .PredictBatchAsync(
+                  tested[k], inputs,
+                  [&](Status status, std::span<const float> scores) {
+                    async_scores.assign(scores.begin(), scores.end());
+                    c.Fire(status.ok());
+                  },
+                  kMaxBatch)
+              .ok());
+    c.Await();
+    CHECK(c.ok);
+    CHECK(c.thread != std::this_thread::get_id());
+    CHECK_EQ(async_scores.size(), kRecords);
+    for (size_t i = 0; i < kRecords; ++i) {
+      CHECK_MSG(BitEqual(sync_scores[k][i], async_scores[i]) &&
+                    BitEqual(binary_scores[k][i], async_scores[i]),
+                "plan %zu record %zu: sync %a, binary %a, async %a",
+                tested[k], i, sync_scores[k][i], binary_scores[k][i],
+                async_scores[i]);
+    }
+  }
+}
+
+// A reserved plan keeps all its work on its dedicated executor: its
+// synchronous batch never runs a chunk on the caller.
+void TestReservedSyncBatchStaysOnExecutors() {
+  Harness h(/*executors=*/1, /*pipelines=*/2, /*reserve_first=*/true);
+  const Runtime::PlanId id = h.ids[0];
+  auto scores = h.runtime->PredictBatch(
+      id, std::vector<std::string>(8, h.input), /*max_batch=*/2);
+  CHECK(scores.ok());
+  const PlanMetrics pm = h.Metrics(id);
+  CHECK(pm.reserved);
+  CHECK_EQ(pm.caller_dispatches, uint64_t{0});
+  CHECK_EQ(pm.enqueued_events, uint64_t{4});
+  CHECK_EQ(pm.dispatches, uint64_t{4});
+}
+
+// A deadline that dies while the caller is mid-batch. With the executor
+// held, the caller takes the slow tail chunk first; the budget expires
+// inside it, and the three chunks left are dropped between quanta. Every
+// record completes exactly once: the tail keeps its score, the rest score
+// 0.0f, the batch is DeadlineExceeded, and expired_quantum counts exactly
+// the dropped records.
+void TestDeadlineExpiresMidCallerBatch() {
+  Harness h(/*executors=*/1, /*pipelines=*/2);
+  const Runtime::PlanId id = h.ids[1];
+  // Time a record of the slow record's size, so the budget scales with the
+  // build (sanitizers included).
+  const int64_t t0 = NowNs();
+  CHECK(h.runtime->Predict(id, SlowRecord(h.input, 0)).ok());
+  const int64_t slow_ns = NowNs() - t0;
+  const std::vector<std::string> inputs = {h.input, h.input, h.input,
+                                           SlowRecord(h.input, 1)};
+  std::vector<float> out(inputs.size(), -1.0f);
+  const PlanMetrics before = h.Metrics(id);
+  Status status;
+  {
+    ExecutorHold hold(*h.runtime, {h.ids[0]});
+    status = h.runtime->PredictBatch(id, inputs, /*max_batch=*/1, out,
+                                     NowNs() + slow_ns / 8);
+  }
+  CHECK_MSG(status.IsDeadlineExceeded(), "%s", status.ToString().c_str());
+  const PlanMetrics after = h.Metrics(id);
+  CHECK_EQ(after.caller_dispatches - before.caller_dispatches, uint64_t{4});
+  CHECK_EQ(after.expired_quantum - before.expired_quantum, uint64_t{3});
+  auto tail = h.runtime->Predict(id, inputs[3]);
+  CHECK(tail.ok());
+  CHECK(BitEqual(out[3], *tail));
+  for (size_t i = 0; i < 3; ++i) {
+    CHECK(BitEqual(out[i], 0.0f));
+  }
+  AwaitEmptyQueue(*h.runtime, id);
+}
+
+// Retire racing a synchronous batch whose caller is mid-chunk waits for the
+// caller (its scores are all written when Retire returns), then drops the
+// plan.
+void TestRetireWaitsForHelpingCaller() {
+  Harness h(/*executors=*/1, /*pipelines=*/2);
+  const Runtime::PlanId id = h.ids[1];
+  const std::vector<std::string> inputs = {SlowRecord(h.input, 2),
+                                           SlowRecord(h.input, 3)};
+  std::vector<float> out(inputs.size(), std::nanf(""));
+  Status status = Status::Error("unset");
+  std::thread caller([&] {
+    status = h.runtime->PredictBatch(id, inputs, /*max_batch=*/1, out);
+  });
+  // The executor takes chunk 0 from the head; the caller takes chunk 1.
+  int spin = 0;
+  while (h.Metrics(id).caller_dispatches == 0 && ++spin < 100'000) {
+    SleepUs(10);
+  }
+  CHECK_MSG(h.Metrics(id).caller_dispatches >= 1,
+            "the caller never took its tail chunk");
+  CHECK(h.runtime->Retire(id).ok());
+  for (const float score : out) {
+    CHECK(!std::isnan(score));
+  }
+  caller.join();
+  CHECK(status.ok());
+  CHECK(h.Metrics(id).retired);
+  CHECK(h.runtime->PredictBatch(id, inputs, 1).status().code() ==
+        StatusCode::kNotFound);
+}
+
+// A synchronous batch issued from a completion on the group's only
+// executor: the caller runs every chunk itself, so the call returns instead
+// of waiting on the thread that would have to run it.
+void TestSyncBatchFromExecutorThread() {
+  Harness h(/*executors=*/1, /*pipelines=*/2);
+  Completion c;
+  CHECK(h.runtime
+            ->PredictBatchAsync(
+                h.ids[0], {h.input},
+                [&](Status, std::span<const float>) {
+                  auto scores = h.runtime->PredictBatch(
+                      h.ids[1], std::vector<std::string>(4, h.input),
+                      /*max_batch=*/1);
+                  c.Fire(scores.ok() && scores->size() == 4);
+                },
+                /*max_batch=*/1)
+            .ok());
+  c.Await();
+  CHECK(c.ok);
+  CHECK(c.thread != std::this_thread::get_id());
+  CHECK_EQ(h.Metrics(h.ids[1]).caller_dispatches, uint64_t{4});
+}
+
+// Stale chunk tickets cost no rotation turn: an executor that pops one
+// drops every stale ticket behind it in the same quantum. With the only
+// executor held, a closed-loop synchronous client runs 10 batches of 4
+// chunks itself, leaving 40 stale tickets on plan P; an async batch of 4
+// chunks on plan A queues behind them. When the hold lifts, P's first turn
+// drops all 40, so by the time A's batch completes P's queue is empty (one
+// ticket per turn would leave ~36). Both schedulers.
+void TestStaleTicketsDrainInOneTurn(bool lockfree) {
+  RuntimeOptions ropts;
+  ropts.lockfree_scheduler = lockfree;
+  Harness h(/*executors=*/1, /*pipelines=*/3, /*reserve_first=*/false, ropts);
+  const Runtime::PlanId p = h.ids[1];
+  const Runtime::PlanId a = h.ids[2];
+  const std::vector<std::string> inputs(4, h.input);
+  Completion c;
+  size_t p_depth_at_a = 0;
+  {
+    ExecutorHold hold(*h.runtime, {h.ids[0]});
+    for (int call = 0; call < 10; ++call) {
+      CHECK(h.runtime->PredictBatch(p, inputs, /*max_batch=*/1).ok());
+    }
+    CHECK_EQ(h.Metrics(p).queue_depth, size_t{40});
+    CHECK(h.runtime
+              ->PredictBatchAsync(
+                  a, inputs,
+                  [&](Status status, std::span<const float>) {
+                    p_depth_at_a = h.Metrics(p).queue_depth;
+                    c.Fire(status.ok());
+                  },
+                  /*max_batch=*/1)
+              .ok());
+  }
+  c.Await();
+  CHECK(c.ok);
+  CHECK_MSG(p_depth_at_a == 0,
+            "%zu stale tickets still queued when A's batch completed",
+            p_depth_at_a);
+  const PlanMetrics pm = h.Metrics(p);
+  CHECK_EQ(pm.dispatches, uint64_t{40});
+  CHECK_EQ(pm.caller_dispatches, uint64_t{40});
+}
+
+// The cap counts live work only: stale chunk tickets do not count against
+// it, so a closed-loop synchronous client that outruns a held executor is
+// never rejected. Cap 8, 4 chunks per call: counting stale tickets would
+// reject the third call.
+void TestCapIgnoresStaleTickets(bool lockfree) {
+  RuntimeOptions ropts;
+  ropts.lockfree_scheduler = lockfree;
+  ropts.max_queued_events_per_plan = 8;
+  Harness h(/*executors=*/1, /*pipelines=*/2, /*reserve_first=*/false, ropts);
+  const Runtime::PlanId p = h.ids[1];
+  const std::vector<std::string> inputs(4, h.input);
+  {
+    ExecutorHold hold(*h.runtime, {h.ids[0]});
+    for (int call = 0; call < 10; ++call) {
+      auto scores = h.runtime->PredictBatch(p, inputs, /*max_batch=*/1);
+      CHECK_MSG(scores.ok(), "call %d: %s", call,
+                scores.status().ToString().c_str());
+    }
+    const PlanMetrics pm = h.Metrics(p);
+    CHECK_EQ(pm.rejected_events, uint64_t{0});
+    CHECK_EQ(pm.queue_depth, size_t{40});  // The tickets are still there.
+  }
+  AwaitEmptyQueue(*h.runtime, p);
+}
+
+// One executor saturated by closed-loop async batches on two other plans
+// (chunks of 16 records) while a closed-loop synchronous client on plan P
+// runs its own 1-record chunks.
+// Under a cap of 2x its chunks per call, P is never rejected and every
+// score is exact. (P's queue depth is not bounded here: while the executor
+// is descheduled the client keeps running its own chunks, so the stale
+// backlog tracks the host's scheduling; TestStaleTicketsDrainInOneTurn
+// pins that an executor turn clears it.)
+void TestSyncBatchBesideSaturatedExecutor() {
+  constexpr size_t kChunks = 4;
+  RuntimeOptions ropts;
+  ropts.max_queued_events_per_plan = 2 * kChunks;
+  Harness h(/*executors=*/1, /*pipelines=*/3, /*reserve_first=*/false, ropts);
+  const std::vector<std::string> inputs(kChunks, h.input);
+  auto expected = h.runtime->Predict(h.ids[0], h.input);
+  CHECK(expected.ok());
+  const std::vector<std::string> feed(kChunks * 16, h.input);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> feeders;
+  for (const Runtime::PlanId id : {h.ids[1], h.ids[2]}) {
+    feeders.emplace_back([&, id] {
+      while (!stop.load()) {
+        Completion c;
+        CHECK(h.runtime
+                  ->PredictBatchAsync(
+                      id, feed,
+                      [&](Status status, std::span<const float>) {
+                        c.Fire(status.ok());
+                      },
+                      /*max_batch=*/16)
+                  .ok());
+        c.Await();
+        CHECK(c.ok);
+      }
+    });
+  }
+  const Runtime::PlanId p = h.ids[0];
+  for (int call = 0; call < 400; ++call) {
+    std::vector<float> out(kChunks, -1.0f);
+    Status status = h.runtime->PredictBatch(p, inputs, /*max_batch=*/1, out);
+    CHECK_MSG(status.ok(), "call %d: %s", call, status.ToString().c_str());
+    for (const float score : out) {
+      CHECK(BitEqual(score, *expected));
+    }
+  }
+  stop.store(true);
+  for (auto& feeder : feeders) {
+    feeder.join();
+  }
+  CHECK_EQ(h.Metrics(p).rejected_events, uint64_t{0});
+  AwaitEmptyQueue(*h.runtime, p);
+}
+
 }  // namespace
 
 int main() {
@@ -484,6 +848,16 @@ int main() {
   TestSlowPlanEnqueues();
   TestResubmittingCallbackDoesNotRecurse();
   TestRetireWaitsForInlineQuantum();
+  TestHeldExecutorCallerRunsSyncBatch();
+  TestReservedSyncBatchStaysOnExecutors();
+  TestDeadlineExpiresMidCallerBatch();
+  TestRetireWaitsForHelpingCaller();
+  TestSyncBatchFromExecutorThread();
+  TestStaleTicketsDrainInOneTurn(/*lockfree=*/true);
+  TestStaleTicketsDrainInOneTurn(/*lockfree=*/false);
+  TestCapIgnoresStaleTickets(/*lockfree=*/true);
+  TestCapIgnoresStaleTickets(/*lockfree=*/false);
+  TestSyncBatchBesideSaturatedExecutor();
 
   std::printf("runtime_test: PASS\n");
   return 0;
