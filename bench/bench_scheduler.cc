@@ -9,11 +9,6 @@
 //     events, per-plan coalescing (max_batch > 1) beats one-request-per-
 //     event dispatch on throughput by amortizing queue/wakeup costs.
 //
-//  3. Coalescing composes with the batch-major data path: dense-family
-//     coalesced singles execute through the SoA batch kernels
-//     (batch_major) instead of the per-event loop, and that beats the
-//     per-record coalesced drain on parallel hosts.
-//
 // Also prints the serving-path sub-plan cache effectiveness (the Figure-10
 // optimization, now owned by the Runtime's executors).
 #include <atomic>
@@ -371,95 +366,12 @@ int main(int argc, char** argv) {
                      "sub-plan materialization cache is active (nonzero hits) "
                      "in a default serving run");
 
-  // ------------------------------------------------------------------
-  // Part 3: coalesced singles executing batch-major. Dense-family plans fed
-  // binary-record singles: the scheduler coalesces them (PR-3 policy) and
-  // the executor routes each coalesced group through ExecutePlanBatch's SoA
-  // kernels instead of the per-event loop. Same drain protocol as Part 2,
-  // same coalescing policy on both sides — the only difference is
-  // batch_major execution of the coalesced group.
-  std::printf("\n-- Part 3: batch-major execution of coalesced singles --\n");
-  AcWorkloadOptions ac_opts = DefaultAcOptions(flags);
-  ac_opts.num_pipelines = static_cast<size_t>(flags.GetInt("ac_pipelines", 4));
-  const auto ac = AcWorkload::Generate(ac_opts);
-  std::vector<std::string> ac_inputs;
-  for (size_t m = 0; m < ac.pipelines().size(); ++m) {
-    ac_inputs.push_back(ac.SampleInput(rng, WireFormat::kBinary, m));
-  }
-  const auto build_ac = [&](bool batch_major) {
-    auto h = std::make_unique<Harness>();
-    RuntimeOptions ropts;
-    ropts.num_executors = 1;
-    ropts.default_max_batch = static_cast<size_t>(flags.GetInt("max_batch", 64));
-    ropts.default_max_delay_us = flags.GetInt("max_delay_us", 200);
-    ropts.lockfree_scheduler = policy_lockfree;
-    ropts.batch_major = batch_major;
-    h->runtime = std::make_unique<Runtime>(&h->store, ropts);
-    FlourContext flour(&h->store);
-    for (const auto& spec : ac.pipelines()) {
-      auto program = flour.FromPipeline(spec);
-      h->ids.push_back(*h->runtime->Register(*Plan(*program, spec.name)));
-    }
-    for (size_t m = 0; m < h->ids.size(); ++m) {
-      (void)h->runtime->PredictBatch(h->ids[m], {ac_inputs[m]}, 1);
-    }
-    return h;
-  };
-  auto per_record = build_ac(/*batch_major=*/false);
-  auto batch_exec = build_ac(/*batch_major=*/true);
-  auto ac_schedule = GenerateLoadSchedule(ac.pipelines().size(), /*rps=*/1e6,
-                                          static_cast<double>(load_events) / 1e6,
-                                          /*zipf_alpha=*/2.0, 9003);
-  double per_record_eps = 0.0;
-  double batch_exec_eps = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    per_record_eps = std::max(
-        per_record_eps,
-        DrainThroughput(*per_record->runtime, per_record->ids, ac_inputs,
-                        ac_schedule, per_record->ids[0], ac_inputs[0],
-                        blocker_records));
-    batch_exec_eps = std::max(
-        batch_exec_eps,
-        DrainThroughput(*batch_exec->runtime, batch_exec->ids, ac_inputs,
-                        ac_schedule, batch_exec->ids[0], ac_inputs[0],
-                        blocker_records));
-  }
-  uint64_t batched_singles = 0;
-  for (const PlanMetrics& pm : batch_exec->runtime->GetMetrics().plans) {
-    batched_singles += pm.batched_singles;
-  }
-  const double batch_exec_speedup =
-      per_record_eps > 0 ? batch_exec_eps / per_record_eps : 0.0;
-  std::printf("  per-record coalesced:  %10.0f events/s\n", per_record_eps);
-  std::printf("  batch-major coalesced: %10.0f events/s "
-              "(%llu singles executed batch-major)\n",
-              batch_exec_eps, static_cast<unsigned long long>(batched_singles));
-  std::printf("  batch-execution speedup: %.2fx\n", batch_exec_speedup);
-  pass &= ShapeCheck(batched_singles > 0,
-                     "coalesced dense singles route through the batch-major "
-                     "SoA path (batched_singles metric is live)");
-  if (std::thread::hardware_concurrency() >= 2) {
-    pass &= ShapeCheck(batch_exec_speedup >= 1.2,
-                       "batch-major execution of coalesced singles >= 1.2x the "
-                       "per-record coalesced drain");
-  } else {
-    // On a 1-core host the drain is timeslicing-dominated; guard against
-    // regression instead of asserting the parallel-host margin.
-    pass &= ShapeCheck(batch_exec_speedup >= 0.9,
-                       "batch-major coalesced execution does not regress the "
-                       "per-record drain on a 1-core host");
-  }
-
   BenchJson json("scheduler");
   json.Add("isolation_p99_ratio", p99_ratio);
   json.Add("one_per_event_eps", one_per_event);
   json.Add("coalesced_eps", coalesced);
   json.Add("coalescing_speedup", coalesced / one_per_event);
   json.Add("mean_batch", mean_batch);
-  json.Add("per_record_coalesced_eps", per_record_eps);
-  json.Add("batch_major_coalesced_eps", batch_exec_eps);
-  json.Add("batch_exec_speedup", batch_exec_speedup);
-  json.Add("batched_singles", static_cast<double>(batched_singles));
   json.Add("subplan_cache_hit_pct", hit_rate);
   json.Add("policy_lockfree", policy_lockfree ? "true" : "false");
   json.Add("shape_check", pass ? "PASS" : "FAIL");

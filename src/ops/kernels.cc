@@ -90,11 +90,9 @@ void TokenizeText(std::string_view input, std::string* text,
 }
 
 // ---------------------------------------------------------------------------
-// Dense kernels: portable scalar backend + per-process dispatch.
+// Dense kernels.
 
-namespace internal {
-
-float DotF32Scalar(const float* a, const float* b, size_t n) {
+float DotF32(const float* a, const float* b, size_t n) {
   // Four independent accumulators: breaks the serial FP dependence chain
   // (FMA-friendly) and is reassociation the vectorizer may lift to SIMD
   // lanes without -ffast-math.
@@ -112,15 +110,15 @@ float DotF32Scalar(const float* a, const float* b, size_t n) {
   return (acc0 + acc1) + (acc2 + acc3);
 }
 
-void MatVecScalar(const float* matrix, size_t out_dim, size_t in_dim,
-                  const float* in, float* out) {
+void MatVec(const float* matrix, size_t out_dim, size_t in_dim, const float* in,
+            float* out) {
   for (size_t r = 0; r < out_dim; ++r) {
-    out[r] = DotF32Scalar(matrix + r * in_dim, in, in_dim);
+    out[r] = DotF32(matrix + r * in_dim, in, in_dim);
   }
 }
 
-void KMeansTransformScalar(const float* centroids, size_t k, size_t dim,
-                           const float* in, float* out) {
+void KMeansTransform(const float* centroids, size_t k, size_t dim,
+                     const float* in, float* out) {
   for (size_t i = 0; i < k; ++i) {
     const float* c = centroids + i * dim;
     float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
@@ -143,219 +141,46 @@ void KMeansTransformScalar(const float* centroids, size_t k, size_t dim,
   }
 }
 
-void MatVecBatchSoAScalar(const float* matrix, size_t out_dim, size_t in_dim,
-                          const float* in_soa, size_t batch, float* out_soa) {
-  // Register-tiled: each pass holds an 8-lane accumulator tile for one
-  // output row across 8 records and streams the whole input dimension
-  // through it — the long loop is innermost, the tile never leaves
-  // registers, one matrix-row read serves 8 records, and there is no
-  // horizontal reduction (the cost per-record dot products always pay).
-  constexpr size_t kLanes = 8;
-  for (size_t r = 0; r < out_dim; ++r) {
-    const float* row = matrix + r * in_dim;
-    float* out = out_soa + r * batch;
-    size_t b = 0;
-    for (; b + kLanes <= batch; b += kLanes) {
-      float acc[kLanes] = {0.0f};
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < in_dim; ++c, col += batch) {
-        const float m = row[c];
-        for (size_t l = 0; l < kLanes; ++l) {
-          acc[l] += m * col[l];
-        }
-      }
-      for (size_t l = 0; l < kLanes; ++l) {
-        out[b + l] = acc[l];
-      }
-    }
-    for (; b < batch; ++b) {
-      float acc = 0.0f;
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < in_dim; ++c, col += batch) {
-        acc += row[c] * col[0];
-      }
-      out[b] = acc;
-    }
-  }
-}
-
-void KMeansTransformBatchSoAScalar(const float* centroids, size_t k,
-                                   size_t dim, const float* in_soa,
-                                   size_t batch, float* out_soa) {
-  constexpr size_t kLanes = 8;
-  for (size_t i = 0; i < k; ++i) {
-    const float* cent = centroids + i * dim;
-    float* out = out_soa + i * batch;
-    size_t b = 0;
-    for (; b + kLanes <= batch; b += kLanes) {
-      float acc[kLanes] = {0.0f};
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < dim; ++c, col += batch) {
-        const float cc = cent[c];
-        for (size_t l = 0; l < kLanes; ++l) {
-          const float d = col[l] - cc;
-          acc[l] += d * d;
-        }
-      }
-      for (size_t l = 0; l < kLanes; ++l) {
-        out[b + l] = -acc[l];
-      }
-    }
-    for (; b < batch; ++b) {
-      float acc = 0.0f;
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < dim; ++c, col += batch) {
-        const float d = col[0] - cent[c];
-        acc += d * d;
-      }
-      out[b] = -acc;
-    }
-  }
-}
-
-}  // namespace internal
-
 namespace {
 
-// Force-scalar override for parity baselines and before/after sweeps.
-// Plain bool: flipped only from single-threaded test/bench setup.
-bool g_force_scalar = false;
-
-bool UseAvx2() {
-#ifdef PRETZEL_HAVE_AVX2
-  static const bool supported =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return supported && !g_force_scalar;
-#else
-  return false;
-#endif
+// Runs `kernel(lane_in, lane_out)` on every lane of an SoA batch of `batch`
+// records, `in_dim` values in and `out_dim` values out per record.
+template <typename Kernel>
+void ForEachSoALane(const float* in_soa, size_t in_dim, size_t batch,
+                    float* out_soa, size_t out_dim, Kernel&& kernel) {
+  std::vector<float> in(in_dim), out(out_dim);
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t c = 0; c < in_dim; ++c) {
+      in[c] = in_soa[c * batch + b];
+    }
+    kernel(in.data(), out.data());
+    for (size_t r = 0; r < out_dim; ++r) {
+      out_soa[r * batch + b] = out[r];
+    }
+  }
 }
 
 }  // namespace
 
-bool SetForceScalarKernels(bool force) {
-  const bool prev = g_force_scalar;
-  g_force_scalar = force;
-  return prev;
-}
-
-KernelBackend ActiveKernelBackend() {
-  return UseAvx2() ? KernelBackend::kAvx2 : KernelBackend::kScalar;
-}
-
-const char* KernelBackendName(KernelBackend backend) {
-  switch (backend) {
-    case KernelBackend::kScalar:
-      return "scalar";
-    case KernelBackend::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-float DotF32(const float* a, const float* b, size_t n) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    return internal::DotF32Avx2(a, b, n);
-  }
-#endif
-  return internal::DotF32Scalar(a, b, n);
-}
-
-void MatVec(const float* matrix, size_t out_dim, size_t in_dim, const float* in,
-            float* out) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::MatVecAvx2(matrix, out_dim, in_dim, in, out);
-    return;
-  }
-#endif
-  internal::MatVecScalar(matrix, out_dim, in_dim, in, out);
-}
-
-void KMeansTransform(const float* centroids, size_t k, size_t dim,
-                     const float* in, float* out) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::KMeansTransformAvx2(centroids, k, dim, in, out);
-    return;
-  }
-#endif
-  internal::KMeansTransformScalar(centroids, k, dim, in, out);
-}
-
 void MatVecBatchSoA(const float* matrix, size_t out_dim, size_t in_dim,
                     const float* in_soa, size_t batch, float* out_soa) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::MatVecBatchSoAAvx2(matrix, out_dim, in_dim, in_soa, batch,
-                                 out_soa);
-    return;
-  }
-#endif
-  internal::MatVecBatchSoAScalar(matrix, out_dim, in_dim, in_soa, batch,
-                                 out_soa);
+  ForEachSoALane(in_soa, in_dim, batch, out_soa, out_dim,
+                 [&](const float* in, float* out) {
+                   MatVec(matrix, out_dim, in_dim, in, out);
+                 });
 }
 
 void KMeansTransformBatchSoA(const float* centroids, size_t k, size_t dim,
                              const float* in_soa, size_t batch,
                              float* out_soa) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::KMeansTransformBatchSoAAvx2(centroids, k, dim, in_soa, batch,
-                                          out_soa);
-    return;
-  }
-#endif
-  internal::KMeansTransformBatchSoAScalar(centroids, k, dim, in_soa, batch,
-                                          out_soa);
-}
-
-void TransposeToSoA(const float* rows, size_t batch, size_t row_stride,
-                    size_t in_dim, float* soa) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::TransposeToSoAAvx2(rows, batch, row_stride, in_dim, soa);
-    return;
-  }
-#endif
-  for (size_t b = 0; b < batch; ++b) {
-    const float* row = rows + b * row_stride;
-    for (size_t c = 0; c < in_dim; ++c) {
-      soa[c * batch + b] = row[c];
-    }
-  }
-}
-
-void TransposeRowsToSoA(const float* const* rows, size_t batch, size_t in_dim,
-                        float* soa) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::TransposeRowsToSoAAvx2(rows, batch, in_dim, soa);
-    return;
-  }
-#endif
-  for (size_t b = 0; b < batch; ++b) {
-    const float* row = rows[b];
-    for (size_t c = 0; c < in_dim; ++c) {
-      soa[c * batch + b] = row[c];
-    }
-  }
+  ForEachSoALane(in_soa, dim, batch, out_soa, k,
+                 [&](const float* in, float* out) {
+                   KMeansTransform(centroids, k, dim, in, out);
+                 });
 }
 
 double SparseDot(const uint32_t* ids, const float* vals, size_t nnz,
                  const float* weights, size_t w_dim) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    return internal::SparseDotAvx2(ids, vals, nnz, weights, w_dim);
-  }
-#endif
-  return internal::SparseDotScalar(ids, vals, nnz, weights, w_dim);
-}
-
-namespace internal {
-double SparseDotScalar(const uint32_t* ids, const float* vals, size_t nnz,
-                       const float* weights, size_t w_dim) {
   double acc0 = 0.0, acc1 = 0.0;
   size_t i = 0;
   for (; i + 2 <= nnz; i += 2) {
@@ -373,7 +198,6 @@ double SparseDotScalar(const uint32_t* ids, const float* vals, size_t nnz,
   }
   return acc0 + acc1;
 }
-}  // namespace internal
 
 float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 

@@ -199,23 +199,10 @@ void ScanWordNgrams(const std::string& text,
 }
 
 // ---------------------------------------------------------------------------
-// Dense kernels. Two backends share every signature: a portable scalar
-// implementation (4x-unrolled independent accumulators, FMA-friendly and
-// auto-vectorizable) and, when the binary is built with PRETZEL_AVX2, an
-// AVX2+FMA implementation selected per process by runtime CPU detection.
-// All backends agree with the scalar reference within 1e-5 (the golden-
-// parity suite pins this).
-
-enum class KernelBackend { kScalar, kAvx2 };
-
-// The backend dense kernels dispatch to right now (CPU support AND the
-// force-scalar override).
-KernelBackend ActiveKernelBackend();
-const char* KernelBackendName(KernelBackend backend);
-
-// Testing/bench hook: pin dispatch to the portable scalar path (parity
-// baselines, before/after sweeps). Returns the previous setting.
-bool SetForceScalarKernels(bool force);
+// Dense kernels: one portable implementation (4x-unrolled independent
+// accumulators, FMA-friendly and auto-vectorizable). A dense record runs
+// through these whether it arrives alone or in a batch, so it scores the
+// same bits on every path.
 
 // Dot product over n floats.
 float DotF32(const float* a, const float* b, size_t n);
@@ -229,69 +216,20 @@ void MatVec(const float* matrix, size_t out_dim, size_t in_dim, const float* in,
 void KMeansTransform(const float* centroids, size_t k, size_t dim,
                      const float* in, float* out);
 
-// Batch-major (structure-of-arrays) variants: `in_soa` holds `in_dim` rows
-// of `batch` contiguous lanes (in_soa[c * batch + b] = record b, dim c), so
-// the inner loop runs across the batch with no reduction — one blocked
-// matrix-matrix kernel replaces `batch` matvecs. Outputs use the same
-// layout (out_soa[r * batch + b]).
+// Structure-of-arrays forms: `in_soa` holds `in_dim` rows of `batch` lanes
+// (in_soa[c * batch + b] = record b, dim c) and outputs use the same layout
+// (out_soa[r * batch + b]). Each lane is gathered, run through MatVec /
+// KMeansTransform and scattered back, so every lane is bit-equal to the
+// per-record kernel on that record.
 void MatVecBatchSoA(const float* matrix, size_t out_dim, size_t in_dim,
                     const float* in_soa, size_t batch, float* out_soa);
 void KMeansTransformBatchSoA(const float* centroids, size_t k, size_t dim,
                              const float* in_soa, size_t batch, float* out_soa);
 
-// rows[b * row_stride + c] -> soa[c * batch + b] for c < in_dim.
-void TransposeToSoA(const float* rows, size_t batch, size_t row_stride,
-                    size_t in_dim, float* soa);
-
-// Gather variant for rows that are not contiguous: rows[b][c] ->
-// soa[c * batch + b]. This is how binary wire records (each row aliasing
-// its record's payload in place) enter the SoA spine with no AoS staging
-// copy, and how a masked batch transposes only its valid rows.
-void TransposeRowsToSoA(const float* const* rows, size_t batch, size_t in_dim,
-                        float* soa);
-
 // Sparse dot product against a dense weight array; ids at or beyond w_dim
 // contribute nothing. Double accumulation (matches the Linear stages).
-// Dispatched: AVX2 builds use a masked-gather kernel on supporting CPUs.
 double SparseDot(const uint32_t* ids, const float* vals, size_t nnz,
                  const float* weights, size_t w_dim);
-
-namespace internal {
-// Portable scalar backend, callable directly (parity references and the
-// before/after bench sweep measure it against the dispatched entry points).
-float DotF32Scalar(const float* a, const float* b, size_t n);
-void MatVecScalar(const float* matrix, size_t out_dim, size_t in_dim,
-                  const float* in, float* out);
-void KMeansTransformScalar(const float* centroids, size_t k, size_t dim,
-                           const float* in, float* out);
-void MatVecBatchSoAScalar(const float* matrix, size_t out_dim, size_t in_dim,
-                          const float* in_soa, size_t batch, float* out_soa);
-void KMeansTransformBatchSoAScalar(const float* centroids, size_t k,
-                                   size_t dim, const float* in_soa,
-                                   size_t batch, float* out_soa);
-double SparseDotScalar(const uint32_t* ids, const float* vals, size_t nnz,
-                       const float* weights, size_t w_dim);
-#ifdef PRETZEL_HAVE_AVX2
-// AVX2+FMA backend (separate TU compiled with -mavx2 -mfma; only ever
-// called after runtime CPU detection).
-float DotF32Avx2(const float* a, const float* b, size_t n);
-void MatVecAvx2(const float* matrix, size_t out_dim, size_t in_dim,
-                const float* in, float* out);
-void KMeansTransformAvx2(const float* centroids, size_t k, size_t dim,
-                         const float* in, float* out);
-void MatVecBatchSoAAvx2(const float* matrix, size_t out_dim, size_t in_dim,
-                        const float* in_soa, size_t batch, float* out_soa);
-void KMeansTransformBatchSoAAvx2(const float* centroids, size_t k, size_t dim,
-                                 const float* in_soa, size_t batch,
-                                 float* out_soa);
-void TransposeToSoAAvx2(const float* rows, size_t batch, size_t row_stride,
-                        size_t in_dim, float* soa);
-void TransposeRowsToSoAAvx2(const float* const* rows, size_t batch,
-                            size_t in_dim, float* soa);
-double SparseDotAvx2(const uint32_t* ids, const float* vals, size_t nnz,
-                     const float* weights, size_t w_dim);
-#endif  // PRETZEL_HAVE_AVX2
-}  // namespace internal
 
 float Sigmoid(float x);
 

@@ -1,7 +1,6 @@
 #include "src/runtime/exec_context.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/common/fault.h"
 #include "src/common/serialize.h"
@@ -81,15 +80,7 @@ void ExecContext::ReleaseScratch() {
   std::vector<float>().swap(tree_out);
   std::vector<uint32_t>().swap(sparse_ids);
   std::vector<float>().swap(sparse_vals);
-  std::vector<float>().swap(batch_rows);
-  std::vector<const float*>().swap(batch_row_ptrs);
-  std::vector<uint32_t>().swap(batch_valid);
-  std::vector<float>().swap(batch_soa);
-  std::vector<float>().swap(batch_stage);
-  std::vector<float>().swap(batch_features);
   std::vector<std::string_view>().swap(batch_views);
-  std::vector<float>().swap(batch_scores);
-  std::vector<uint8_t>().swap(batch_failed);
 }
 
 ExecContextPool::ExecContextPool(VectorPool* pool, bool reuse_enabled)
@@ -450,152 +441,24 @@ Result<float> ExecutePlan(const ModelPlan& plan, std::string_view input,
   return result;
 }
 
-size_t ExecutePlanPerRecord(const ModelPlan& plan,
-                            const std::string_view* inputs, size_t n,
-                            float* scores, ExecContext& ctx,
-                            Status* first_error, uint8_t* failed_flags) {
-  size_t failed = 0;
-  for (size_t i = 0; i < n; ++i) {
-    Result<float> r = ExecutePlan(plan, inputs[i], ctx);
-    if (r.ok()) {
-      scores[i] = *r;
-      if (failed_flags != nullptr) {
-        failed_flags[i] = 0;
-      }
-    } else {
-      scores[i] = 0.0f;
-      if (failed_flags != nullptr) {
-        failed_flags[i] = 1;
-      }
-      if (failed++ == 0 && first_error != nullptr) {
-        *first_error = r.status();
-      }
-    }
-  }
-  return failed;
-}
-
 size_t ExecutePlanBatch(const ModelPlan& plan, const std::string_view* inputs,
                         size_t n, float* scores, ExecContext& ctx,
                         Status* first_error, uint8_t* failed_flags) {
   plan.EnsureBound();
-  if (plan.family() != ModelPlan::Family::kDense || n < 2) {
-    return ExecutePlanPerRecord(plan, inputs, n, scores, ctx, first_error,
-                                failed_flags);
-  }
-  const ModelPlan::BoundDense& b = plan.bound_dense();
-  const size_t row_dim =
-      std::max<size_t>(std::max<size_t>(b.pca->in_dim, b.kmeans->dim),
-                       b.tree_feat->forest.num_features);
-
-  // Gather every record into a row pointer: an aligned dense binary record
-  // aliases its wire payload (validated, never converted — no AoS staging
-  // copy), while text records and misaligned payloads stage through
-  // ctx.batch_rows. Invalid records are masked out of the transpose and
-  // attributed individually; the valid rows still run batch-major.
   size_t failed = 0;
-  const auto fail = [&](size_t i, Status status) {
-    scores[i] = 0.0f;
-    if (failed_flags != nullptr) {
-      failed_flags[i] = 1;
-    }
-    if (failed++ == 0 && first_error != nullptr) {
-      *first_error = std::move(status);
-    }
-  };
-  ctx.batch_rows.resize(n * row_dim);
-  ctx.batch_row_ptrs.resize(n);
-  ctx.batch_valid.clear();
-  float* rows = ctx.batch_rows.data();
   for (size_t i = 0; i < n; ++i) {
+    Result<float> r = ExecutePlan(plan, inputs[i], ctx);
     if (failed_flags != nullptr) {
-      failed_flags[i] = 0;
+      failed_flags[i] = r.ok() ? 0 : 1;
     }
-    const float* row = nullptr;
-    if (IsBinaryRecord(inputs[i])) {
-      BinaryRecordView view;
-      Status status = ParseBinaryRecord(inputs[i], &view);
-      if (!status.ok()) {
-        fail(i, std::move(status));
-        continue;
-      }
-      if (!view.valid) {
-        fail(i, Status::InvalidArgument("binary record marked invalid"));
-        continue;
-      }
-      if (view.format != BinaryRecordFormat::kDense) {
-        fail(i, Status::InvalidArgument("sparse binary record on dense plan"));
-        continue;
-      }
-      if (view.dim < row_dim) {
-        fail(i, Status::InvalidArgument("dense input narrower than pipeline"));
-        continue;
-      }
-      if (view.aligned) {
-        row = view.values;
-      } else {
-        std::memcpy(rows + i * row_dim, view.payload, row_dim * sizeof(float));
-        row = rows + i * row_dim;
-      }
-    } else {
-      ParseDenseInput(inputs[i], &ctx.dense_in);
-      if (ctx.dense_in.size() < row_dim) {
-        fail(i, Status::InvalidArgument("dense input narrower than pipeline"));
-        continue;
-      }
-      std::copy(ctx.dense_in.begin(),
-                ctx.dense_in.begin() + static_cast<ptrdiff_t>(row_dim),
-                rows + i * row_dim);
-      row = rows + i * row_dim;
+    if (r.ok()) {
+      scores[i] = *r;
+      continue;
     }
-    ctx.batch_row_ptrs[ctx.batch_valid.size()] = row;
-    ctx.batch_valid.push_back(static_cast<uint32_t>(i));
-  }
-  const size_t m = ctx.batch_valid.size();
-  if (m == 0) {
-    if (ctx.pool != nullptr && !ctx.pool->pooling_enabled()) {
-      ctx.ReleaseScratch();
+    scores[i] = 0.0f;
+    if (failed++ == 0 && first_error != nullptr) {
+      *first_error = r.status();
     }
-    return failed;
-  }
-
-  // Batch-major dense stages over the m valid lanes: gather the row
-  // pointers into a structure-of-arrays transpose (8x8 blocked on AVX2
-  // builds), then one blocked matrix-matrix kernel per stage instead of m
-  // matvecs. This is where the adaptive batcher's coalescing buys compute
-  // throughput.
-  ctx.batch_soa.resize(row_dim * m);
-  TransposeRowsToSoA(ctx.batch_row_ptrs.data(), m, row_dim,
-                     ctx.batch_soa.data());
-  const size_t pca_dim = b.pca->out_dim;
-  const size_t km_k = b.kmeans->k;
-  ctx.batch_stage.resize((pca_dim + km_k) * m);
-  float* pca_soa = ctx.batch_stage.data();
-  float* km_soa = pca_soa + pca_dim * m;
-  MatVecBatchSoA(b.pca->matrix.data(), pca_dim, b.pca->in_dim,
-                 ctx.batch_soa.data(), m, pca_soa);
-  KMeansTransformBatchSoA(b.kmeans->centroids.data(), km_k, b.kmeans->dim,
-                          ctx.batch_soa.data(), m, km_soa);
-
-  // Trees and the final forest walk per record; gather each lane's
-  // feature row from the SoA stage outputs (trees read the lane's row
-  // pointer directly — for aligned binary records that is still the wire
-  // payload).
-  const Forest& trees = b.tree_feat->forest;
-  ctx.batch_features.resize(b.feature_dim);
-  float* feats = ctx.batch_features.data();
-  for (size_t lane = 0; lane < m; ++lane) {
-    for (size_t r = 0; r < pca_dim; ++r) {
-      feats[b.pca_off + r] = pca_soa[r * m + lane];
-    }
-    for (size_t r = 0; r < km_k; ++r) {
-      feats[b.kmeans_off + r] = km_soa[r * m + lane];
-    }
-    trees.EvalTrees(ctx.batch_row_ptrs[lane], feats + b.tree_off);
-    scores[ctx.batch_valid[lane]] = b.bound_final.Eval(feats);
-  }
-  if (ctx.pool != nullptr && !ctx.pool->pooling_enabled()) {
-    ctx.ReleaseScratch();
   }
   return failed;
 }
@@ -606,14 +469,6 @@ size_t ExecutePlanBatch(const ModelPlan& plan, const std::string* inputs,
   std::vector<std::string_view> views(inputs, inputs + n);
   return ExecutePlanBatch(plan, views.data(), n, scores, ctx, first_error,
                           failed_flags);
-}
-
-size_t ExecutePlanPerRecord(const ModelPlan& plan, const std::string* inputs,
-                            size_t n, float* scores, ExecContext& ctx,
-                            Status* first_error, uint8_t* failed_flags) {
-  std::vector<std::string_view> views(inputs, inputs + n);
-  return ExecutePlanPerRecord(plan, views.data(), n, scores, ctx, first_error,
-                              failed_flags);
 }
 
 }  // namespace pretzel

@@ -122,23 +122,9 @@ struct ExecContext {
   // Binary sparse-record staging (misaligned payloads only).
   std::vector<uint32_t> sparse_ids;
   std::vector<float> sparse_vals;
-  // Batch-major scratch (ExecutePlanBatch): AoS staging rows (text records
-  // and misaligned binary payloads; aligned binary records alias their wire
-  // bytes instead), per-record row pointers, the valid-row index map, the
-  // SoA transpose, SoA stage outputs, and the per-record feature row.
-  std::vector<float> batch_rows;
-  std::vector<const float*> batch_row_ptrs;
-  std::vector<uint32_t> batch_valid;
-  std::vector<float> batch_soa;
-  std::vector<float> batch_stage;
-  std::vector<float> batch_features;
-  // Executor-side quantum scratch (Runtime::ExecuteQuantum): borrowed input
-  // views, scores, and per-record failure flags for coalesced-singles
-  // batch execution. Lives here so the scheduler hot path stays
-  // allocation-free once warm.
+  // Borrowed record views of a batch chunk (Runtime::RunChunk). Lives here
+  // so the scheduler hot path stays allocation-free once warm.
   std::vector<std::string_view> batch_views;
-  std::vector<float> batch_scores;
-  std::vector<uint8_t> batch_failed;
 
   // Drops buffer capacity (the no-pooling path calls this after every
   // prediction).
@@ -180,40 +166,20 @@ Result<float> ExecutePlan(const ModelPlan& plan, std::string_view input,
                           ExecContext& ctx);
 
 // Executes `n` inputs through the plan, writing one score per record to
-// `scores`. Dense-family plans with n >= 2 run batch-major: records are
-// gathered into a structure-of-arrays transpose (binary records alias their
-// wire payload — no AoS staging row; text records parse into staging) and
-// the PCA/KMeans stages become one blocked matrix-matrix kernel each
-// instead of n matvecs (trees and the final forest walk per record).
-// Invalid records are masked out of the transpose and attributed
-// individually — the valid rows of a mixed batch still run batch-major.
-// Text-family plans fall back to per-record execution. Returns the number
-// of failed records; failed records score 0.0f, *first_error (when
-// non-null) receives the first failure, and failed_flags (when non-null,
-// n bytes) gets 1 for each failed record.
+// `scores`: the plan is bound once, then every record runs through
+// ExecutePlan, so each score is bit-equal to that record's ExecutePlan
+// score. Returns the number of failed records; failed records score 0.0f,
+// *first_error (when non-null) receives the first failure, and failed_flags
+// (when non-null, n bytes) gets 1 for each failed record and 0 otherwise.
 size_t ExecutePlanBatch(const ModelPlan& plan, const std::string_view* inputs,
                         size_t n, float* scores, ExecContext& ctx,
                         Status* first_error, uint8_t* failed_flags = nullptr);
 
-// The per-record loop with the same score/error contract as
-// ExecutePlanBatch (it is also that function's internal fallback). The
-// executor's batch_major=false path calls this so both modes share one
-// attribution implementation.
-size_t ExecutePlanPerRecord(const ModelPlan& plan,
-                            const std::string_view* inputs, size_t n,
-                            float* scores, ExecContext& ctx,
-                            Status* first_error,
-                            uint8_t* failed_flags = nullptr);
-
-// Convenience overloads for std::string arrays (tests and benches); they
-// materialize a transient view array and forward.
+// Convenience overload for std::string arrays (tests and benches); it
+// materializes a transient view array and forwards.
 size_t ExecutePlanBatch(const ModelPlan& plan, const std::string* inputs,
                         size_t n, float* scores, ExecContext& ctx,
                         Status* first_error, uint8_t* failed_flags = nullptr);
-size_t ExecutePlanPerRecord(const ModelPlan& plan, const std::string* inputs,
-                            size_t n, float* scores, ExecContext& ctx,
-                            Status* first_error,
-                            uint8_t* failed_flags = nullptr);
 
 }  // namespace pretzel
 

@@ -338,7 +338,6 @@ struct Runtime::PlanQueue {
   std::atomic<uint64_t> dispatches{0};
   std::atomic<uint64_t> caller_dispatches{0};
   std::atomic<uint64_t> coalesced{0};
-  std::atomic<uint64_t> singles_batched{0};
   std::atomic<uint64_t> errors{0};
   std::atomic<uint64_t> expired_admission{0};
   std::atomic<uint64_t> expired_dequeue{0};
@@ -1143,7 +1142,7 @@ Status Runtime::PredictBinary(PlanId id, std::span<const uint8_t> records,
   }
   // Frame the wire buffer into per-record views — a header walk, no record
   // is parsed or copied — then ride the borrowed-views batch path: aligned
-  // dense payloads are gathered straight into the SoA transpose.
+  // dense payloads alias straight into the per-record kernels.
   auto job = std::make_shared<BatchJob>();
   Status split = SplitBinaryBatch(
       std::string_view(reinterpret_cast<const char*>(records.data()),
@@ -1468,17 +1467,8 @@ void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
       }
       in = views.data();
     }
-    size_t failed = 0;
-    if (options_.batch_major && count > 1) {
-      // Batch-major: dense-family chunks run their PCA/KMeans stages as one
-      // SoA matrix-matrix kernel over the whole chunk (text-family chunks
-      // fall back to the per-record loop inside; invalid records are masked
-      // out of the transpose and attributed individually).
-      failed = ExecutePlanBatch(*job.plan, in, count, out, ctx, &chunk_error);
-    } else {
-      failed =
-          ExecutePlanPerRecord(*job.plan, in, count, out, ctx, &chunk_error);
-    }
+    const size_t failed =
+        ExecutePlanBatch(*job.plan, in, count, out, ctx, &chunk_error);
     if (!views.empty()) {
       ctx.batch_views = std::move(views);
     }
@@ -1555,48 +1545,12 @@ void Runtime::ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
     }
   }
   size_t failed = 0;
-  if (options_.batch_major && batch.size() > 1 &&
-      pq->plan->family() == ModelPlan::Family::kDense) {
-    // A coalesced group of same-plan singles is a batch the adaptive
-    // batcher built — run it batch-major so scheduler coalescing composes
-    // with the SoA batch kernels (one blocked matrix-matrix per stage
-    // instead of one matvec per event). Scratch is moved out of the
-    // context for the duration: the no-pooling ablation's mid-run
-    // ReleaseScratch would otherwise free these buffers while the scores
-    // are still being delivered.
-    const size_t n = batch.size();
-    std::vector<std::string_view> views = std::move(ctx.batch_views);
-    std::vector<float> scores = std::move(ctx.batch_scores);
-    std::vector<uint8_t> flags = std::move(ctx.batch_failed);
-    views.resize(n);
-    scores.resize(n);
-    flags.assign(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-      views[i] = batch[i].input;
+  for (Event& event : batch) {
+    Result<float> r = ExecutePlan(*pq->plan, event.input, ctx);
+    if (!r.ok()) {
+      ++failed;
     }
-    failed = ExecutePlanBatch(*pq->plan, views.data(), n, scores.data(), ctx,
-                              nullptr, flags.data());
-    pq->singles_batched.fetch_add(n, std::memory_order_relaxed);
-    for (size_t i = 0; i < n; ++i) {
-      if (flags[i] == 0) {
-        batch[i].done(scores[i]);
-        continue;
-      }
-      // Re-run the (rare) failed record alone to recover its exact Status —
-      // failures reject before any compute, so this costs one validation.
-      batch[i].done(ExecutePlan(*pq->plan, batch[i].input, ctx));
-    }
-    ctx.batch_views = std::move(views);
-    ctx.batch_scores = std::move(scores);
-    ctx.batch_failed = std::move(flags);
-  } else {
-    for (Event& event : batch) {
-      Result<float> r = ExecutePlan(*pq->plan, event.input, ctx);
-      if (!r.ok()) {
-        ++failed;
-      }
-      event.done(std::move(r));
-    }
+    event.done(std::move(r));
   }
   // Sampled latency: one observation per dispatch, for the oldest event in
   // the group (the group's worst case) — keeps the per-event hot path free
@@ -1637,7 +1591,6 @@ RuntimeMetrics Runtime::GetMetrics() const {
     pm.caller_dispatches =
         pq->caller_dispatches.load(std::memory_order_relaxed);
     pm.coalesced_singles = pq->coalesced.load(std::memory_order_relaxed);
-    pm.batched_singles = pq->singles_batched.load(std::memory_order_relaxed);
     pm.errors = pq->errors.load(std::memory_order_relaxed);
     pm.expired_admission =
         pq->expired_admission.load(std::memory_order_relaxed);
@@ -1719,7 +1672,6 @@ static void MergePlanMetrics(PlanMetrics& into, const PlanMetrics& from) {
   into.dispatches += from.dispatches;
   into.caller_dispatches += from.caller_dispatches;
   into.coalesced_singles += from.coalesced_singles;
-  into.batched_singles += from.batched_singles;
   into.errors += from.errors;
   into.expired_admission += from.expired_admission;
   into.expired_dequeue += from.expired_dequeue;

@@ -125,11 +125,6 @@ struct RuntimeOptions {
   // correctness and admission semantics are unchanged, only that tail
   // leaves the single-CAS fast path. Lock-free mode only.
   size_t event_ring_capacity = 256;
-  // Batch-major execution of dense-family batch chunks: a chunk's records
-  // are transposed to structure-of-arrays and the PCA/KMeans stages run as
-  // one blocked matrix-matrix kernel instead of per-record matvecs. False
-  // restores the per-record loop (the before/after bench baseline).
-  bool batch_major = true;
 };
 
 struct PlanRegistration {
@@ -176,10 +171,6 @@ struct PlanMetrics {
   // 0: an inline async single, or a chunk of its own synchronous batch.
   uint64_t caller_dispatches = 0;
   uint64_t coalesced_singles = 0;   // Singles dispatched via coalescing.
-  // Coalesced singles that executed batch-major (dense-family groups routed
-  // through ExecutePlanBatch instead of the per-event loop) — the scheduler
-  // coalescing composing with the SoA batch kernels.
-  uint64_t batched_singles = 0;
   uint64_t errors = 0;              // Failed records/singles.
   // Deadline accounting (requests that carried one). Work is dropped the
   // moment expiry is detectable: at admission, when a queued single reaches
@@ -291,9 +282,9 @@ class Runtime {
   // BinaryRecords (the wire batch framing — SplitBinaryBatch). The buffer
   // is split into borrowed per-record views and ridden through the
   // borrowed-span batch path: whoever runs a chunk (an executor, or this
-  // caller on an unreserved plan) gathers aligned payloads straight into
-  // the SoA transpose and writes scores through `out` (out.size() >= record
-  // count). Blocks until completion.
+  // caller on an unreserved plan) runs aligned dense payloads in place
+  // through the per-record kernels and writes scores through `out`
+  // (out.size() >= record count). Blocks until completion.
   Status PredictBinary(PlanId id, std::span<const uint8_t> records,
                        size_t max_batch, std::span<float> out,
                        int64_t deadline_ns = 0);

@@ -1,8 +1,9 @@
 // Golden-parity suite for the operator data path: every execution variant —
-// scalar-forced, dispatched (SIMD when built+supported), sparse-fused,
-// unfused dense, and batch-major — must score within 1e-5 of the scalar
-// black-box reference for every SA/AC workload plan. This is the contract
-// that lets the Oven and Runtime pick representations and kernels freely.
+// fused, sparse-fused, unfused, per-record and batched, text and binary
+// wire records — must score within 1e-5 of the black-box reference for
+// every SA/AC workload plan, and a batch must score bit-equal to the same
+// plan's per-record scores. This is the contract that lets the Oven and
+// Runtime pick representations freely.
 #include <cstdio>
 #include <cstdint>
 #include <functional>
@@ -58,8 +59,7 @@ void CheckFamily(const Workload& workload, uint64_t seed, bool is_dense,
   for (size_t spec_idx = 0; spec_idx < workload.pipelines().size();
        ++spec_idx) {
     const auto& spec = workload.pipelines()[spec_idx];
-    // Golden reference: the black-box operator-at-a-time execution on the
-    // forced-scalar backend.
+    // Golden reference: the black-box operator-at-a-time execution.
     auto model = BlackBoxModel::Load(SaveModelImage(spec), BlackBoxOptions());
     CHECK(model.ok());
     auto program = flour.FromPipeline(spec);
@@ -77,72 +77,49 @@ void CheckFamily(const Workload& workload, uint64_t seed, bool is_dense,
       inputs.push_back(workload.SampleInput(rng));
     }
     std::vector<float> golden;
-    SetForceScalarKernels(true);
     for (const auto& input : inputs) {
       auto expected = (*model)->Predict(input);
       CHECK(expected.ok());
       golden.push_back(*expected);
     }
-
-    for (const bool force_scalar : {true, false}) {
-      SetForceScalarKernels(force_scalar);
-      // Per-record execution, every plan variant.
-      for (size_t p = 0; p < plans.size(); ++p) {
-        for (size_t i = 0; i < inputs.size(); ++i) {
-          auto got = ExecutePlan(*plans[p], inputs[i], ctx);
-          CHECK_MSG(got.ok(), "%s/%s", spec.name.c_str(), configs[p].first);
-          CHECK_NEAR(*got, golden[i], 1e-5);
-        }
-      }
-      // Batch-major execution (dense plans take the SoA path; text plans
-      // must fall back bit-for-bit).
-      std::vector<float> scores(inputs.size(), 0.0f);
-      Status first_error;
-      const size_t failed = ExecutePlanBatch(
-          *plans[0], inputs.data(), inputs.size(), scores.data(), ctx,
-          &first_error);
-      CHECK_MSG(failed == 0, "batch failed: %s",
-                first_error.ToString().c_str());
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        CHECK_NEAR(scores[i], golden[i], 1e-5);
-      }
-    }
-    SetForceScalarKernels(false);
-
     // BinaryRecord twins of the same inputs: the zero-parse wire format
-    // must hit the same goldens through every plan variant, per-record and
-    // batch-major, on both kernel backends.
+    // must hit the same goldens through every plan variant.
     std::vector<std::string> binaries;
     for (const auto& input : inputs) {
       binaries.push_back(make_binary(spec_idx, input));
     }
-    for (const bool force_scalar : {true, false}) {
-      SetForceScalarKernels(force_scalar);
+
+    for (const std::vector<std::string>* records : {&inputs, &binaries}) {
+      const char* format = records == &inputs ? "text" : "binary";
+      // Per-record execution, every plan variant.
       for (size_t p = 0; p < plans.size(); ++p) {
-        for (size_t i = 0; i < binaries.size(); ++i) {
-          auto got = ExecutePlan(*plans[p], binaries[i], ctx);
-          CHECK_MSG(got.ok(), "binary %s/%s", spec.name.c_str(),
+        for (size_t i = 0; i < records->size(); ++i) {
+          auto got = ExecutePlan(*plans[p], (*records)[i], ctx);
+          CHECK_MSG(got.ok(), "%s %s/%s", format, spec.name.c_str(),
                     configs[p].first);
           CHECK_NEAR(*got, golden[i], 1e-5);
         }
       }
-      std::vector<float> scores(binaries.size(), 0.0f);
+      // Batched execution: the golden within 1e-5, and the same plan's
+      // per-record score bit for bit.
+      std::vector<float> scores(records->size(), 0.0f);
       Status first_error;
-      const size_t failed = ExecutePlanBatch(
-          *plans[0], binaries.data(), binaries.size(), scores.data(), ctx,
-          &first_error);
-      CHECK_MSG(failed == 0, "binary batch failed: %s",
+      const size_t failed =
+          ExecutePlanBatch(*plans[0], records->data(), records->size(),
+                           scores.data(), ctx, &first_error);
+      CHECK_MSG(failed == 0, "%s batch failed: %s", format,
                 first_error.ToString().c_str());
-      for (size_t i = 0; i < binaries.size(); ++i) {
+      for (size_t i = 0; i < records->size(); ++i) {
         CHECK_NEAR(scores[i], golden[i], 1e-5);
+        auto single = ExecutePlan(*plans[0], (*records)[i], ctx);
+        CHECK(single.ok());
+        CHECK_BITS(scores[i], *single);
       }
     }
-    SetForceScalarKernels(false);
 
     if (is_dense) {
-      // A batch containing an invalid record must fall back to per-record
-      // attribution: valid records still score, invalid ones fail.
-      SetForceScalarKernels(false);
+      // A batch containing an invalid record attributes failures per
+      // record: valid records still score, invalid ones fail.
       std::vector<std::string> mixed = {inputs[0], "1.0,2.0", inputs[1]};
       std::vector<float> scores(mixed.size(), -1.0f);
       Status first_error;
@@ -156,8 +133,8 @@ void CheckFamily(const Workload& workload, uint64_t seed, bool is_dense,
       CHECK_NEAR(scores[2], golden[1], 1e-5);
 
       // Same attribution for a binary record whose validity bit is clear:
-      // it is masked out of the SoA gather, neighbors score untouched, and
-      // the per-record failure flags name exactly the masked lane.
+      // neighbors score untouched, and the per-record failure flags name
+      // exactly that record.
       std::vector<float> values;
       CHECK(ParseDenseInput(inputs[1], &values) == values.size() &&
             !values.empty());
@@ -182,12 +159,21 @@ void CheckFamily(const Workload& workload, uint64_t seed, bool is_dense,
   }
 }
 
-// SparseDot unit parity: the dispatched kernel (AVX2 masked gather where
-// built+supported) must match the scalar backend exactly — double
-// accumulation in both — and ids at or beyond w_dim, including hostile
-// near-UINT32_MAX values, must contribute nothing and touch no memory
-// (the ASan job is the witness for the latter).
+// SparseDot against a naive loop (double accumulation in both): ids at or
+// beyond w_dim, including hostile near-UINT32_MAX values, must contribute
+// nothing and touch no memory (the ASan job is the witness for the latter).
 void CheckSparseDotUnit() {
+  const auto naive = [](const std::vector<uint32_t>& ids,
+                        const std::vector<float>& vals,
+                        const std::vector<float>& weights, size_t w_dim) {
+    double acc = 0.0;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] < w_dim) {
+        acc += static_cast<double>(weights[ids[i]]) * vals[i];
+      }
+    }
+    return acc;
+  };
   Rng rng(777);
   std::vector<float> weights(1000);
   for (float& w : weights) {
@@ -204,11 +190,9 @@ void CheckSparseDotUnit() {
       vals.push_back(static_cast<float>(rng.Normal()));
     }
     for (const size_t w_dim : {weights.size(), size_t{256}, size_t{3}}) {
-      const double ref = internal::SparseDotScalar(ids.data(), vals.data(),
-                                                   nnz, weights.data(), w_dim);
       const double got =
           SparseDot(ids.data(), vals.data(), nnz, weights.data(), w_dim);
-      CHECK_NEAR(got, ref, 1e-12);
+      CHECK_NEAR(got, naive(ids, vals, weights, w_dim), 1e-9);
     }
   }
   // Hostile ids against a tiny weight array: everything out of range, the
@@ -216,14 +200,54 @@ void CheckSparseDotUnit() {
   const std::vector<uint32_t> hostile = {3,          4,          1000,
                                          0x7FFFFFFF, 0x80000000, 0xFFFFFFFF};
   const std::vector<float> hvals(hostile.size(), 2.0f);
-  std::vector<float> tiny = {1.0f, 1.0f, 1.0f};
+  const std::vector<float> tiny = {1.0f, 1.0f, 1.0f};
   const double got = SparseDot(hostile.data(), hvals.data(), hostile.size(),
                                tiny.data(), tiny.size());
   CHECK_NEAR(got, 0.0, 1e-12);
-  const double ref = internal::SparseDotScalar(
-      hostile.data(), hvals.data(), hostile.size(), tiny.data(), tiny.size());
-  CHECK_NEAR(ref, 0.0, 1e-12);
+  CHECK_NEAR(naive(hostile, hvals, tiny, tiny.size()), 0.0, 1e-12);
   std::printf("sparse-dot unit parity: PASS\n");
+}
+
+// The structure-of-arrays kernel forms against the per-record kernels: at
+// every batch size, each lane's outputs are bit-equal to MatVec /
+// KMeansTransform on that lane's record.
+void CheckSoAKernelsUnit() {
+  constexpr size_t kInDim = 40, kOutDim = 16, kK = 8;
+  Rng rng(4242);
+  std::vector<float> matrix(kOutDim * kInDim), centroids(kK * kInDim);
+  for (float& v : matrix) {
+    v = static_cast<float>(rng.Normal());
+  }
+  for (float& v : centroids) {
+    v = static_cast<float>(rng.Normal());
+  }
+  for (const size_t batch : {size_t{1}, size_t{8}, size_t{64}}) {
+    std::vector<float> rows(batch * kInDim), soa(kInDim * batch);
+    for (size_t b = 0; b < batch; ++b) {
+      for (size_t c = 0; c < kInDim; ++c) {
+        rows[b * kInDim + c] = static_cast<float>(rng.Normal());
+        soa[c * batch + b] = rows[b * kInDim + c];
+      }
+    }
+    std::vector<float> pca_soa(kOutDim * batch), km_soa(kK * batch);
+    MatVecBatchSoA(matrix.data(), kOutDim, kInDim, soa.data(), batch,
+                   pca_soa.data());
+    KMeansTransformBatchSoA(centroids.data(), kK, kInDim, soa.data(), batch,
+                            km_soa.data());
+    float pca[kOutDim], km[kK];
+    for (size_t b = 0; b < batch; ++b) {
+      MatVec(matrix.data(), kOutDim, kInDim, rows.data() + b * kInDim, pca);
+      KMeansTransform(centroids.data(), kK, kInDim, rows.data() + b * kInDim,
+                      km);
+      for (size_t r = 0; r < kOutDim; ++r) {
+        CHECK_BITS(pca_soa[r * batch + b], pca[r]);
+      }
+      for (size_t r = 0; r < kK; ++r) {
+        CHECK_BITS(km_soa[r * batch + b], km[r]);
+      }
+    }
+  }
+  std::printf("SoA kernel lanes bit-equal to per-record: PASS\n");
 }
 
 // A linear model narrower than the concat space is legal (missing weights
@@ -300,8 +324,8 @@ int main() {
               });
   CheckShortWeights();
   CheckSparseDotUnit();
+  CheckSoAKernelsUnit();
 
-  std::printf("datapath_parity_test: PASS (backend %s)\n",
-              KernelBackendName(ActiveKernelBackend()));
+  std::printf("datapath_parity_test: PASS\n");
   return 0;
 }

@@ -4,8 +4,9 @@
 // must match it bit for bit on generated forests, hand-built unbalanced
 // trees, group-boundary tree counts, and inputs exactly at a threshold
 // (left), NaN (right) and +-inf. Then identical forests must checksum and
-// serialize identically, and a few AC (pipeline, record) scores are pinned
-// as hex-float constants through the per-record and batch-major executors.
+// serialize identically, a few AC (pipeline, record) scores are pinned as
+// hex-float constants through ExecutePlan and ExecutePlanBatch, and every AC
+// pipeline scores every record of a pool bit-identically through both.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/serialize.h"
 #include "src/flour/flour.h"
 #include "src/ops/kernels.h"
 #include "src/ops/params.h"
@@ -129,16 +131,6 @@ Forest Lower(const std::vector<RefTree>& trees, size_t features) {
   CHECK_MSG(loaded.ok(), "lowered forest rejected");
   return static_cast<const ForestParams&>(**loaded).forest;
 }
-
-uint32_t Bits(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return u;
-}
-
-#define CHECK_BITS(got, want)                                              \
-  CHECK_MSG(Bits(got) == Bits(want), "%s = %a, want %a", #got,             \
-            static_cast<double>(got), static_cast<double>(want))
 
 // Every library walk against the reference, on one input.
 void CheckWalks(const Forest& forest, const std::vector<RefTree>& ref,
@@ -381,9 +373,8 @@ void TestChecksumDeterminism() {
 }
 
 // AC scores recorded before the branch-free walk replaced the
-// pointer-chasing one (scalar kernels, default AcWorkloadOptions, binary
-// records drawn from Rng(0xF0E5)); per-record and batch-major agree on
-// these records.
+// pointer-chasing one (default AcWorkloadOptions, binary records drawn from
+// Rng(0xF0E5)); ExecutePlan and ExecutePlanBatch both give them.
 struct PinnedScore {
   size_t pipeline;
   size_t record;
@@ -405,7 +396,6 @@ constexpr PinnedScore kPinned[] = {
 };
 
 void TestPinnedAcScores() {
-  const bool prev_scalar = SetForceScalarKernels(true);
   const auto ac = AcWorkload::Generate(AcWorkloadOptions{});
   Rng rng(0xF0E5);
   std::vector<std::string> records;
@@ -444,8 +434,88 @@ void TestPinnedAcScores() {
     }
   }
   CHECK_EQ(checked, 2 * std::size(kPinned));
-  SetForceScalarKernels(prev_scalar);
   std::printf("pinned AC scores: %zu checked\n", checked);
+}
+
+// Every AC pipeline over a pool of text records and their binary twins, fed
+// to ExecutePlanBatch as 64-record chunks that each also carry one record
+// with its validity bit clear and one record narrower than the pipeline:
+// every valid record's batch score is bit-equal to its ExecutePlan score,
+// and exactly the two bad records fail.
+void TestAcBatchMatchesPerRecord() {
+  constexpr size_t kChunk = 64;
+  constexpr size_t kValidPerChunk = kChunk - 2;
+  constexpr size_t kChunks = 2;
+  const auto ac = AcWorkload::Generate(AcWorkloadOptions{});
+  Rng rng(0xBA7C);
+  std::vector<std::string> text_pool, binary_pool;
+  for (size_t i = 0; i < kChunks * kValidPerChunk; ++i) {
+    text_pool.push_back(ac.SampleInput(rng, WireFormat::kText));
+    binary_pool.push_back(AcWorkload::BinaryFromText(text_pool.back()));
+  }
+  std::vector<float> values;
+  ParseDenseInput(text_pool[0], &values);
+  const std::string invalid =
+      EncodeDenseRecord(values.data(), values.size(), /*valid=*/false);
+  const std::string narrow_text = "1.0,2.0";
+  const std::string narrow_binary = EncodeDenseRecord(values.data(), 2);
+
+  // Chunk c of a pool: its valid records in order, with the invalid record
+  // at bad[c][0] and the narrow one at bad[c][1].
+  const size_t bad[kChunks][2] = {{0, kChunk - 1}, {kChunk / 2, 7}};
+  const auto build_chunk = [&](const std::vector<std::string>& pool,
+                               const std::string& narrow, size_t c) {
+    std::vector<std::string> chunk;
+    size_t next = c * kValidPerChunk;
+    for (size_t i = 0; i < kChunk; ++i) {
+      if (i == bad[c][0]) {
+        chunk.push_back(invalid);
+      } else if (i == bad[c][1]) {
+        chunk.push_back(narrow);
+      } else {
+        chunk.push_back(pool[next++]);
+      }
+    }
+    return chunk;
+  };
+  std::vector<std::vector<std::string>> chunks;
+  for (size_t c = 0; c < kChunks; ++c) {
+    chunks.push_back(build_chunk(text_pool, narrow_text, c));
+    chunks.push_back(build_chunk(binary_pool, narrow_binary, c));
+  }
+
+  ObjectStore store;
+  FlourContext flour(&store);
+  VectorPool pool;
+  ExecContext ctx(&pool);
+  size_t checked = 0;
+  for (const auto& spec : ac.pipelines()) {
+    auto program = flour.FromPipeline(spec);
+    auto plan = CompilePlan(*program, spec.name, CompileOptions{});
+    CHECK(plan.ok());
+    for (size_t k = 0; k < chunks.size(); ++k) {
+      const std::vector<std::string>& chunk = chunks[k];
+      const size_t c = k / 2;
+      std::vector<float> scores(kChunk, -1.0f);
+      std::vector<uint8_t> flags(kChunk, 0xEE);
+      Status first_error;
+      CHECK_EQ(ExecutePlanBatch(**plan, chunk.data(), kChunk, scores.data(),
+                                ctx, &first_error, flags.data()),
+               size_t{2});
+      CHECK(!first_error.ok());
+      for (size_t i = 0; i < kChunk; ++i) {
+        auto single = ExecutePlan(**plan, chunk[i], ctx);
+        const bool is_bad = i == bad[c][0] || i == bad[c][1];
+        CHECK_MSG(single.ok() != is_bad, "%s chunk %zu record %zu",
+                  spec.name.c_str(), k, i);
+        CHECK_EQ(flags[i], is_bad ? 1 : 0);
+        CHECK_BITS(scores[i], is_bad ? 0.0f : *single);
+        checked += is_bad ? 0 : 1;
+      }
+    }
+  }
+  CHECK_EQ(checked, ac.pipelines().size() * chunks.size() * kValidPerChunk);
+  std::printf("AC batch vs per-record: %zu scores bit-equal\n", checked);
 }
 
 }  // namespace
@@ -456,6 +526,7 @@ int main() {
   TestThresholdEdges();
   TestChecksumDeterminism();
   TestPinnedAcScores();
+  TestAcBatchMatchesPerRecord();
   std::printf("forest_test: PASS\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 // Runtime: registration, inline predict, batch fan-out ordering, async
 // completion, error propagation, reservations, the inline-when-idle rule
-// for async singles, and caller-assisted synchronous batches.
+// for async singles, caller-assisted synchronous batches, and bit-exact
+// dense scores on every batch path.
 #include "src/runtime/runtime.h"
 
 #include <algorithm>
@@ -9,7 +10,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -17,6 +17,7 @@
 #include "src/common/fault.h"
 #include "src/flour/flour.h"
 #include "src/oven/model_plan.h"
+#include "src/runtime/exec_context.h"
 #include "src/workload/ac_workload.h"
 #include "src/workload/sa_workload.h"
 #include "tests/executor_hold.h"
@@ -343,8 +344,6 @@ void TestRetireWaitsForInlineQuantum() {
   CHECK_MSG(saw_inline, "no retired quantum ran inline");
 }
 
-bool BitEqual(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
-
 // A record long enough that featurizing it takes milliseconds. `salt`
 // makes it unique, so no sub-plan cache entry from an earlier call can
 // shortcut it.
@@ -465,8 +464,8 @@ void TestHeldExecutorCallerRunsSyncBatch() {
     CHECK(c.thread != std::this_thread::get_id());
     CHECK_EQ(async_scores.size(), kRecords);
     for (size_t i = 0; i < kRecords; ++i) {
-      CHECK_MSG(BitEqual(sync_scores[k][i], async_scores[i]) &&
-                    BitEqual(binary_scores[k][i], async_scores[i]),
+      CHECK_MSG(Bits(sync_scores[k][i]) == Bits(async_scores[i]) &&
+                    Bits(binary_scores[k][i]) == Bits(async_scores[i]),
                 "plan %zu record %zu: sync %a, binary %a, async %a",
                 tested[k], i, sync_scores[k][i], binary_scores[k][i],
                 async_scores[i]);
@@ -519,9 +518,9 @@ void TestDeadlineExpiresMidCallerBatch() {
   CHECK_EQ(after.expired_quantum - before.expired_quantum, uint64_t{3});
   auto tail = h.runtime->Predict(id, inputs[3]);
   CHECK(tail.ok());
-  CHECK(BitEqual(out[3], *tail));
+  CHECK_BITS(out[3], *tail);
   for (size_t i = 0; i < 3; ++i) {
-    CHECK(BitEqual(out[i], 0.0f));
+    CHECK_BITS(out[i], 0.0f);
   }
   AwaitEmptyQueue(*h.runtime, id);
 }
@@ -689,7 +688,7 @@ void TestSyncBatchBesideSaturatedExecutor() {
     Status status = h.runtime->PredictBatch(p, inputs, /*max_batch=*/1, out);
     CHECK_MSG(status.ok(), "call %d: %s", call, status.ToString().c_str());
     for (const float score : out) {
-      CHECK(BitEqual(score, *expected));
+      CHECK_BITS(score, *expected);
     }
   }
   stop.store(true);
@@ -698,6 +697,88 @@ void TestSyncBatchBesideSaturatedExecutor() {
   }
   CHECK_EQ(h.Metrics(p).rejected_events, uint64_t{0});
   AwaitEmptyQueue(*h.runtime, p);
+}
+
+// Every dense path scores with the per-record kernels: an AC synchronous
+// batch whose caller runs all its chunks (the executor is held), and a
+// coalesced group of async dense singles run by the executor, both return
+// each record's ExecutePlan score bit for bit. Text and binary records
+// alternate.
+void TestDenseBatchPathsMatchExecutePlan() {
+  constexpr size_t kRecords = 16;
+  constexpr size_t kMaxBatch = 4;
+  AcWorkloadOptions aopts;
+  aopts.num_pipelines = 2;
+  const AcWorkload ac = AcWorkload::Generate(aopts);
+  ObjectStore store;
+  RuntimeOptions ropts;
+  ropts.num_executors = 1;
+  Runtime runtime(&store, ropts);
+  FlourContext flour(&store);
+  std::vector<std::shared_ptr<ModelPlan>> plans;
+  std::vector<Runtime::PlanId> ids;
+  for (const auto& spec : ac.pipelines()) {
+    auto program = flour.FromPipeline(spec);
+    auto plan = Plan(*program, spec.name);
+    CHECK(plan.ok());
+    plans.push_back(*plan);
+    auto id = runtime.Register(*plan);
+    CHECK(id.ok());
+    ids.push_back(*id);
+  }
+  Rng rng(53);
+  std::vector<std::string> inputs;
+  std::vector<float> expected;
+  VectorPool pool;
+  ExecContext ctx(&pool);
+  for (size_t i = 0; i < kRecords; ++i) {
+    inputs.push_back(ac.SampleInput(
+        rng, i % 2 == 0 ? WireFormat::kText : WireFormat::kBinary));
+    auto r = ExecutePlan(*plans[1], inputs.back(), ctx);
+    CHECK(r.ok());
+    expected.push_back(*r);
+  }
+  const Runtime::PlanId id = ids[1];
+  std::vector<float> singles(kRecords, -1.0f);
+  std::vector<std::unique_ptr<Completion>> done;
+  {
+    ExecutorHold hold(runtime, {ids[0]});
+    std::vector<float> out(kRecords, -1.0f);
+    CHECK(runtime.PredictBatch(id, inputs, kMaxBatch, out).ok());
+    CHECK_EQ(MetricsOf(runtime, id).caller_dispatches,
+             uint64_t{kRecords / kMaxBatch});
+    for (size_t i = 0; i < kRecords; ++i) {
+      CHECK_BITS(out[i], expected[i]);
+    }
+    // Queued behind the hold, so they coalesce once it lifts.
+    for (size_t i = 0; i < kRecords; ++i) {
+      done.push_back(std::make_unique<Completion>());
+      Completion* c = done.back().get();
+      CHECK(runtime
+                .PredictAsync(id, inputs[i],
+                              [&singles, c, i](Result<float> r) {
+                                if (r.ok()) {
+                                  singles[i] = *r;
+                                }
+                                c->Fire(r.ok());
+                              })
+                .ok());
+    }
+  }
+  for (auto& c : done) {
+    c->Await();
+    CHECK(c->ok);
+  }
+  const PlanMetrics pm = MetricsOf(runtime, id);
+  CHECK_EQ(pm.coalesced_singles, uint64_t{kRecords});
+  CHECK_MSG(pm.dispatches - pm.caller_dispatches < kRecords,
+            "%llu executor dispatches for %zu queued singles: no coalescing",
+            static_cast<unsigned long long>(pm.dispatches -
+                                            pm.caller_dispatches),
+            kRecords);
+  for (size_t i = 0; i < kRecords; ++i) {
+    CHECK_BITS(singles[i], expected[i]);
+  }
 }
 
 }  // namespace
@@ -858,6 +939,7 @@ int main() {
   TestCapIgnoresStaleTickets(/*lockfree=*/true);
   TestCapIgnoresStaleTickets(/*lockfree=*/false);
   TestSyncBatchBesideSaturatedExecutor();
+  TestDenseBatchPathsMatchExecutePlan();
 
   std::printf("runtime_test: PASS\n");
   return 0;

@@ -4,8 +4,10 @@
 #define PRETZEL_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #define CHECK_MSG(cond, ...)                                          \
   do {                                                                \
@@ -40,5 +42,17 @@
       std::abort();                                                       \
     }                                                                     \
   } while (0)
+
+inline uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+// Exact float equality by bit pattern (tells -0.0f from 0.0f, and matches a
+// NaN only to the same NaN).
+#define CHECK_BITS(got, want)                                              \
+  CHECK_MSG(Bits(got) == Bits(want), "%s = %a, want %a", #got,             \
+            static_cast<double>(got), static_cast<double>(want))
 
 #endif  // PRETZEL_TESTS_TEST_UTIL_H_

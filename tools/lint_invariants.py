@@ -44,7 +44,6 @@ ALIAS_PATH_FILES = (
     os.path.join("src", "common", "serialize.h"),
     os.path.join("src", "ops", "kernels.cc"),
     os.path.join("src", "ops", "kernels.h"),
-    os.path.join("src", "ops", "kernels_avx2.cc"),
 )
 
 # Fault sites are string literals passed to the injection macros; the call
