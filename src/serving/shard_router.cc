@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "src/common/clock.h"
 #include "src/common/fault.h"
@@ -78,7 +79,7 @@ ShardRouter::ShardRouter(const ShardRouterOptions& options)
         o.num_shards = std::max<size_t>(1, o.num_shards);
         return o;
       }()),
-      table_(new RoutingTable()) {
+      table_(new RoutingTable{std::make_shared<const RouteIndex>(), {}}) {
   if (options_.intern_scope == ShardRouterOptions::InternScope::kGlobal) {
     global_store_ = std::make_unique<ObjectStore>(options_.store);
   }
@@ -160,44 +161,59 @@ size_t ShardRouter::ShardFor(const std::string& name) const {
 // ---------------------------------------------------------------------------
 // Snapshot publication.
 
-void ShardRouter::PublishLocked() {
-  auto* table = new RoutingTable();
-  table->plans.reserve(plans_.size());
-  for (const auto& [name, st] : plans_) {
-    if (st.pending) {
-      continue;  // Claimed name, compile still in flight: not routable.
-    }
-    PlanRouting routing;
-    routing.traffic = st.traffic.get();
-    routing.version = st.active_version;
-    routing.gate = st.gate;
-    routing.stats = st.vstats;
-    if (st.rollout != nullptr) {
-      const ReplicaState& c = st.rollout->replica;
-      routing.has_canary = true;
-      routing.canary_version = st.rollout->version;
-      routing.canary =
-          ReplicaRef{c.shard, c.plan_id, c.queue_delay_us, c.stats.get()};
-      routing.canary_gate = st.rollout->gate;
-      routing.canary_stats = st.rollout->stats;
-      routing.split = st.rollout->split;
-    }
-    const ReplicaState& primary = st.replicas[st.primary];
-    routing.replicas.push_back(ReplicaRef{primary.shard, primary.plan_id,
-                                          primary.queue_delay_us,
-                                          primary.stats.get()});
-    for (size_t i = 0; i < st.replicas.size(); ++i) {
-      if (i == st.primary || !st.replicas[i].active) {
-        continue;
-      }
-      const ReplicaState& r = st.replicas[i];
-      routing.replicas.push_back(
-          ReplicaRef{r.shard, r.plan_id, r.queue_delay_us, r.stats.get()});
-    }
-    table->plans.emplace(name, std::move(routing));
+void ShardRouter::PublishLocked(const std::string& name) {
+  const PlanState& st = plans_.at(name);
+  auto routing = std::make_unique<PlanRouting>();
+  routing->traffic = st.traffic.get();
+  routing->version = st.active_version;
+  routing->gate = st.gate;
+  routing->stats = st.vstats;
+  if (st.rollout != nullptr) {
+    const ReplicaState& c = st.rollout->replica;
+    routing->has_canary = true;
+    routing->canary_version = st.rollout->version;
+    routing->canary =
+        ReplicaRef{c.shard, c.plan_id, c.queue_delay_us, c.stats.get()};
+    routing->canary_gate = st.rollout->gate;
+    routing->canary_stats = st.rollout->stats;
+    routing->split = st.rollout->split;
   }
+  const ReplicaState& primary = st.replicas[st.primary];
+  routing->replicas.push_back(ReplicaRef{primary.shard, primary.plan_id,
+                                         primary.queue_delay_us,
+                                         primary.stats.get()});
+  for (size_t i = 0; i < st.replicas.size(); ++i) {
+    if (i == st.primary || !st.replicas[i].active) {
+      continue;
+    }
+    const ReplicaState& r = st.replicas[i];
+    routing->replicas.push_back(
+        ReplicaRef{r.shard, r.plan_id, r.queue_delay_us, r.stats.get()});
+  }
+  ++routing_entries_built_;
+  // Only a name's first publish (its Place) changes the index; every later
+  // snapshot shares it.
+  size_t slot = routes_.size();
+  if (auto it = index_->find(name); it != index_->end()) {
+    slot = it->second;
+  } else {
+    auto index = std::make_shared<RouteIndex>(*index_);
+    index->emplace(name, slot);
+    index_ = std::move(index);
+    routes_.emplace_back();
+  }
+  std::unique_ptr<const PlanRouting> replaced =
+      std::exchange(routes_[slot], std::move(routing));
+  auto* table = new RoutingTable{index_, {}};
+  table->routes.reserve(routes_.size());
+  for (const auto& entry : routes_) {
+    table->routes.push_back(entry.get());
+  }
+  ++routing_publishes_;
   // The grace wait cannot deadlock against readers: route-path read
   // sections never acquire mu_ (or any lock), so holding mu_ here is safe.
+  // After it no reader holds the old table, so none can reach `replaced`
+  // (reachable only through snapshots older than this one).
   delete table_.Exchange(table);
 }
 
@@ -266,7 +282,7 @@ Result<ShardPlacement> ShardRouter::Place(const PipelineSpec& spec,
   st.replicas.push_back(std::move(replica));
   st.primary = 0;
   st.pending = false;
-  PublishLocked();
+  PublishLocked(spec.name);
   return placement;
 }
 
@@ -354,7 +370,7 @@ Result<uint64_t> ShardRouter::Deploy(const PipelineSpec& spec) {
     PlanState& st = plans_.at(spec.name);
     st.next_version = version + 1;
     st.rollout = std::move(rollout);
-    PublishLocked();
+    PublishLocked(spec.name);
   }
   deploys_.fetch_add(1, std::memory_order_relaxed);
   return version;
@@ -397,7 +413,7 @@ Status ShardRouter::Promote(const std::string& name) {
       // One swap: all traffic moves to the new version, the canary split
       // disappears from the snapshot. The RCU grace inside guarantees no
       // reader still routes to the old version when we return.
-      PublishLocked();
+      PublishLocked(name);
     }
   }
   if (killed_version != 0) {
@@ -430,7 +446,7 @@ Status ShardRouter::RollbackLocked(const std::string& name,
       return Status::NotFound("rollout for '" + name + "' superseded");
     }
     rollout = std::move(it->second.rollout);
-    PublishLocked();  // Snapshot without the canary: no new canary routes.
+    PublishLocked(name);  // Snapshot without the canary: no new canary routes.
   }
   // Belt and braces: the kill switch may already have fired from the data
   // path; republish 0 so every observer agrees before the teardown.
@@ -641,7 +657,7 @@ Result<ShardPlacement> ShardRouter::Failover(const std::string& name,
       r.active = true;
       st.replicas[st.primary].active = false;
       st.primary = i;
-      PublishLocked();
+      PublishLocked(name);
       health.failovers.fetch_add(1, std::memory_order_relaxed);
       return ShardPlacement{r.shard, r.plan_id};
     }
@@ -702,7 +718,7 @@ Result<ShardPlacement> ShardRouter::Failover(const std::string& name,
     st.replicas[st.primary].active = false;
     st.replicas.push_back(std::move(replica));
     st.primary = st.replicas.size() - 1;
-    PublishLocked();
+    PublishLocked(name);
   }
   health.failovers.fetch_add(1, std::memory_order_relaxed);
   return placement;
@@ -756,7 +772,7 @@ Result<int> ShardRouter::SetActiveReplicas(const std::string& name,
     }
     if (removed > 0) {
       dereplications_.fetch_add(removed, std::memory_order_relaxed);
-      PublishLocked();
+      PublishLocked(name);
     }
     return -removed;
   }
@@ -784,8 +800,7 @@ Result<int> ShardRouter::SetActiveReplicas(const std::string& name,
   // publish after the loop. Per-replica activation visibility mid-loop is
   // not load-bearing, and PublishLocked blocks in the RCU grace wait while
   // holding mu_ — publishing per replica would charge a K-replica heat-up
-  // K table copies and K grace waits, stalling other control-plane
-  // writers.
+  // K publishes and K grace waits, stalling other control-plane writers.
   std::vector<ReplicaState> fresh;
   const size_t home = ShardFor(name);
   for (size_t k = 1; k < shards_.size() && active < target; ++k) {
@@ -829,7 +844,7 @@ Result<int> ShardRouter::SetActiveReplicas(const std::string& name,
     for (ReplicaState& replica : fresh) {
       st.replicas.push_back(std::move(replica));
     }
-    PublishLocked();
+    PublishLocked(name);
     replications_.fetch_add(static_cast<uint64_t>(added),
                             std::memory_order_relaxed);
   }
@@ -952,11 +967,11 @@ Result<ShardRouter::RouteDecision> ShardRouter::Route(
       // just the RCU enter/exit counters around a snapshot lookup, the
       // canary split, the p2c pick, and the breaker gate.
       auto guard = table_.Read();
-      auto it = guard->plans.find(name);
-      if (it == guard->plans.end()) {
+      const PlanRouting* entry = guard->Find(name);
+      if (entry == nullptr) {
         return Status::NotFound("plan '" + name + "'");
       }
-      const PlanRouting& routing = it->second;
+      const PlanRouting& routing = *entry;
       const uint64_t seq =
           routing.traffic->routed.fetch_add(1, std::memory_order_relaxed);
       const int64_t now_us = NowNs() / 1000;
@@ -1107,11 +1122,11 @@ Result<PlanVersionInfo> ShardRouter::VersionInfo(
 
 Result<ShardPlacement> ShardRouter::Placement(const std::string& name) const {
   auto guard = table_.Read();
-  auto it = guard->plans.find(name);
-  if (it == guard->plans.end()) {
+  const PlanRouting* routing = guard->Find(name);
+  if (routing == nullptr) {
     return Status::NotFound("plan '" + name + "'");
   }
-  const ReplicaRef& primary = it->second.replicas.front();
+  const ReplicaRef& primary = routing->replicas.front();
   return ShardPlacement{primary.shard, primary.plan_id};
 }
 
@@ -1119,12 +1134,12 @@ std::vector<ShardPlacement> ShardRouter::Replicas(
     const std::string& name) const {
   std::vector<ShardPlacement> replicas;
   auto guard = table_.Read();
-  auto it = guard->plans.find(name);
-  if (it == guard->plans.end()) {
+  const PlanRouting* routing = guard->Find(name);
+  if (routing == nullptr) {
     return replicas;
   }
-  replicas.reserve(it->second.replicas.size());
-  for (const ReplicaRef& r : it->second.replicas) {
+  replicas.reserve(routing->replicas.size());
+  for (const ReplicaRef& r : routing->replicas) {
     replicas.push_back(ShardPlacement{r.shard, r.plan_id});
   }
   return replicas;
@@ -1301,9 +1316,12 @@ ShardedMetrics ShardRouter::GetMetrics() const {
         metrics.max_shard_queue_delay_us / metrics.mean_shard_queue_delay_us;
   }
   {
-    // Per-replica breakdown: where each logical plan's traffic landed.
-    // Brief reader-side mu_ — control-plane state, not the route path.
+    // Per-replica breakdown (where each logical plan's traffic landed) and
+    // the publication counters. Brief reader-side mu_ — control-plane
+    // state, not the route path.
     ReaderMutexLock lock(mu_);
+    metrics.routing_publishes = routing_publishes_;
+    metrics.routing_entries_built = routing_entries_built_;
     metrics.plan_replicas.reserve(plans_.size());
     for (const auto& [name, st] : plans_) {
       if (st.pending) {

@@ -54,7 +54,12 @@
 // covers the name lookup, the p2c pick, and the breaker gate. Writers
 // (Place / Replicate / Failover / maintenance) copy-update under mu_ and
 // swap the snapshot, with an epoch grace period before reclaiming the old
-// table. See src/common/rcu.h for the memory-order argument.
+// table. See src/common/rcu.h for the memory-order argument. An update
+// copies only what it changes (the path-copying discipline of RCU balanced
+// trees): each plan's routing entry is an immutable heap object shared by
+// every snapshot until that plan changes, and the name index is shared
+// until a new name is placed — so a publish builds ONE entry and copies a
+// pointer array, whatever the number of placed plans.
 //
 // GetMetrics() folds every shard's RuntimeMetrics into one cross-shard
 // snapshot (MergeRuntimeMetrics) while retaining the per-shard breakdown;
@@ -224,6 +229,11 @@ struct ShardedMetrics {
   uint64_t promotes = 0;        // Canaries promoted to active.
   uint64_t rollbacks = 0;       // Rollouts aborted (manual + auto).
   uint64_t auto_rollbacks = 0;  // Subset fired by the health controller.
+  // Routing-snapshot publication, lifetime: snapshots swapped in, and the
+  // per-plan routing entries built for them (one per publish — a publish
+  // rebuilds only the plan it changed).
+  uint64_t routing_publishes = 0;
+  uint64_t routing_entries_built = 0;
   // Per-shard load (index == shard): the event-weighted mean of the shard's
   // plan queue-delay EWMAs — hot plans dominate their shard's number, which
   // is exactly the hot-shard bound Zipf skew produces. `imbalance` is
@@ -456,8 +466,9 @@ class ShardRouter {
     std::unique_ptr<Rollout> rollout;
   };
 
-  // The immutable snapshot the predict path reads. Rebuilt (copied) by
-  // every control-plane mutation, swapped through table_.
+  // The immutable snapshot the predict path reads, swapped through table_.
+  // A publish builds one PlanRouting (the plan it changed) and shares every
+  // other entry, and the name index, with the previous snapshot.
   struct ReplicaRef {
     size_t shard = 0;
     Runtime::PlanId plan_id = 0;
@@ -479,8 +490,19 @@ class ShardRouter {
     VersionStats* canary_stats = nullptr;
     CanarySplit* split = nullptr;
   };
+  // Name -> slot in RoutingTable::routes. Slots are never reused (names
+  // are never unplaced), so only the first publish of a name copies it.
+  using RouteIndex = std::unordered_map<std::string, size_t>;
   struct RoutingTable {
-    std::unordered_map<std::string, PlanRouting> plans;
+    std::shared_ptr<const RouteIndex> index;
+    // Indexed by slot. Entries are owned by routes_ (the writer's mirror);
+    // one replaced by a publish is freed after that publish's grace wait.
+    std::vector<const PlanRouting*> routes;
+    // The entry for `name`, or null when it is not routable.
+    const PlanRouting* Find(const std::string& name) const {
+      auto it = index->find(name);
+      return it == index->end() ? nullptr : routes[it->second];
+    }
   };
 
   // What Route hands a predict wrapper: where to send the request, plus the
@@ -534,11 +556,13 @@ class ShardRouter {
   // mu_, commits + publishes under it). Returns net change in active
   // replicas (negative = deactivated).
   Result<int> SetActiveReplicas(const std::string& name, size_t target);
-  // Rebuilds the snapshot from plans_ and swaps it in, reclaiming the old
-  // table after the RCU grace period. Readers never block this (they hold
-  // no lock), and holding mu_ across the grace wait is safe because read
-  // sections never acquire mu_.
-  void PublishLocked() REQUIRES(mu_);
+  // Rebuilds `name`'s routing entry from its (non-pending) PlanState and
+  // swaps in a snapshot that differs from the current one in that slot
+  // only, then reclaims the old table and the replaced entry after the RCU
+  // grace period. Readers never block this (they hold no lock), and
+  // holding mu_ across the grace wait is safe because read sections never
+  // acquire mu_.
+  void PublishLocked(const std::string& name) REQUIRES(mu_);
 
   const ShardRouterOptions options_;
   std::unique_ptr<ObjectStore> global_store_;  // kGlobal scope only.
@@ -578,6 +602,13 @@ class ShardRouter {
   // step runs with it dropped.
   mutable SharedMutex mu_;
   std::unordered_map<std::string, PlanState> plans_ GUARDED_BY(mu_);
+  // The writer's mirror of the published snapshot: its index, and the
+  // owners of its entries (same slots).
+  std::shared_ptr<const RouteIndex> index_ GUARDED_BY(mu_) =
+      std::make_shared<const RouteIndex>();
+  std::vector<std::unique_ptr<const PlanRouting>> routes_ GUARDED_BY(mu_);
+  uint64_t routing_publishes_ GUARDED_BY(mu_) = 0;
+  uint64_t routing_entries_built_ GUARDED_BY(mu_) = 0;
   // The published routing snapshot. Swapped under mu_ (writers), read by
   // predicts with no lock at all.
   RcuCell<RoutingTable> table_;

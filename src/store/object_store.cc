@@ -76,8 +76,8 @@ bool ObjectStore::ReleaseLocal(uint64_t checksum) {
   if (it == by_checksum_.end()) {
     return false;
   }
-  if (it->second.pins > 0) {
-    --it->second.pins;
+  if (it->second.pins > 0 && --it->second.pins == 0) {
+    unpinned_.push_back(checksum);
   }
   ++stats_.releases;
   return true;
@@ -93,15 +93,16 @@ size_t ObjectStore::Sweep() {
 size_t ObjectStore::SweepLocal() {
   WriterMutexLock lock(mu_);
   size_t reclaimed = 0;
-  for (auto it = by_checksum_.begin(); it != by_checksum_.end();) {
-    if (it->second.pins == 0) {
+  for (const uint64_t checksum : unpinned_) {
+    // Gone already (a duplicate candidate) or re-pinned since: skip.
+    auto it = by_checksum_.find(checksum);
+    if (it != by_checksum_.end() && it->second.pins == 0) {
       reclaimed += it->second.params->HeapBytes();
       ++stats_.swept;
-      it = by_checksum_.erase(it);
-    } else {
-      ++it;
+      by_checksum_.erase(it);
     }
   }
+  unpinned_.clear();
   return reclaimed;
 }
 

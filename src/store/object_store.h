@@ -85,7 +85,10 @@ class ObjectStore {
   // Erases every entry whose pin count is zero and returns the parameter
   // bytes those entries accounted for. Delegates to the intern parent.
   // Plans holding shared_ptrs to a swept entry's params keep them alive;
-  // the store just stops counting (and re-interning against) them.
+  // the store just stops counting (and re-interning against) them. Costs
+  // O(entries released to zero pins since the last sweep), not O(resident
+  // entries): pins reach zero only in Release, which records the
+  // candidate; one re-pinned before the sweep is skipped.
   size_t Sweep();
 
   // Resident parameter bytes across all stored objects (each canonical
@@ -114,6 +117,9 @@ class ObjectStore {
   ObjectStore* const parent_ = nullptr;
   mutable SharedMutex mu_;
   std::unordered_map<uint64_t, Entry> by_checksum_ GUARDED_BY(mu_);
+  // Checksums whose pins reached zero since the last sweep (an entry may
+  // appear more than once, or have been re-pinned since).
+  std::vector<uint64_t> unpinned_ GUARDED_BY(mu_);
   std::vector<std::shared_ptr<const OpParams>> undeduped_
       GUARDED_BY(mu_);  // dedup off.
   Stats stats_ GUARDED_BY(mu_);

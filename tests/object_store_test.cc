@@ -1,5 +1,6 @@
 // ObjectStore interning + model image round-trips: dedup on/off, checksum
-// stability across serialize/deserialize, and cross-pipeline sharing.
+// stability across serialize/deserialize, cross-pipeline sharing, and the
+// pin lifecycle (Release/Sweep reclaim exactly the released entries).
 #include "src/store/object_store.h"
 
 #include "src/store/model_loader.h"
@@ -177,12 +178,74 @@ void TestSegmentReleaseDelegation() {
   CHECK_EQ(parent.GetStats().swept, uint64_t{1});
 }
 
+void TestSweepVisitsOnlyReleased() {
+  // Sweep reclaims exactly what was released to zero pins and nothing
+  // else: the released entry's bytes leave, the N-1 pinned entries stay.
+  auto sa = SmallSa(6);
+  ObjectStore store;
+  std::vector<std::shared_ptr<const OpParams>> linears;
+  for (const auto& spec : sa.pipelines()) {
+    linears.push_back(spec.nodes[4].params);  // Unique per pipeline.
+    store.Intern(linears.back());
+  }
+  const size_t n = linears.size();
+  CHECK_EQ(store.NumObjects(), n);
+  const size_t bytes = store.TotalBytes();
+  const auto& victim = linears[2];
+  CHECK(store.Release(victim->ContentChecksum()));
+  CHECK_EQ(store.Sweep(), victim->HeapBytes());
+  CHECK_EQ(store.NumObjects(), n - 1);
+  CHECK_EQ(store.TotalBytes(), bytes - victim->HeapBytes());
+  CHECK_EQ(store.GetStats().swept, uint64_t{1});
+  CHECK_EQ(store.Sweep(), size_t{0});  // Nothing released since.
+
+  // Released, then re-interned before the sweep: the candidate survives
+  // (and a later release still reclaims it).
+  const auto& revived = linears[3];
+  const uint64_t ck = revived->ContentChecksum();
+  CHECK(store.Release(ck));
+  store.Intern(revived);
+  CHECK_EQ(store.Sweep(), size_t{0});
+  CHECK(store.Lookup(ck) != nullptr);
+  // Released to zero twice with a re-pin between: listed twice, swept once.
+  CHECK(store.Release(ck));
+  store.Intern(revived);
+  CHECK(store.Release(ck));
+  CHECK_EQ(store.Sweep(), revived->HeapBytes());
+  CHECK(store.Lookup(ck) == nullptr);
+  CHECK_EQ(store.GetStats().swept, uint64_t{2});
+
+  // A double Release: the second finds the zero-pin entry (still resident
+  // until the sweep) and must not list it as a second reclaim.
+  const auto& twice = linears[4];
+  CHECK(store.Release(twice->ContentChecksum()));
+  CHECK(store.Release(twice->ContentChecksum()));
+  CHECK_EQ(store.Sweep(), twice->HeapBytes());
+  CHECK_EQ(store.GetStats().swept, uint64_t{3});
+  CHECK_EQ(store.NumObjects(), n - 3);
+
+  // Segment -> parent: the candidate is recorded where the pin lives, so a
+  // release through one segment is swept through another.
+  ObjectStore parent;
+  ObjectStore seg_a(ObjectStore::Options{}, &parent);
+  ObjectStore seg_b(ObjectStore::Options{}, &parent);
+  for (const auto& p : linears) {
+    seg_a.Intern(p);
+  }
+  CHECK(seg_a.Release(linears[0]->ContentChecksum()));
+  CHECK_EQ(seg_b.Sweep(), linears[0]->HeapBytes());
+  CHECK_EQ(parent.NumObjects(), n - 1);
+  CHECK_EQ(parent.GetStats().swept, uint64_t{1});
+  CHECK_EQ(seg_a.Sweep(), size_t{0});
+}
+
 int main() {
   TestInterning();
   TestImageRoundTrip();
   TestStoreSharing();
   TestReleaseAndSweep();
   TestSegmentReleaseDelegation();
+  TestSweepVisitsOnlyReleased();
   std::printf("object_store_test: PASS\n");
   return 0;
 }

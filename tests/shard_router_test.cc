@@ -6,7 +6,9 @@
 // retry-after hints, a FrontEnd round trip over the sharded stack, and the
 // versioned lifecycle: Deploy/Promote/Rollback with O(changed-params) swaps
 // and post-retire byte reclamation, plus route-under-churn with version
-// swaps and replication flapping racing live predicts (ASan+TSan in CI).
+// swaps and replication flapping racing live predicts, one-entry routing
+// publication, and unchanged plans' shared routing entries surviving
+// another plan's churn (ASan+TSan in CI).
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
@@ -16,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/flour/flour.h"
 #include "src/frontend/frontend.h"
 #include "src/oven/model_plan.h"
@@ -840,11 +843,16 @@ void TestRouteUnderVersionChurn() {
       CHECK(router.Replicate(churned.name, 1).ok());
     }
   });
+  // Predictors keep going past their quota until the churn thread has
+  // completed two cycles, so the churn always overlaps live traffic (on an
+  // oversubscribed host the quota alone can finish first).
+  std::atomic<uint64_t> issued{0};
   std::vector<std::thread> predictors;
   for (int t = 0; t < kPredictThreads; ++t) {
     predictors.emplace_back([&, t] {
       std::atomic<int> pending{0};
-      for (int i = 0; i < kPredictsPerThread; ++i) {
+      for (int i = 0; i < kPredictsPerThread || swaps.load() < 2; ++i) {
+        issued.fetch_add(1, std::memory_order_relaxed);
         const size_t which = static_cast<size_t>(t + i) % inputs.size();
         if (i % 4 == 3) {
           // Async: the gate exit rides the executor-side completion.
@@ -879,8 +887,9 @@ void TestRouteUnderVersionChurn() {
   CHECK_MSG(swaps.load() >= 2, "churn thread completed %llu swaps",
             static_cast<unsigned long long>(swaps.load()));
   // Exactly-once completion, exact scores, throughout the churn.
-  CHECK_EQ(ok_predicts.load(),
-           static_cast<uint64_t>(kPredictThreads * kPredictsPerThread));
+  CHECK(issued.load() >=
+        static_cast<uint64_t>(kPredictThreads * kPredictsPerThread));
+  CHECK_EQ(ok_predicts.load(), issued.load());
 
   // Settle to a clean single-replica state: one last Deploy+Promote retires
   // every replica of the final churn-era version, so resident bytes must
@@ -897,6 +906,196 @@ void TestRouteUnderVersionChurn() {
   CHECK_EQ(*final_score, expected[0]);
 }
 
+// Routing publication is O(one plan entry): every control-plane mutation
+// republishes exactly the plan it changed. A publish that rebuilt the whole
+// table would build 64 entries per operation here.
+void TestPublishBuildsOneEntry() {
+  constexpr size_t kPlans = 64;
+  auto sa = SmallSa(kPlans);
+  ShardRouterOptions sopts;
+  sopts.num_shards = 4;
+  sopts.runtime.num_executors = 1;
+  sopts.rollout.auto_rollback = false;
+  // A tripped breaker stays open for the rest of the test.
+  sopts.breaker.cooldown_us = 600'000'000;
+  ShardRouter router(sopts);
+  struct Counts {
+    uint64_t publishes = 0;
+    uint64_t built = 0;
+  };
+  const auto counts = [&router] {
+    const ShardedMetrics m = router.GetMetrics();
+    return Counts{m.routing_publishes, m.routing_entries_built};
+  };
+  // Runs `op` and requires it to publish once and build one entry.
+  const auto expect_one = [&](const char* what, const auto& op) {
+    const Counts before = counts();
+    op();
+    const Counts after = counts();
+    CHECK_MSG(after.publishes == before.publishes + 1 &&
+                  after.built == before.built + 1,
+              "%s: %llu publishes, %llu entries built (want 1, 1)", what,
+              static_cast<unsigned long long>(after.publishes -
+                                              before.publishes),
+              static_cast<unsigned long long>(after.built - before.built));
+  };
+  for (const auto& spec : sa.pipelines()) {
+    expect_one("Place", [&] { CHECK(router.Place(spec).ok()); });
+  }
+  CHECK_EQ(counts().publishes, uint64_t{kPlans});
+
+  const PipelineSpec& plan = sa.pipelines()[5];
+  Rng rng(171);
+  const std::string input = sa.SampleInput(rng);
+  auto expected = router.Predict(plan.name, input);
+  CHECK(expected.ok());
+  expect_one("Deploy", [&] { CHECK(router.Deploy(plan).ok()); });
+  expect_one("Promote", [&] { CHECK(router.Promote(plan.name).ok()); });
+  expect_one("Deploy", [&] { CHECK(router.Deploy(plan).ok()); });
+  expect_one("Rollback", [&] { CHECK(router.Rollback(plan.name).ok()); });
+  expect_one("Replicate(2)",
+             [&] { CHECK(router.Replicate(plan.name, 2).ok()); });
+  CHECK_EQ(router.Replicas(plan.name).size(), size_t{2});
+  expect_one("Replicate(1)",
+             [&] { CHECK(router.Replicate(plan.name, 1).ok()); });
+  CHECK_EQ(router.Replicas(plan.name).size(), size_t{1});
+
+  // Failover onto the replica Replicate(2) materialized: trip the primary's
+  // breaker, and the next predict moves the plan there with no compile.
+  const size_t sick = router.Placement(plan.name)->shard;
+  // The accessor is read-only; the breaker itself is a mutable member.
+  auto& breaker = const_cast<CircuitBreaker&>(router.breaker(sick));
+  for (uint32_t i = 0; i < sopts.breaker.failure_threshold; ++i) {
+    breaker.OnFailure(NowNs() / 1000);
+  }
+  CHECK(router.breaker(sick).state() == CircuitBreaker::State::kOpen);
+  expect_one("Failover", [&] {
+    auto got = router.Predict(plan.name, input);
+    CHECK(got.ok());
+    CHECK_EQ(*got, *expected);
+  });
+  CHECK(router.Placement(plan.name)->shard != sick);
+  CHECK_EQ(router.GetMetrics().shard_health[sick].failovers, uint64_t{1});
+
+  // Every other plan still routes through the entry its Place built.
+  for (const auto& spec : sa.pipelines()) {
+    if (router.Placement(spec.name)->shard == sick) {
+      continue;  // Blocked behind the open breaker; not this test's topic.
+    }
+    CHECK(router.Predict(spec.name, input).ok());
+  }
+}
+
+// Shared entries survive another plan's churn: snapshots share every
+// unchanged plan's routing entry, so the entries retired by one plan's
+// Deploy/Promote/Rollback/Replicate cycles must never be ones a reader of
+// another plan holds. Sync and async readers route the unchanged plans and
+// the churned one; scores stay exact, every request completes exactly
+// once, and resident bytes return to the baseline after settling.
+void TestSharedEntriesSurviveOtherPlanChurn() {
+  auto sa = SmallSa(5);
+  ShardRouterOptions sopts;
+  sopts.num_shards = 4;
+  sopts.runtime.num_executors = 1;
+  sopts.replication.max_replicas_per_plan = 3;
+  sopts.rollout.canary_fraction_bp = 5000;
+  sopts.rollout.auto_rollback = false;
+  ShardRouter router(sopts);
+  for (const auto& spec : sa.pipelines()) {
+    CHECK(router.Place(spec).ok());
+  }
+  const size_t kPlans = sa.pipelines().size();
+  const PipelineSpec& churned = sa.pipelines()[0];
+
+  Rng rng(181);
+  std::vector<std::string> inputs;
+  for (int i = 0; i < 6; ++i) {
+    inputs.push_back(sa.SampleInput(rng));
+  }
+  // expected[plan][input], from the pre-churn tables.
+  std::vector<std::vector<float>> expected(kPlans);
+  for (size_t p = 0; p < kPlans; ++p) {
+    for (const std::string& input : inputs) {
+      auto score = router.Predict(sa.pipelines()[p].name, input);
+      CHECK(score.ok());
+      expected[p].push_back(*score);
+    }
+  }
+  const size_t baseline_bytes = router.GetMetrics().store_bytes;
+
+  constexpr int kReaders = 4;
+  constexpr int kPredictsPerReader = 300;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> swaps{0};
+  std::atomic<uint64_t> issued{0};
+  std::atomic<uint64_t> completed{0};
+  std::thread control([&] {
+    uint64_t cycle = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      CHECK(router.Deploy(churned).ok());
+      if (++cycle % 3 == 0) {
+        CHECK(router.Rollback(churned.name).ok());
+      } else {
+        CHECK(router.Promote(churned.name).ok());
+      }
+      CHECK(router.Replicate(churned.name, 3).ok());
+      CHECK(router.Replicate(churned.name, 1).ok());
+      swaps.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::atomic<int> pending{0};
+      // Past the quota until the churn has cycled twice (see above).
+      for (int i = 0; i < kPredictsPerReader || swaps.load() < 2; ++i) {
+        issued.fetch_add(1, std::memory_order_relaxed);
+        const size_t p = static_cast<size_t>(t + i) % kPlans;
+        const size_t which = static_cast<size_t>(i / 3) % inputs.size();
+        const std::string& name = sa.pipelines()[p].name;
+        if (i % 2 == 1) {
+          pending.fetch_add(1);
+          Status st = router.PredictAsync(
+              name, inputs[which], [&, p, which](Result<float> r) {
+                CHECK(r.ok());
+                CHECK_EQ(*r, expected[p][which]);
+                completed.fetch_add(1, std::memory_order_relaxed);
+                pending.fetch_sub(1);
+              });
+          CHECK(st.ok());
+        } else {
+          auto got = router.Predict(name, inputs[which]);
+          CHECK(got.ok());
+          CHECK_EQ(*got, expected[p][which]);
+          completed.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      while (pending.load() > 0) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& thread : readers) {
+    thread.join();
+  }
+  stop.store(true);
+  control.join();
+  CHECK(swaps.load() >= 2);
+  CHECK(issued.load() >= static_cast<uint64_t>(kReaders * kPredictsPerReader));
+  CHECK_EQ(completed.load(), issued.load());
+  // The unchanged plans never moved, and still score exactly.
+  for (size_t p = 1; p < kPlans; ++p) {
+    CHECK_EQ(router.Replicas(sa.pipelines()[p].name).size(), size_t{1});
+    auto got = router.Predict(sa.pipelines()[p].name, inputs[0]);
+    CHECK(got.ok());
+    CHECK_EQ(*got, expected[p][0]);
+  }
+  // Settle: one last Deploy+Promote retires every registration of the
+  // churn-era versions, so resident bytes return to the baseline.
+  CHECK(router.Deploy(churned).ok());
+  CHECK(router.Promote(churned.name).ok());
+  CHECK_EQ(router.GetMetrics().store_bytes, baseline_bytes);
+}
 }  // namespace
 
 int main() {
@@ -913,6 +1112,8 @@ int main() {
   TestRouteUnderChurn();
   TestVersionedDeployLifecycle();
   TestRouteUnderVersionChurn();
+  TestPublishBuildsOneEntry();
+  TestSharedEntriesSurviveOtherPlanChurn();
   std::printf("shard_router_test: PASS\n");
   return 0;
 }
