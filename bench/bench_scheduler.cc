@@ -287,17 +287,11 @@ int main(int argc, char** argv) {
   // Two identical runtimes, differing only in batching policy. Interleaved
   // best-of-N reps: on a loaded host a single run's throughput is mostly an
   // OS-timeslicing roll; the best rep measures the scheduler, not the roll.
-  // Both runtimes share the scheduler substrate (default: the shipped
-  // lock-free one; --policy_lockfree=0 re-runs the comparison on the PR-2
-  // mutex baseline) and differ only in batching policy. The lock-free vs
-  // mutex substrate comparison itself lives in bench_contention.
-  const bool policy_lockfree = flags.GetBool("policy_lockfree", true);
   Harness one_by_one;
   {
     RuntimeOptions ropts;
     ropts.num_executors = 1;  // Scheduling overhead, not parallelism, at test.
     ropts.default_max_batch = 1;  // One event per dispatch (the old model).
-    ropts.lockfree_scheduler = policy_lockfree;
     one_by_one.Build(sa, ropts, 0);
   }
   Harness adaptive;
@@ -307,7 +301,6 @@ int main(int argc, char** argv) {
     ropts.default_max_batch =
         static_cast<size_t>(flags.GetInt("max_batch", 64));
     ropts.default_max_delay_us = flags.GetInt("max_delay_us", 200);
-    ropts.lockfree_scheduler = policy_lockfree;
     adaptive.Build(sa, ropts, 0);
   }
   // Warm both: bind every plan and populate the executor caches, so the
@@ -373,7 +366,6 @@ int main(int argc, char** argv) {
   json.Add("coalescing_speedup", coalesced / one_per_event);
   json.Add("mean_batch", mean_batch);
   json.Add("subplan_cache_hit_pct", hit_rate);
-  json.Add("policy_lockfree", policy_lockfree ? "true" : "false");
   json.Add("shape_check", pass ? "PASS" : "FAIL");
   json.Write();
   (void)pass;  // Shape results are the printed contract; exit 0 like the suite.

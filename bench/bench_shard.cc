@@ -323,11 +323,11 @@ int main(int argc, char** argv) {
   // uniform (alpha = 0) stream is the control — no plan crosses the hotness
   // threshold, so replication must stay quiet and cost nothing.
   ReplicationOptions rep_opts;
-  rep_opts.enabled = true;  // scan_interval_us stays 0: scans run inline.
+  rep_opts.enabled = true;  // Scans run inline, between reps.
   const std::vector<double> shares = ZipfExpectedShares(names.size(), zipf);
   std::printf("\n  hot-plan replication at %zu shards: Zipf(%.2f) head share "
               "%.3f, hot threshold %.3f\n",
-              max_shards, zipf, shares[0], rep_opts.hot_share_threshold);
+              max_shards, zipf, shares[0], kHotShareThreshold);
   auto rep_off = BuildRouter(sa, max_shards, shard_executors, max_batch,
                              ShardRouterOptions::InternScope::kPerSegment);
   auto rep_on = BuildRouter(sa, max_shards, shard_executors, max_batch,
@@ -363,8 +363,8 @@ int main(int argc, char** argv) {
         rep_eps[1],
         Drive(*backend_on, names, inputs, sequence, producers, window)
             .events_per_sec);
-    // Keep the replica set tracking the (stationary) shares between reps —
-    // in production this is the background scan thread.
+    // Keep the replica set tracking the (stationary) shares between reps,
+    // as a serving process's control loop would.
     (void)rep_on->MaintainReplication();
   }
   const ShardedMetrics rm_off = rep_off->GetMetrics();
@@ -411,7 +411,7 @@ int main(int argc, char** argv) {
   }
   json.Add("rep_head_min_share", head_min_share);
 
-  if (shares[0] >= rep_opts.hot_share_threshold) {
+  if (shares[0] >= kHotShareThreshold) {
     pass &= ShapeCheck(
         head_replicas >= 2,
         "hotness detector replicates the Zipf head (rank-0 expected share "
@@ -493,8 +493,7 @@ int main(int argc, char** argv) {
   json.Add("rep_uniform_on_eps", uni_eps[1]);
   json.Add("rep_uniform_replications",
            static_cast<double>(um_on.replications));
-  if (1.0 / static_cast<double>(names.size()) <
-      rep_opts.hot_share_threshold) {
+  if (1.0 / static_cast<double>(names.size()) < kHotShareThreshold) {
     pass &= ShapeCheck(
         um_on.replications == 0,
         "uniform traffic stays unreplicated (no plan crosses the hotness "

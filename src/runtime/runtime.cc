@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <unordered_map>
 
 #include "src/common/clock.h"
@@ -157,8 +159,7 @@ struct Runtime::SpillSegment : MpscNode {
   }
 
   // Destroys every slot (moved-from ones included; at shutdown undrained
-  // slots still hold events whose callbacks never ran — the same semantics
-  // the stranded deque had).
+  // slots still hold events whose callbacks never ran).
   static void Destroy(SpillSegment* segment) {
     for (size_t i = 0; i < segment->count; ++i) {
       segment->events()[i].~Event();
@@ -173,9 +174,8 @@ struct Runtime::SpillSegment : MpscNode {
 // plans with queued events.
 struct Runtime::ExecGroup {
   // Ring capacity bounds plans per group: the shared group gets the full
-  // rotation in lock-free mode; a reserved group rotates exactly one plan,
-  // and the mutex baseline never touches the ring at all (capacity 2, the
-  // ring's minimum, instead of ~128KB of dead cells).
+  // rotation; a reserved group rotates exactly one plan (capacity 2, the
+  // ring's minimum).
   explicit ExecGroup(size_t ring_capacity) : runnable_ring(ring_capacity) {}
 
   size_t num_executors = 1;
@@ -187,31 +187,20 @@ struct Runtime::ExecGroup {
   // paths.
   SubPlanCache* inline_cache = nullptr;
 
-  // Lock-free mode: the runnable rotation is an MPMC ring; executors park
-  // on the eventcount, so producers skip the kernel while executors are
-  // busy. runnable_count mirrors the ring's occupancy for the adaptive
-  // linger's "does anyone else have work" test.
+  // The runnable rotation is an MPMC ring; executors park on the
+  // eventcount, so producers skip the kernel while executors are busy.
+  // runnable_count mirrors the ring's occupancy for the adaptive linger's
+  // "does anyone else have work" test.
   BoundedMpmcRing<PlanQueue*> runnable_ring;
   EventCount ec;
   std::atomic<size_t> runnable_count{0};
-
-  // Mutex baseline (lockfree_scheduler = false): the PR-2 design, every
-  // enqueue/dispatch serializes here. mu also guards the PlanQueue
-  // mutex-mode fields (events, m_queued_chunks, m_runnable, m_lingering) of
-  // every plan in this group — a cross-object invariant Clang's analysis
-  // cannot express (GUARDED_BY on PlanQueue would name pq->group->mu, and
-  // the analysis has no alias tracking to match it at use sites), so those
-  // fields carry a documenting comment instead of an annotation.
-  Mutex mu;
-  std::condition_variable cv;
-  std::deque<PlanQueue*> runnable GUARDED_BY(mu);
 };
 
 // Per-plan scheduler state. `plan` and the policy fields are written once
 // under registry_mu_ before the queue is first published, and read-only
 // afterwards.
 //
-// Lock-free mode: producers admit through the atomic `queued` counter, then
+// Producers admit through the atomic `queued` counter, then
 // publish into `ring` (bounded MPSC; bursts spill to the `spill` chain of
 // ring segments, which stays FIFO-ordered after the ring's contents). The
 // dispatch `claim` keeps the plan at most once in the group's runnable
@@ -223,7 +212,7 @@ struct Runtime::PlanQueue {
   explicit PlanQueue(size_t ring_capacity) : ring(ring_capacity) {}
 
   // Frees spill segments stranded at shutdown (their events' callbacks are
-  // never invoked — the same semantics the stranded deque had).
+  // never invoked).
   ~PlanQueue() {
     if (spill_cur != nullptr) {
       SpillSegment::Destroy(spill_cur);
@@ -248,9 +237,8 @@ struct Runtime::PlanQueue {
   // take theirs BEFORE loading `retired` (both seq_cst — the classic
   // store-buffering pair, so either the admitter sees the flag or the
   // retirer sees the ref), and executors take theirs for each gathered
-  // quantum BEFORE decrementing `queued` (before releasing the group mutex
-  // in the baseline), so gathered-but-executing events are never in neither
-  // count.
+  // quantum BEFORE decrementing `queued`, so gathered-but-executing events
+  // are never in neither count.
   std::atomic<bool> retired{false};
   std::atomic<int64_t> lifecycle_refs{0};
   // Immutable name copy: GetMetrics stays readable after Retire drops
@@ -283,7 +271,7 @@ struct Runtime::PlanQueue {
     return queued_events - std::min(queued_events, stale);
   }
 
-  // ---- Lock-free mode ----
+  // ---- Event queue ----
   BoundedMpmcRing<Event> ring;
   // Overflow spill: FIFO chain of SpillSegments (wait-free producer push);
   // spill_cur/spill_idx are the consumer's private cursor into the segment
@@ -301,8 +289,7 @@ struct Runtime::PlanQueue {
   // work exists anywhere in the queue.
   std::atomic<size_t> chunk_count{0};
   // Held while the plan is in the runnable rotation or owned by an executor
-  // or inline caller; replaces PR-2's `runnable` bookkeeping under the
-  // group mutex.
+  // or inline caller.
   DispatchClaim claim;
   // True while an executor lingers for this plan's batch to fill; enqueues
   // then NotifyAll so the linger predicate is re-evaluated.
@@ -310,14 +297,7 @@ struct Runtime::PlanQueue {
   bool held_valid = false;  // Quantum-owner-private chunk stash.
   Event held;
 
-  // ---- Mutex baseline (guarded by group->mu; see ExecGroup::mu for why
-  // this is a comment, not a GUARDED_BY) ----
-  std::deque<Event> events;
-  size_t m_queued_chunks = 0;
-  bool m_runnable = false;
-  bool m_lingering = false;
-
-  // ---- Counters (relaxed atomics, both modes) ----
+  // ---- Counters (relaxed atomics) ----
   // Enqueue->dispatch delay EWMA (alpha 1/8), written by whichever executor
   // dispatches; the retry-after hint on this plan's rejections. Racy
   // updates are fine — it is an estimate.
@@ -326,8 +306,8 @@ struct Runtime::PlanQueue {
   // completion callback, ns); the inline rule compares it to
   // kInlineMaxExecNs.
   std::atomic<int64_t> exec_ewma_ns{0};
-  // Chunk tickets still queued whose chunk the job's synchronous caller ran
-  // (both modes): the caller adds one per chunk it takes, the executor that
+  // Chunk tickets still queued whose chunk the job's synchronous caller
+  // ran: the caller adds one per chunk it takes, the executor that
   // drops the ticket subtracts it AFTER its `queued` decrement, so
   // LiveQueued may under-count for a moment but never over-counts (no false
   // cap rejection). Signed — the caller's add may land after the drop.
@@ -357,8 +337,7 @@ Runtime::Runtime(ObjectStore* store, const RuntimeOptions& options)
         return o;
       }()),
       caller_contexts_(&caller_pool_, /*reuse_enabled=*/true) {
-  shared_group_ = std::make_unique<ExecGroup>(
-      options_.lockfree_scheduler ? kRunnableRingCapacity : 2);
+  shared_group_ = std::make_unique<ExecGroup>(kRunnableRingCapacity);
   shared_group_->num_executors = options_.num_executors;
   // No other thread exists yet; the lock only discharges SpawnExecutor's
   // REQUIRES(registry_mu_) (executors never take the registry lock, so
@@ -373,20 +352,9 @@ Runtime::~Runtime() {
   stop_.store(true, std::memory_order_seq_cst);
   {
     ReaderMutexLock lock(registry_mu_);
-    if (options_.lockfree_scheduler) {
-      shared_group_->ec.NotifyAll();
-      for (const auto& group : reserved_groups_) {
-        group->ec.NotifyAll();
-      }
-    } else {
-      {
-        MutexLock glock(shared_group_->mu);
-        shared_group_->cv.notify_all();
-      }
-      for (const auto& group : reserved_groups_) {
-        MutexLock glock(group->mu);
-        group->cv.notify_all();
-      }
+    shared_group_->ec.NotifyAll();
+    for (const auto& group : reserved_groups_) {
+      group->ec.NotifyAll();
     }
   }
   for (auto& thread : threads_) {
@@ -419,10 +387,7 @@ Result<Runtime::PlanId> Runtime::Register(std::shared_ptr<ModelPlan> plan,
   }
   WriterMutexLock lock(registry_mu_);
   const PlanId id = plan_queues_.size();
-  // The mutex baseline never touches the event ring; don't pay ~ring_cap *
-  // sizeof(Event) per plan for dead cells there.
-  auto pq = std::make_unique<PlanQueue>(
-      options_.lockfree_scheduler ? options_.event_ring_capacity : 2);
+  auto pq = std::make_unique<PlanQueue>(options_.event_ring_capacity);
   pq->id = id;
   pq->plan = std::move(plan);
   pq->plan_name = pq->plan->name();
@@ -485,23 +450,13 @@ Status Runtime::Retire(PlanId id) {
   }
   // Drain. The check order inside each pass is load-bearing: scheduler
   // occupancy FIRST, lifecycle_refs SECOND. Executors take their quantum
-  // ref before decrementing `queued` (before leaving the group mutex in the
-  // baseline) and admitters take theirs before loading `retired`, so any
-  // in-flight work the occupancy check misses is visible to the refs check
-  // of the same pass.
-  for (;;) {
-    bool drained;
-    if (options_.lockfree_scheduler) {
-      drained = pq->queued.load(std::memory_order_seq_cst) == 0 &&
-                pq->overflow_count.load(std::memory_order_seq_cst) == 0 &&
-                !pq->claim.held();
-    } else {
-      MutexLock lock(pq->group->mu);
-      drained = pq->events.empty() && !pq->m_runnable;
-    }
-    if (drained && pq->lifecycle_refs.load(std::memory_order_seq_cst) == 0) {
-      break;
-    }
+  // ref before decrementing `queued` and admitters take theirs before
+  // loading `retired`, so any in-flight work the occupancy check misses is
+  // visible to the refs check of the same pass.
+  while (pq->queued.load(std::memory_order_seq_cst) != 0 ||
+         pq->overflow_count.load(std::memory_order_seq_cst) != 0 ||
+         pq->claim.held() ||
+         pq->lifecycle_refs.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
   // No admission can now succeed and no executor holds the plan: drop the
@@ -555,56 +510,12 @@ Status Runtime::EnqueueEvents(PlanQueue* pq, Event* events, size_t n) {
   if (n == 0) {
     return Status::OK();
   }
-  if (options_.lockfree_scheduler) {
-    return EnqueueLockFree(pq, events, n);
-  }
-  // PR-2 mutex baseline: every producer serializes on the group mutex.
   ExecGroup* group = pq->group;
-  bool wake_all = n > 1;
-  {
-    MutexLock lock(group->mu);
-    if (options_.max_queued_events_per_plan > 0 &&
-        pq->LiveQueued(pq->events.size()) + n >
-            options_.max_queued_events_per_plan) {
-      pq->rejected.fetch_add(n, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-                 "plan " + std::to_string(pq->id) + " queue over " +
-                 std::to_string(options_.max_queued_events_per_plan) +
-                 " events")
-          .WithRetryAfterUs(RetryAfterHintUs(pq->queue_delay_ewma_us));
-    }
-    const int64_t now = NowNs();
-    for (size_t i = 0; i < n; ++i) {
-      events[i].enqueue_ns = now;
-      if (events[i].job != nullptr) {
-        ++pq->m_queued_chunks;
-      }
-      pq->events.push_back(std::move(events[i]));
-    }
-    pq->enqueued.fetch_add(n, std::memory_order_relaxed);
-    if (!pq->m_runnable) {
-      pq->m_runnable = true;
-      group->runnable.push_back(pq);
-    }
-    // A lingering executor must re-check its predicate; notify_one could be
-    // swallowed by an idle sibling whose predicate is false.
-    wake_all |= pq->m_lingering;
-  }
-  if (wake_all) {
-    group->cv.notify_all();
-  } else {
-    group->cv.notify_one();
-  }
-  return Status::OK();
-}
-
-Status Runtime::EnqueueLockFree(PlanQueue* pq, Event* events, size_t n) {
-  ExecGroup* group = pq->group;
-  // Admission: an atomic counter replaces the cap check PR-2 made under the
-  // group mutex. With a cap, admit by CAS so a rejected submission never
-  // even transiently inflates `queued` (a blind fetch_add+undo could make a
-  // concurrent fitting submission observe phantom occupancy and bounce).
-  // Stale chunk tickets do not count against the cap (LiveQueued).
+  // Admission: an atomic counter enforces the cap. With a cap, admit by CAS
+  // so a rejected submission never even transiently inflates `queued` (a
+  // blind fetch_add+undo could make a concurrent fitting submission observe
+  // phantom occupancy and bounce). Stale chunk tickets do not count against
+  // the cap (LiveQueued).
   const size_t cap = options_.max_queued_events_per_plan;
   if (cap > 0) {
     size_t queued_now = pq->queued.load(std::memory_order_seq_cst);
@@ -886,7 +797,7 @@ Status Runtime::PredictAsync(PlanId id, std::string input,
 }
 
 bool Runtime::TryRunInline(PlanQueue* pq, Event& event) {
-  if (t_runtime_work || pq->reserved || !options_.lockfree_scheduler) {
+  if (t_runtime_work || pq->reserved) {
     return false;
   }
   ExecGroup* group = pq->group;
@@ -1190,14 +1101,12 @@ Result<std::vector<float>> Runtime::PredictBatch(
 // ---------------------------------------------------------------------------
 // Executors.
 
-// Adaptive linger, lock-free mode: the oldest single is already in the
-// owner's hand, so the deadline is measured from its enqueue stamp exactly
-// as PR-2 measured from the deque front. The owner parks on the group
+// Adaptive linger: the oldest single is already in the owner's hand, so the
+// deadline is measured from its enqueue stamp. The owner parks on the group
 // eventcount; any enqueue to this plan sees `lingering` and NotifyAlls, any
 // enqueue elsewhere in the group raises runnable_count — both re-arm the
 // predicate below.
-void Runtime::LingerLockFree(ExecGroup* group, PlanQueue* pq,
-                             int64_t oldest_ns) {
+void Runtime::Linger(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns) {
   const auto deadline = std::chrono::steady_clock::time_point(
       std::chrono::nanoseconds(oldest_ns + pq->max_delay_us * 1000));
   pq->lingering.store(true, std::memory_order_seq_cst);
@@ -1237,10 +1146,6 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
   t_runtime_work = true;
   ExecContext ctx(pool);
   ctx.subplan_cache = cache;
-  if (!options_.lockfree_scheduler) {
-    ExecutorLoopMutex(group, ctx, shard_idx);
-    return;
-  }
   std::vector<Event> batch;
   for (;;) {
     PlanQueue* pq = nullptr;
@@ -1271,7 +1176,7 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
         pq->chunk_count.load(std::memory_order_seq_cst) == 0 &&
         group->runnable_count.load(std::memory_order_seq_cst) == 0 &&
         pq->queued.load(std::memory_order_seq_cst) < pq->max_batch) {
-      LingerLockFree(group, pq, first.enqueue_ns);
+      Linger(group, pq, first.enqueue_ns);
     }
     // Gather one dispatch quantum: a single batch chunk, or a coalesced run
     // of up to max_batch queued singles (a chunk met mid-run is stashed in
@@ -1324,107 +1229,6 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
       }
       continue;
     }
-    ExecuteQuantum(pq, batch, ctx, shard_idx);
-    pq->ReleaseLifecycle();
-  }
-}
-
-// The PR-2 scheduler, kept as the bench_contention baseline: every enqueue,
-// dispatch, and wakeup serializes on group->mu.
-void Runtime::ExecutorLoopMutex(ExecGroup* group, ExecContext& ctx,
-                                size_t shard_idx) {
-  std::vector<Event> batch;
-  std::vector<Event> stale;  // Dropped tickets, destroyed off the lock.
-  while (true) {
-    batch.clear();
-    stale.clear();
-    PlanQueue* pq = nullptr;
-    bool wake_sibling = false;
-    {
-      MutexLock lock(group->mu);
-      // Explicit predicate loop (not the lambda-predicate overload) so the
-      // analysis sees the guarded `runnable` reads inside this locked scope.
-      // relaxed: stop_ is a monotonic shutdown flag; the mutex/cv hand-off
-      // already orders the surrounding state, the load needs only eventual
-      // visibility (the destructor notifies after storing it).
-      while (!stop_.load(std::memory_order_relaxed) &&
-             group->runnable.empty()) {
-        group->cv.wait(lock.native());
-      }
-      if (group->runnable.empty()) {
-        if (stop_.load(std::memory_order_relaxed)) {  // relaxed: as above.
-          return;  // Fully drained.
-        }
-        continue;
-      }
-      pq = group->runnable.front();
-      group->runnable.pop_front();
-      if (pq->max_delay_us > 0 && pq->max_batch > 1 &&
-          group->runnable.empty() && !pq->events.empty() &&
-          pq->m_queued_chunks == 0 && pq->events.size() < pq->max_batch) {
-        const auto deadline = std::chrono::steady_clock::time_point(
-            std::chrono::nanoseconds(pq->events.front().enqueue_ns +
-                                     pq->max_delay_us * 1000));
-        pq->m_lingering = true;
-        // relaxed: see the dispatch wait above.
-        while (!stop_.load(std::memory_order_relaxed) &&
-               pq->events.size() < pq->max_batch &&
-               pq->m_queued_chunks == 0 && group->runnable.empty()) {
-          if (group->cv.wait_until(lock.native(), deadline) ==
-              std::cv_status::timeout) {
-            break;  // Deadline: dispatch whatever has coalesced.
-          }
-        }
-        pq->m_lingering = false;
-      }
-      // Every stale chunk ticket at the head goes in this one turn.
-      while (!pq->events.empty() && pq->events.front().job != nullptr &&
-             !TakeChunk(pq->events.front())) {
-        stale.push_back(std::move(pq->events.front()));
-        pq->events.pop_front();
-        --pq->m_queued_chunks;
-      }
-      if (!stale.empty()) {
-        pq->stale_chunks.fetch_sub(static_cast<int64_t>(stale.size()),
-                                   std::memory_order_seq_cst);
-      }
-      if (!pq->events.empty() && pq->events.front().job != nullptr) {
-        batch.push_back(std::move(pq->events.front()));
-        pq->events.pop_front();
-        --pq->m_queued_chunks;
-      } else {
-        while (!pq->events.empty() && pq->events.front().job == nullptr &&
-               batch.size() < pq->max_batch) {
-          batch.push_back(std::move(pq->events.front()));
-          pq->events.pop_front();
-        }
-      }
-      if (!batch.empty()) {
-        // Quantum lifecycle ref, taken while still under the group mutex:
-        // Retire's baseline drain checks the deque under this same mutex,
-        // then refs, so a gathered-but-executing quantum is always covered.
-        pq->lifecycle_refs.fetch_add(1, std::memory_order_seq_cst);
-      }
-      // Round-robin: back of the ring if more events remain, so the next
-      // runnable plan gets the next quantum.
-      if (!pq->events.empty()) {
-        group->runnable.push_back(pq);
-        wake_sibling = true;  // Notified below, after the scoped unlock.
-      } else {
-        pq->m_runnable = false;
-      }
-    }
-    if (wake_sibling) {
-      // Outside the lock so the woken sibling doesn't immediately block on
-      // mu; safe because the destructor joins this thread before the group
-      // is destroyed.
-      group->cv.notify_one();
-    }
-    if (batch.empty()) {
-      continue;
-    }
-    // Off the dispatch lock: stats ride this executor's shard.
-    AccountDispatch(pq, batch, shard_idx);
     ExecuteQuantum(pq, batch, ctx, shard_idx);
     pq->ReleaseLifecycle();
   }
@@ -1599,15 +1403,7 @@ RuntimeMetrics Runtime::GetMetrics() const {
     pm.shed_deadline = pq->shed_deadline.load(std::memory_order_relaxed);
     pm.queue_delay_ewma_us =
         pq->queue_delay_ewma_us.load(std::memory_order_relaxed);
-    if (options_.lockfree_scheduler) {
-      pm.queue_depth = pq->queued.load(std::memory_order_relaxed);
-    } else {
-      // Size only — the PR-2 bug of copying whole reservoirs under the
-      // dispatch mutex (stalling every executor in the group) is gone in
-      // both modes; stats now live in per-executor shards.
-      MutexLock glock(pq->group->mu);
-      pm.queue_depth = pq->events.size();
-    }
+    pm.queue_depth = pq->queued.load(std::memory_order_relaxed);
     for (const auto& shard : pq->shards) {
       SampleStats batch_records, queue_wait, single_latency;
       {

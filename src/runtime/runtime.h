@@ -12,8 +12,8 @@
 // queue and wakeup costs under load while leaving idle-system latency
 // untouched.
 //
-// Hot-path concurrency (lockfree_scheduler, the default): no enqueue,
-// dispatch, or buffer acquire takes a mutex in the common case.
+// Hot-path concurrency: no enqueue, dispatch, or buffer acquire takes a
+// mutex in the common case.
 //  - Each plan's events ride a bounded lock-free MPSC ring
 //    (BoundedMpmcRing; producers = caller/FrontEnd threads, consumer = the
 //    executor holding the plan's dispatch quantum). Bursts beyond the ring
@@ -30,9 +30,6 @@
 //  - Counters are relaxed atomics and the SampleStats reservoirs are
 //    sharded per executor, merged only at GetMetrics() time — metrics never
 //    ride the dispatch path and a snapshot never stalls dispatch.
-// The PR-2 mutex/condvar scheduler is kept in-tree behind
-// RuntimeOptions::lockfree_scheduler = false as the bench_contention
-// comparison baseline.
 //
 // Reservations (Section 5.4.1): a registration may reserve cores. Reserved
 // plans get dedicated executors draining a dedicated group, and ALL their
@@ -50,7 +47,6 @@
 // inline completion — so a callback that resubmits enqueues instead of
 // recursing). The caller then runs the executor's dispatch quantum itself,
 // with the same admission, lifecycle and accounting; no executor wakes.
-// Under the mutex baseline async singles always enqueue.
 //
 // Caller-assisted batches: a batch is split into chunks and every chunk is
 // enqueued as an event. A synchronous batch caller on an unreserved plan,
@@ -72,12 +68,9 @@
 #define PRETZEL_RUNTIME_RUNTIME_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -116,14 +109,10 @@ struct RuntimeOptions {
   // fill, but only while no other plan has runnable work.
   size_t default_max_batch = 16;
   int64_t default_max_delay_us = 0;
-  // Scheduler implementation. True (default): lock-free MPSC event rings,
-  // lock-free runnable ring, eventcount parking. False: the PR-2
-  // mutex/condvar baseline, kept for apples-to-apples contention benches.
-  bool lockfree_scheduler = true;
   // Per-plan event-ring capacity (rounded up to a power of two). Bursts
   // beyond it spill to a lock-free FIFO chain of ring segments —
   // correctness and admission semantics are unchanged, only that tail
-  // leaves the single-CAS fast path. Lock-free mode only.
+  // leaves the single-CAS fast path.
   size_t event_ring_capacity = 256;
 };
 
@@ -387,17 +376,16 @@ class Runtime {
   // synchronous span/views/binary batch entry points share this).
   Status SubmitBatchJobAndWait(PlanQueue* pq, std::shared_ptr<BatchJob> job,
                                size_t max_batch);
-  // The one place an executor decides a popped chunk ticket, shared by both
-  // executor loops: true takes the chunk (the executor must run it); false
-  // means the job's synchronous caller already ran it, and the ticket is
-  // stale. A loop drops every stale ticket at the head of the queue in the
-  // same quantum, so stale tickets never cost a rotation turn, and records
-  // nothing for them beyond its queue occupancy and lifecycle ref — no
-  // dispatch, batch size, queue wait or queue-delay sample (stale waits
-  // would inflate the shedding estimate and a router's load signal).
+  // The one place an executor decides a popped chunk ticket: true takes
+  // the chunk (the executor must run it); false means the job's synchronous
+  // caller already ran it, and the ticket is stale. The executor drops
+  // every stale ticket at the head of the queue in the same quantum, so
+  // stale tickets never cost a rotation turn, and records nothing for them
+  // beyond its queue occupancy and lifecycle ref — no dispatch, batch size,
+  // queue wait or queue-delay sample (stale waits would inflate the
+  // shedding estimate and a router's load signal).
   static bool TakeChunk(const Event& event);
-  // Dispatch accounting for a quantum an executor gathered and will run,
-  // shared by both executor loops.
+  // Dispatch accounting for a quantum an executor gathered and will run.
   void AccountDispatch(PlanQueue* pq, const std::vector<Event>& batch,
                        size_t shard_idx);
   // Accounting for a quantum a submitting thread runs itself (an inline
@@ -417,18 +405,15 @@ class Runtime {
   // unless the rule holds, else runs the event's quantum on this thread.
   // The caller holds a lifecycle ref across the call.
   bool TryRunInline(PlanQueue* pq, Event& event);
-  void ExecutorLoopMutex(ExecGroup* group, ExecContext& ctx, size_t shard_idx);
   PlanQueue* GetQueue(PlanId id) const EXCLUDES(registry_mu_);
 
   // The one enqueue protocol (cap check, stamping, publication, wakeups);
-  // all entry points delegate to it. Dispatches on lockfree_scheduler.
+  // all entry points delegate to it.
   Status EnqueueEvents(PlanQueue* pq, Event* events, size_t n);
   Status Enqueue(PlanQueue* pq, std::vector<Event> events);
   // Allocation-free single-event fast path (async/sync singles).
   Status EnqueueOne(PlanQueue* pq, Event event);
 
-  // Lock-free mode helpers.
-  Status EnqueueLockFree(PlanQueue* pq, Event* events, size_t n);
   static void PushRunnable(ExecGroup* group, PlanQueue* pq);
   static bool PopRunnable(ExecGroup* group, PlanQueue** pq);
   // A claim owner's hand-off: re-publishes the plan if events remain, else
@@ -444,7 +429,7 @@ class Runtime {
   // Takes the oldest spilled event and bulk-refills the ring from the
   // remaining chain. Quantum-owner only.
   static bool PopSpill(PlanQueue* pq, Event* out);
-  void LingerLockFree(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns);
+  void Linger(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns);
   // Executes one gathered quantum (outside all scheduler structures) and
   // records error/latency accounting into shard `shard_idx` (an executor's,
   // or the plan's caller shard for an inline quantum).

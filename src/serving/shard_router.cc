@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <functional>
+#include <thread>
 #include <utility>
 
 #include "src/common/clock.h"
@@ -17,7 +17,20 @@ namespace pretzel {
 namespace {
 
 constexpr double kEwmaAlpha = 1.0 / 16.0;
-// Share of slow canary requests at which the latency verdict fires.
+// A replicated plan at or below this traffic share has cooled: it drops
+// back to 1 active replica. Between this and kHotShareThreshold a plan
+// keeps the replicas it has.
+constexpr double kCoolShareThreshold = 0.04;
+static_assert(kCoolShareThreshold < kHotShareThreshold);
+// Canary auto-rollback verdict. A canary failure EWMA at or above
+// kRollbackFailureEwma fires it. So does a slow share at or above
+// kCanarySlowShare: a canary request slower than kRollbackLatencyX times
+// the stable version's latency EWMA is slow, and the share is an EWMA over
+// that per-request indicator, like the failure verdict's. A sustained
+// regression trips it within a dozen requests; a few preempted requests do
+// not. The latency half is inert until the stable EWMA is nonzero.
+constexpr double kRollbackFailureEwma = 0.5;
+constexpr double kRollbackLatencyX = 8.0;
 constexpr double kCanarySlowShare = 0.5;
 
 double LoadEwma(const std::atomic<uint64_t>& bits) {
@@ -97,33 +110,6 @@ ShardRouter::ShardRouter(const ShardRouterOptions& options)
     shard->runtime =
         std::make_unique<Runtime>(shard->segment.get(), options_.runtime);
     shards_.push_back(std::move(shard));
-  }
-  if (options_.replication.scan_interval_us > 0) {
-    maintenance_thread_ = std::thread([this] {
-      const auto period =
-          std::chrono::microseconds(options_.replication.scan_interval_us);
-      std::unique_lock<std::mutex> lock(maintenance_mu_);
-      while (!stop_maintenance_) {
-        maintenance_cv_.wait_for(lock, period);
-        if (stop_maintenance_) {
-          break;
-        }
-        lock.unlock();
-        MaintainReplication();
-        lock.lock();
-      }
-    });
-  }
-}
-
-ShardRouter::~ShardRouter() {
-  {
-    std::lock_guard<std::mutex> lock(maintenance_mu_);
-    stop_maintenance_ = true;
-  }
-  maintenance_cv_.notify_all();
-  if (maintenance_thread_.joinable()) {
-    maintenance_thread_.join();
   }
 }
 
@@ -528,7 +514,7 @@ bool ShardRouter::FinishVersion(const RouteDecision& decision,
             LoadEwma(decision.baseline->latency_ewma_bits);
         const bool slow =
             stable_us > 0.0 &&
-            latency_us > stable_us * options_.rollout.rollback_latency_x;
+            latency_us > stable_us * kRollbackLatencyX;
         UpdateEwma(decision.stats->slow_ewma_bits, slow ? 1.0 : 0.0);
       }
     }
@@ -544,7 +530,7 @@ bool ShardRouter::FinishVersion(const RouteDecision& decision,
       if (seen >= ro.min_canary_requests) {
         const double fail = LoadEwma(decision.stats->failure_ewma_bits);
         const double slow = LoadEwma(decision.stats->slow_ewma_bits);
-        if (fail >= ro.rollback_failure_ewma || slow >= kCanarySlowShare) {
+        if (fail >= kRollbackFailureEwma || slow >= kCanarySlowShare) {
           // Kill switch first — lock-free, stops canary traffic NOW; the
           // heavyweight teardown follows outside the gate.
           decision.split->Publish(0, decision.version);
@@ -861,38 +847,32 @@ Status ShardRouter::Replicate(const std::string& name,
 MaintenanceReport ShardRouter::MaintainReplication() {
   std::lock_guard<std::mutex> control(control_mu_);
   MaintenanceReport report;
-  // Lifecycle backstop: a canary whose kill switch fired on a thread that
-  // could not run the blocking teardown (async completions book outcomes on
-  // executor threads, and TryAutoRollback yields when the control plane is
-  // busy) is finished here. "Killed" = live fraction reached 0 while the
-  // configured split was nonzero — a dark deploy (configured 0) is not a
-  // kill.
-  {
-    std::vector<std::string> killed;
-    {
-      ReaderMutexLock lock(mu_);
-      for (const auto& [name, st] : plans_) {
-        if (st.rollout != nullptr && st.rollout->initial_fraction_bp != 0 &&
-            st.rollout->split->Load().fraction_bp == 0) {
-          killed.push_back(name);
-        }
-      }
-    }
-    for (const std::string& name : killed) {
-      (void)RollbackLocked(name, /*expect_version=*/0, /*auto_trigger=*/true);
-    }
-  }
+  // One reader pass collects both halves of the scan: the canaries to
+  // finish and the traffic rows. The rollbacks and SetActiveReplicas take
+  // mu_ themselves, so they run after it is dropped. A rollback touches
+  // only the rollout, never the rows' active replicas or traffic.
   struct Row {
     std::string name;
     uint64_t interval = 0;
     size_t active = 0;
   };
+  std::vector<std::string> killed;
   std::vector<Row> rows;
   uint64_t total = 0;
   {
     ReaderMutexLock lock(mu_);
     rows.reserve(plans_.size());
     for (auto& [name, st] : plans_) {
+      // Lifecycle backstop: a canary whose kill switch fired on a thread
+      // that could not run the blocking teardown (async completions book
+      // outcomes on executor threads, and TryAutoRollback yields when the
+      // control plane is busy) is finished below. "Killed" = live fraction
+      // reached 0 while the configured split was nonzero — a dark deploy
+      // (configured 0) is not a kill.
+      if (st.rollout != nullptr && st.rollout->initial_fraction_bp != 0 &&
+          st.rollout->split->Load().fraction_bp == 0) {
+        killed.push_back(name);
+      }
       if (st.pending) {
         continue;
       }
@@ -911,6 +891,9 @@ MaintenanceReport ShardRouter::MaintainReplication() {
       rows.push_back(std::move(row));
     }
   }
+  for (const std::string& name : killed) {
+    (void)RollbackLocked(name, /*expect_version=*/0, /*auto_trigger=*/true);
+  }
   report.plans_scanned = rows.size();
   report.interval_requests = total;
   if (!options_.replication.enabled ||
@@ -924,14 +907,14 @@ MaintenanceReport ShardRouter::MaintainReplication() {
     const double share =
         static_cast<double>(row.interval) / static_cast<double>(total);
     size_t target = row.active;
-    if (share >= options_.replication.hot_share_threshold) {
+    if (share >= kHotShareThreshold) {
       // Replica count proportional to the plan's traffic share of the
       // fleet (at least 2 — it is hot), bounded by the residency cap.
       target = std::min(
           cap, std::max<size_t>(
                    2, static_cast<size_t>(std::ceil(
                           share * static_cast<double>(shards_.size())))));
-    } else if (share <= options_.replication.cool_share_threshold) {
+    } else if (share <= kCoolShareThreshold) {
       target = 1;
     }
     // Between the thresholds: hysteresis — keep whatever it has.
@@ -1070,9 +1053,6 @@ Result<ShardRouter::RouteDecision> ShardRouter::Route(
     // section must never publish (Failover swaps the table and would wait on
     // its own read guard).
     health_[blocked_shard]->rejected.fetch_add(1, std::memory_order_relaxed);
-    if (!options_.failover_enabled) {
-      break;
-    }
     Result<ShardPlacement> moved = Failover(name, blocked_shard);
     if (!moved.ok()) {
       break;

@@ -69,13 +69,11 @@
 #define PRETZEL_SERVING_SHARD_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -91,27 +89,23 @@
 
 namespace pretzel {
 
-// Hot-plan replication policy. Shares are fractions of the router's routed
-// requests since the previous maintenance scan.
+// A plan at or above this share of the router's routed requests since the
+// previous maintenance scan is hot: MaintainReplication replicates it to
+// clamp(ceil(share * num_shards), 2, max_replicas_per_plan). A replicated
+// plan cools (back to 1 active replica) at a lower share, and the gap
+// between the two keeps a plan at the boundary from flapping.
+inline constexpr double kHotShareThreshold = 0.08;
+
+// Hot-plan replication policy.
 struct ReplicationOptions {
   bool enabled = false;
   // Residency bound: a plan's parameters are materialized on at most this
   // many shards, ever (de-replication deactivates but keeps the
   // registration, so the bound is what ObjectStore residency pays).
   size_t max_replicas_per_plan = 4;
-  // A plan at or above this traffic share is hot: replicate to
-  // clamp(ceil(share * num_shards), 2, max). Hysteresis gap to
-  // cool_share_threshold prevents flapping at the boundary.
-  double hot_share_threshold = 0.08;
-  // A replicated plan at or below this share has cooled: drop back to 1
-  // active replica. Must be < hot_share_threshold.
-  double cool_share_threshold = 0.04;
   // A maintenance scan is a no-op (no signal) until the router has routed
   // at least this many requests since the previous scan.
   uint64_t min_interval_requests = 256;
-  // > 0 starts a background thread calling MaintainReplication() at this
-  // period; 0 leaves maintenance to explicit calls (benches, tests).
-  int64_t scan_interval_us = 0;
 };
 
 // Canary rollout policy for Deploy()ed plan versions.
@@ -123,17 +117,10 @@ struct RolloutOptions {
   // The auto-rollback verdict needs at least this many canary-routed
   // requests of signal before it may fire.
   uint64_t min_canary_requests = 64;
-  // Canary failure EWMA at or above this triggers auto-rollback.
-  double rollback_failure_ewma = 0.5;
-  // A canary request slower than this multiple of the stable version's
-  // latency EWMA is slow; when slow requests make up half of the canary's
-  // recent traffic (an EWMA over the per-request indicator, like the
-  // failure verdict's) auto-rollback triggers. A sustained regression
-  // trips it within a dozen requests; a few preempted requests do not.
-  // Inert until the stable EWMA is nonzero.
-  double rollback_latency_x = 8.0;
   // false disables the controller: rollouts end only by explicit
-  // Promote()/Rollback() calls.
+  // Promote()/Rollback() calls. Its verdict (shard_router.cc) fires at a
+  // canary failure EWMA of 0.5, or once half of the canary's recent
+  // requests each took over 8x the stable version's latency EWMA.
   bool auto_rollback = true;
 };
 
@@ -154,11 +141,10 @@ struct ShardRouterOptions {
   // and deadline blowouts inside the shard; backpressure, caller errors,
   // and requests that arrived already expired never count).
   CircuitBreakerOptions breaker;
-  // When a shard's breaker is open, re-Place its plans onto healthy shards
-  // through the normal Flour/Oven compile path instead of failing fast.
-  bool failover_enabled = true;
-  // Bounded movement: at most this many plans ever migrate off one shard,
-  // so a flapping breaker cannot churn the whole placement map.
+  // When a shard's breaker is open, its plans fail over onto healthy shards
+  // (re-Placed through the normal Flour/Oven compile path). Bounded
+  // movement: at most this many plans ever migrate off one shard, so a
+  // flapping breaker cannot churn the whole placement map.
   size_t max_failover_placements = 4;
   // Hot-plan replication + power-of-two-choices routing.
   ReplicationOptions replication;
@@ -275,7 +261,6 @@ struct PlanVersionInfo {
 class ShardRouter {
  public:
   explicit ShardRouter(const ShardRouterOptions& options);
-  ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
@@ -347,11 +332,12 @@ class ShardRouter {
   // the machinery MaintainReplication() drives from traffic.
   Status Replicate(const std::string& name, size_t target_replicas);
 
-  // One hotness scan: computes each plan's share of requests routed since
-  // the previous scan, replicates plans above hot_share_threshold, and
-  // de-replicates plans at or below cool_share_threshold. Cheap no-op when
-  // the interval carried fewer than min_interval_requests. Runs inline on
-  // the caller (or on the background thread when scan_interval_us > 0).
+  // One hotness scan: first finishes any canary whose kill switch fired on
+  // a thread that could not run the teardown, then computes each plan's
+  // share of requests routed since the previous scan, replicates plans at
+  // or above kHotShareThreshold, and de-replicates plans that cooled. The
+  // replica pass is a cheap no-op when the interval carried fewer than
+  // min_interval_requests. Runs inline on the caller.
   MaintenanceReport MaintainReplication();
 
   // Cross-shard snapshot: per-shard breakdown plus the merged fold.
@@ -418,7 +404,7 @@ class ShardRouter {
     std::atomic<uint64_t> failure_ewma_bits{0};
     std::atomic<uint64_t> latency_ewma_bits{0};
     // Canary versions only: the share of slow requests (see
-    // RolloutOptions::rollback_latency_x).
+    // kRollbackLatencyX in shard_router.cc).
     std::atomic<uint64_t> slow_ewma_bits{0};
   };
 
@@ -625,13 +611,6 @@ class ShardRouter {
   std::atomic<uint64_t> promotes_{0};
   std::atomic<uint64_t> rollbacks_{0};
   std::atomic<uint64_t> auto_rollbacks_{0};
-
-  // Optional background maintenance (scan_interval_us > 0). Declared last:
-  // destroyed (joined) first, before the state it scans.
-  std::mutex maintenance_mu_;
-  std::condition_variable maintenance_cv_;
-  bool stop_maintenance_ = false;
-  std::thread maintenance_thread_;
 };
 
 }  // namespace pretzel

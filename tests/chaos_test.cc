@@ -784,9 +784,36 @@ ShardRouterOptions CanaryRouterOptions() {
   return sopts;
 }
 
-// runtime.executor_stall as a latency regression: every canary request
-// stalls 20x the stable version's latency EWMA. The latency verdict kills
-// the canary and the stable version serves on, scoring as before.
+// runtime.executor_stall as a latency regression: stalls every canary
+// request 20x the stable version's latency EWMA, through async requests,
+// until the latency verdict flips the canary's kill switch. An async
+// completion only flips it (the canary's split drops to 0); the teardown
+// is left to the control plane. Every answer scores as `baseline`.
+void StallCanaryUntilKilled(ShardRouter& router, const std::string& name,
+                            const std::string& input, Runtime::PlanId canary,
+                            float baseline) {
+  const double stable_us = router.VersionInfo(name)->stable_latency_ewma_us;
+  fault::Spec slow;
+  slow.latency_us = std::max<int64_t>(20, static_cast<int64_t>(20 * stable_us));
+  slow.arg = static_cast<int64_t>(canary);
+  fault::Arm("runtime.executor_stall", slow);
+  bool killed = false;
+  for (int i = 0; i < 400 && !killed; ++i) {
+    auto r = AwaitPredict(router, name, input);
+    CHECK(r.ok());
+    CHECK_EQ(*r, baseline);
+    killed = router.VersionInfo(name)->canary_fraction_bp == 0;
+  }
+  fault::DisarmAll();
+  CHECK_MSG(killed,
+            "a canary stalled %lld us per request (stable %.1f us) survived "
+            "400 requests",
+            static_cast<long long>(slow.latency_us), stable_us);
+  CHECK(router.VersionInfo(name)->rollout_in_flight);
+}
+
+// The latency verdict kills the canary and the stable version serves on,
+// scoring as before; Promote finishes the rollback and reports it.
 void TestCanaryLatencyRegressionRollsBack() {
   fault::DisarmAll();
   ShardRouterOptions sopts = CanaryRouterOptions();
@@ -802,27 +829,7 @@ void TestCanaryLatencyRegressionRollsBack() {
   auto baseline = router.Predict(target.name, input);
   CHECK(baseline.ok());
   const Runtime::PlanId canary = DeploySameSpecCanary(router, target, input);
-  const double stable_us =
-      router.VersionInfo(target.name)->stable_latency_ewma_us;
-  fault::Spec slow;
-  slow.latency_us = std::max<int64_t>(20, static_cast<int64_t>(20 * stable_us));
-  slow.arg = static_cast<int64_t>(canary);
-  fault::Arm("runtime.executor_stall", slow);
-
-  // An async completion only flips the kill switch (the canary's split
-  // drops to 0); Promote then finishes the rollback and reports it.
-  bool killed = false;
-  for (int i = 0; i < 400 && !killed; ++i) {
-    auto r = AwaitPredict(router, target.name, input);
-    CHECK(r.ok());
-    CHECK_EQ(*r, *baseline);
-    killed = router.VersionInfo(target.name)->canary_fraction_bp == 0;
-  }
-  fault::DisarmAll();
-  CHECK_MSG(killed,
-            "a canary stalled %lld us per request (stable %.1f us) survived "
-            "400 requests",
-            static_cast<long long>(slow.latency_us), stable_us);
+  StallCanaryUntilKilled(router, target.name, input, canary, *baseline);
   const Status promoted = router.Promote(target.name);
   CHECK(promoted.code() == StatusCode::kError);
   CHECK_MSG(promoted.message().find("killed by the health gate") !=
@@ -833,6 +840,42 @@ void TestCanaryLatencyRegressionRollsBack() {
   auto after = router.Predict(target.name, input);
   CHECK(after.ok());
   CHECK_EQ(*after, *baseline);
+}
+
+// The maintenance backstop: with no Promote or sync request to finish it, a
+// canary killed from async completions is rolled back by the next
+// MaintainReplication scan, which still scans every placed plan.
+void TestMaintenanceFinishesKilledCanary() {
+  fault::DisarmAll();
+  ShardRouterOptions sopts = CanaryRouterOptions();
+  sopts.rollout.min_canary_requests = 8;
+  ShardRouter router(sopts);
+  auto sa = SmallSa(2);
+  for (const auto& spec : sa.pipelines()) {
+    CHECK(router.Place(spec).ok());
+  }
+  const PipelineSpec& target = sa.pipelines()[0];
+  Rng rng(61);
+  const std::string input = sa.SampleInput(rng);
+  std::vector<float> stable;
+  for (const auto& spec : sa.pipelines()) {
+    auto score = router.Predict(spec.name, input);
+    CHECK(score.ok());
+    stable.push_back(*score);
+  }
+  const Runtime::PlanId canary = DeploySameSpecCanary(router, target, input);
+  StallCanaryUntilKilled(router, target.name, input, canary, stable[0]);
+  const MaintenanceReport report = router.MaintainReplication();
+  CHECK_EQ(report.plans_scanned, sa.pipelines().size());
+  const auto info = router.VersionInfo(target.name);
+  CHECK(!info->rollout_in_flight);
+  CHECK_EQ(info->active_version, uint64_t{1});
+  CHECK_EQ(router.GetMetrics().auto_rollbacks, uint64_t{1});
+  for (size_t i = 0; i < sa.pipelines().size(); ++i) {
+    auto after = router.Predict(sa.pipelines()[i].name, input);
+    CHECK(after.ok());
+    CHECK_EQ(*after, stable[i]);
+  }
 }
 
 // runtime.executor_stall as one preempted canary request: a 2 ms stall on
@@ -950,6 +993,8 @@ int main() {
   std::printf("TestCanaryAutoRollbackOnFaults: PASS\n");
   TestCanaryLatencyRegressionRollsBack();
   std::printf("TestCanaryLatencyRegressionRollsBack: PASS\n");
+  TestMaintenanceFinishesKilledCanary();
+  std::printf("TestMaintenanceFinishesKilledCanary: PASS\n");
   TestCanaryOutlierNotKilled();
   std::printf("TestCanaryOutlierNotKilled: PASS\n");
   TestSwapStallServesThrough();

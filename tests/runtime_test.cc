@@ -585,11 +585,9 @@ void TestSyncBatchFromExecutorThread() {
 // chunks itself, leaving 40 stale tickets on plan P; an async batch of 4
 // chunks on plan A queues behind them. When the hold lifts, P's first turn
 // drops all 40, so by the time A's batch completes P's queue is empty (one
-// ticket per turn would leave ~36). Both schedulers.
-void TestStaleTicketsDrainInOneTurn(bool lockfree) {
-  RuntimeOptions ropts;
-  ropts.lockfree_scheduler = lockfree;
-  Harness h(/*executors=*/1, /*pipelines=*/3, /*reserve_first=*/false, ropts);
+// ticket per turn would leave ~36).
+void TestStaleTicketsDrainInOneTurn() {
+  Harness h(/*executors=*/1, /*pipelines=*/3);
   const Runtime::PlanId p = h.ids[1];
   const Runtime::PlanId a = h.ids[2];
   const std::vector<std::string> inputs(4, h.input);
@@ -625,9 +623,8 @@ void TestStaleTicketsDrainInOneTurn(bool lockfree) {
 // it, so a closed-loop synchronous client that outruns a held executor is
 // never rejected. Cap 8, 4 chunks per call: counting stale tickets would
 // reject the third call.
-void TestCapIgnoresStaleTickets(bool lockfree) {
+void TestCapIgnoresStaleTickets() {
   RuntimeOptions ropts;
-  ropts.lockfree_scheduler = lockfree;
   ropts.max_queued_events_per_plan = 8;
   Harness h(/*executors=*/1, /*pipelines=*/2, /*reserve_first=*/false, ropts);
   const Runtime::PlanId p = h.ids[1];
@@ -934,10 +931,8 @@ int main() {
   TestDeadlineExpiresMidCallerBatch();
   TestRetireWaitsForHelpingCaller();
   TestSyncBatchFromExecutorThread();
-  TestStaleTicketsDrainInOneTurn(/*lockfree=*/true);
-  TestStaleTicketsDrainInOneTurn(/*lockfree=*/false);
-  TestCapIgnoresStaleTickets(/*lockfree=*/true);
-  TestCapIgnoresStaleTickets(/*lockfree=*/false);
+  TestStaleTicketsDrainInOneTurn();
+  TestCapIgnoresStaleTickets();
   TestSyncBatchBesideSaturatedExecutor();
   TestDenseBatchPathsMatchExecutePlan();
 

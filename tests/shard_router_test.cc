@@ -481,8 +481,8 @@ void TestHotDetectorReplicatesHead() {
   // Zipf(2) over 8 models: the exact head share is ~0.83 — far above the
   // hot threshold; every tail model from rank 1 down is below it.
   const std::vector<double> shares = ZipfExpectedShares(kModels, 2.0);
-  CHECK(shares[0] > sopts.replication.hot_share_threshold);
-  CHECK(shares[2] < sopts.replication.hot_share_threshold);
+  CHECK(shares[0] > kHotShareThreshold);
+  CHECK(shares[2] < kHotShareThreshold);
   const std::vector<size_t> trace = ZipfModelSequence(kModels, 1200, 2.0, 7);
 
   Rng rng(131);
