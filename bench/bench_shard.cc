@@ -233,7 +233,11 @@ int main(int argc, char** argv) {
     std::printf("  %-8zu %16.0f %14s %11.2fx\n", shards, eps[cell],
                 FormatDurationNs(p99[cell] * 1e3).c_str(),
                 eps[cell] / eps[0]);
-    const std::string prefix = "s" + std::to_string(shards) + "_";
+    // Appended step by step: GCC 12 draws a false -Wrestrict on the
+    // equivalent operator+ chain.
+    std::string prefix = "s";
+    prefix += std::to_string(shards);
+    prefix += "_";
     json.Add(prefix + "eps", eps[cell]);
     json.Add(prefix + "p99_us", p99[cell]);
     // Cross-shard snapshot sanity: the merged fold must account for every

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -110,6 +111,13 @@ struct BinaryRecordView {
   const char* payload = nullptr;  // Raw payload bytes (any alignment).
   size_t record_size = 0;         // Header + payload, for buffer walking.
 };
+
+// Wire bytes as the std::string_view every record entry point takes: a
+// record is a view of its bytes at every layer, text and binary alike.
+inline std::string_view WireView(std::span<const uint8_t> bytes) {
+  return std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                          bytes.size());
+}
 
 // True when the buffer leads with the wire magic — the cheap text/binary
 // fork every input entry point takes before any validation.
@@ -298,9 +306,9 @@ inline void CopySparsePayload(const BinaryRecordView& view, uint32_t* ids,
 }
 
 // Slices a buffer of concatenated records into per-record views (the
-// PredictBinary batch entry point rides the borrowed-span PredictBatch on
-// these). Each record is re-validated by the executor; this walk only needs
-// the structural sizes, but still rejects any record the full parse would.
+// records of Runtime::PredictBinary's batch entry point). Each record is
+// re-validated by the executor; this walk only needs the structural sizes,
+// but still rejects any record the full parse would.
 inline Status SplitBinaryBatch(std::string_view buffer,
                                std::vector<std::string_view>* records) {
   records->clear();

@@ -17,7 +17,7 @@ Result<Runtime::PlanId> PretzelBackend::Route(const std::string& name) const {
 }
 
 Result<float> PretzelBackend::Predict(const std::string& name,
-                                      const std::string& input,
+                                      std::string_view input,
                                       int64_t deadline_ns) {
   Result<Runtime::PlanId> id = Route(name);
   if (!id.ok()) {
@@ -41,21 +41,11 @@ void PretzelBackend::PredictAsync(const std::string& name,
   }
 }
 
-Result<float> PretzelBackend::PredictBinary(const std::string& name,
-                                            std::span<const uint8_t> record,
-                                            int64_t deadline_ns) {
-  Result<Runtime::PlanId> id = Route(name);
-  if (!id.ok()) {
-    return id.status();
-  }
-  return runtime_->PredictBinary(*id, record, deadline_ns);
-}
-
 Result<float> ClipperBackend::Predict(const std::string& name,
-                                      const std::string& input,
+                                      std::string_view input,
                                       int64_t deadline_ns) {
   (void)deadline_ns;  // No deadline plumbing in the container baseline.
-  return cluster_->Predict(name, input);
+  return cluster_->Predict(name, std::string(input));
 }
 
 }  // namespace pretzel

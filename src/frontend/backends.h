@@ -1,10 +1,13 @@
 // Concrete FrontEnd backends: PRETZEL's in-process Runtime and the
 // ML.Net+Clipper container cluster, so the two systems are compared behind
-// the same client-facing tier (Figures 11 and 14).
+// the same client-facing tier (Figures 11 and 14). A request's record is a
+// view of its wire bytes (text or BinaryRecord): PretzelBackend hands it to
+// the Runtime as-is, ClipperBackend copies it into the container's string.
 #ifndef PRETZEL_FRONTEND_BACKENDS_H_
 #define PRETZEL_FRONTEND_BACKENDS_H_
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/clipper/container.h"
@@ -22,7 +25,9 @@ class PretzelBackend : public Backend {
   // Routes are added during deployment, before serving starts.
   void AddRoute(const std::string& name, Runtime::PlanId id);
 
-  Result<float> Predict(const std::string& name, const std::string& input,
+  // The borrowed record bytes go straight to Runtime::Predict (a
+  // BinaryRecord is validated in place, never converted).
+  Result<float> Predict(const std::string& name, std::string_view input,
                         int64_t deadline_ns = 0) override;
 
   // Rides the Runtime's event scheduler (coalescible single-prediction
@@ -33,12 +38,6 @@ class PretzelBackend : public Backend {
                     std::function<void(Result<float>)> callback,
                     int64_t deadline_ns = 0) override;
   bool PredictAsyncNeverBlocks() const override { return true; }
-
-  // Zero-copy: the borrowed record bytes go straight to
-  // Runtime::PredictBinary (validated in place, never converted).
-  Result<float> PredictBinary(const std::string& name,
-                              std::span<const uint8_t> record,
-                              int64_t deadline_ns = 0) override;
 
  private:
   Result<Runtime::PlanId> Route(const std::string& name) const EXCLUDES(mu_);
@@ -54,7 +53,9 @@ class ClipperBackend : public Backend {
 
   // The container cluster has no deadline plumbing; the parameter is
   // accepted (interface) and ignored — the baseline serves every request.
-  Result<float> Predict(const std::string& name, const std::string& input,
+  // The record bytes are copied at the container boundary (the baseline
+  // owns its inputs).
+  Result<float> Predict(const std::string& name, std::string_view input,
                         int64_t deadline_ns = 0) override;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/clock.h"
+#include "src/common/serialize.h"
 
 namespace pretzel {
 
@@ -79,8 +80,8 @@ void FrontEnd::CountOutcome(const Status& status) {
   }
 }
 
-template <typename Predict>
-Result<float> FrontEnd::SyncRequest(int64_t deadline_ns, Predict predict) {
+Result<float> FrontEnd::Request(const std::string& name,
+                                std::string_view input, int64_t deadline_ns) {
   sleep_us_(options_.network_delay_us);  // Client -> frontend.
   Result<float> result = Status::Error("unsent");
   for (uint32_t attempt = 0;; ++attempt) {
@@ -89,7 +90,7 @@ Result<float> FrontEnd::SyncRequest(int64_t deadline_ns, Predict predict) {
                    .WithDeadlineStage(DeadlineStage::kAdmission);
       break;
     }
-    result = predict();
+    result = backend_->Predict(name, input, deadline_ns);
     if (!Retryable(result.status(), attempt)) {
       break;
     }
@@ -105,20 +106,10 @@ Result<float> FrontEnd::SyncRequest(int64_t deadline_ns, Predict predict) {
   return result;
 }
 
-Result<float> FrontEnd::Request(const std::string& name,
-                                const std::string& input,
-                                int64_t deadline_ns) {
-  return SyncRequest(deadline_ns, [&] {
-    return backend_->Predict(name, input, deadline_ns);
-  });
-}
-
 Result<float> FrontEnd::RequestBinary(const std::string& name,
                                       std::span<const uint8_t> record,
                                       int64_t deadline_ns) {
-  return SyncRequest(deadline_ns, [&] {
-    return backend_->PredictBinary(name, record, deadline_ns);
-  });
+  return Request(name, WireView(record), deadline_ns);
 }
 
 Status FrontEnd::RequestAsync(const std::string& name, const std::string& input,

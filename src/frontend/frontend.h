@@ -34,6 +34,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -43,14 +44,18 @@
 
 namespace pretzel {
 
-// Anything that can answer a named prediction request. `deadline_ns` is an
-// absolute deadline (NowNs() domain, 0 = none) propagated down the stack so
-// every tier below can drop work that can no longer make it.
+// Anything that can answer a named prediction request. A record is a view
+// of its wire bytes, a text record or a BinaryRecord
+// (src/common/serialize.h), so one entry point serves both: a zero-parse
+// backend hands the borrowed bytes to the runtime, which tells the formats
+// apart. `deadline_ns` is an absolute deadline (NowNs() domain, 0 = none)
+// propagated down the stack so every tier below can drop work that can no
+// longer make it.
 class Backend {
  public:
   virtual ~Backend() = default;
   virtual Result<float> Predict(const std::string& name,
-                                const std::string& input,
+                                std::string_view input,
                                 int64_t deadline_ns = 0) = 0;
   // Asynchronous entry point. The default blocks the calling thread on the
   // sync path; scheduler-backed backends override it to enqueue instead.
@@ -69,17 +74,6 @@ class Backend {
   // wake-up), so the FrontEnd may call it on the client's thread. Backends
   // that keep the blocking default must leave this false.
   virtual bool PredictAsyncNeverBlocks() const { return false; }
-  // Binary wire record (src/common/serialize.h). The default copies the
-  // bytes through the text entry point — zero-parse backends override it to
-  // hand the borrowed bytes to the runtime without a copy.
-  virtual Result<float> PredictBinary(const std::string& name,
-                                      std::span<const uint8_t> record,
-                                      int64_t deadline_ns = 0) {
-    return Predict(name,
-                   std::string(reinterpret_cast<const char*>(record.data()),
-                               record.size()),
-                   deadline_ns);
-  }
 };
 
 struct FrontEndOptions {
@@ -122,13 +116,13 @@ class FrontEnd {
   FrontEnd& operator=(const FrontEnd&) = delete;
 
   // Synchronous request on the caller's thread (hop + predict + hop), with
-  // the retry policy applied inline. `deadline_ns`: absolute, 0 = none.
-  Result<float> Request(const std::string& name, const std::string& input,
+  // the retry policy applied inline. `input` is a record's wire bytes (text
+  // or BinaryRecord), borrowed for the call and handed to the backend
+  // as-is. `deadline_ns`: absolute, 0 = none.
+  Result<float> Request(const std::string& name, std::string_view input,
                         int64_t deadline_ns = 0);
 
-  // Synchronous binary-wire request: same hops, but the record bytes reach
-  // the backend borrowed — a zero-parse backend validates and scores them
-  // in place (no text parse, no copy).
+  // Request of one BinaryRecord.
   Result<float> RequestBinary(const std::string& name,
                               std::span<const uint8_t> record,
                               int64_t deadline_ns = 0);
@@ -203,10 +197,6 @@ class FrontEnd {
   void Deliver(Work work) EXCLUDES(mu_);
   // Books a failed final outcome: backpressure / expired / error.
   void CountOutcome(const Status& status);
-  // Synchronous hop + predict-with-retries + hop, shared by Request and
-  // RequestBinary; `predict` is the backend call for one attempt.
-  template <typename Predict>
-  Result<float> SyncRequest(int64_t deadline_ns, Predict predict);
   // max(retry-after hint, jittered exponential backoff) for `attempt`.
   int64_t RetryWaitUs(const Status& status, uint32_t attempt);
   bool Retryable(const Status& status, uint32_t attempt) const {

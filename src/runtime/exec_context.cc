@@ -80,7 +80,6 @@ void ExecContext::ReleaseScratch() {
   std::vector<float>().swap(tree_out);
   std::vector<uint32_t>().swap(sparse_ids);
   std::vector<float>().swap(sparse_vals);
-  std::vector<std::string_view>().swap(batch_views);
 }
 
 ExecContextPool::ExecContextPool(VectorPool* pool, bool reuse_enabled)

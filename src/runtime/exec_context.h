@@ -122,9 +122,6 @@ struct ExecContext {
   // Binary sparse-record staging (misaligned payloads only).
   std::vector<uint32_t> sparse_ids;
   std::vector<float> sparse_vals;
-  // Borrowed record views of a batch chunk (Runtime::RunChunk). Lives here
-  // so the scheduler hot path stays allocation-free once warm.
-  std::vector<std::string_view> batch_views;
 
   // Drops buffer capacity (the no-pooling path calls this after every
   // prediction).

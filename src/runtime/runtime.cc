@@ -14,23 +14,16 @@ namespace pretzel {
 
 // One logical batch request. Whoever runs a chunk (an executor, or the
 // job's blocked synchronous caller) decrements `remaining`; the last one out
-// invokes the callback. Inputs and results are either owned (async
-// submissions) or borrowed from a blocked synchronous caller (the span
-// PredictBatch — no string copies, no result copy).
+// invokes the callback. Every record is a view of its wire bytes (text or
+// BinaryRecord): into `owned_inputs` for an async batch, into the blocked
+// synchronous caller's strings or wire buffer otherwise. Results are owned
+// (async) or written straight through the blocked caller's span.
 struct Runtime::BatchJob {
   std::shared_ptr<ModelPlan> plan;
   std::vector<std::string> owned_inputs;
-  // Binary batch framing: per-record views into the caller's wire buffer
-  // (the caller blocks, so the buffer outlives the job).
-  std::vector<std::string_view> owned_views;
+  std::vector<std::string_view> view_inputs;
   std::vector<float> owned_results;
-  // Exactly one of these two is set: string records (owned or borrowed
-  // from a blocked caller) or borrowed record views (text or binary wire
-  // bytes).
-  const std::string* str_inputs = nullptr;
-  const std::string_view* view_inputs = nullptr;
   float* results = nullptr;
-  size_t count = 0;
   // SubmitBatchJob's split: chunk i covers records [i * chunk, (i + 1) *
   // chunk), and its take flag makes it run exactly once whether its
   // executor ticket or the synchronous caller reaches it first.
@@ -45,6 +38,36 @@ struct Runtime::BatchJob {
   Mutex error_mu;
   Status first_error GUARDED_BY(error_mu);  // OK unless some record failed.
 };
+
+// A blocked caller's rendezvous with its own request's completion: a
+// reserved plan's synchronous single, or a synchronous batch. Set notifies
+// under the lock, so the waiter (which owns this on its stack) cannot
+// return before the completing thread is done with it.
+namespace {
+
+template <typename T>
+class Waiter {
+ public:
+  void Set(T value) {
+    std::lock_guard<std::mutex> lock(mu_);
+    value_ = std::move(value);
+    done_ = true;
+    cv_.notify_one();
+  }
+  T Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return done_; });
+    return std::move(value_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  T value_ = Status::Error("pending");
+};
+
+}  // namespace
 
 // Per-plan metric reservoirs are windowed: SampleStats keeps exact samples,
 // so unbounded Add() on the dispatch path would grow forever. When a
@@ -579,14 +602,6 @@ Status Runtime::EnqueueEvents(PlanQueue* pq, Event* events, size_t n) {
   return Status::OK();
 }
 
-Status Runtime::Enqueue(PlanQueue* pq, std::vector<Event> events) {
-  return EnqueueEvents(pq, events.data(), events.size());
-}
-
-Status Runtime::EnqueueOne(PlanQueue* pq, Event event) {
-  return EnqueueEvents(pq, &event, 1);
-}
-
 void Runtime::PushRunnable(ExecGroup* group, PlanQueue* pq) {
   group->runnable_count.fetch_add(1, std::memory_order_seq_cst);
   // A plan occupies at most one slot and Register bounds plans per group by
@@ -702,71 +717,46 @@ Result<float> Runtime::Predict(PlanId id, std::string_view input,
   if (pq == nullptr) {
     return Status::NotFound("plan " + std::to_string(id));
   }
-  if (!pq->reserved) {
-    // Inline fast path: a synchronous single on an unreserved plan gains
-    // nothing from a queue hop. No shed check either — there is no queue
-    // delay to estimate — but already-expired work is still refused.
-    if (deadline_ns > 0) {
-      const int64_t now = NowNs();
-      if (now >= deadline_ns) {
-        pq->expired_admission.fetch_add(1, std::memory_order_relaxed);
-        return ExpiredStatus("at admission", DeadlineStage::kAdmission, now,
-                             deadline_ns, 0);
-      }
+  if (pq->reserved) {
+    // Ride the dedicated queue so sync traffic is served by (and accounted
+    // against) the reserved executors, not the caller thread.
+    Waiter<Result<float>> waiter;
+    Status submitted = PredictAsync(
+        id, std::string(input),
+        [&waiter](Result<float> r) { waiter.Set(std::move(r)); },
+        deadline_ns);
+    if (!submitted.ok()) {
+      return submitted;
     }
-    if (!pq->AdmitLifecycle()) {
-      return Status::NotFound("plan " + std::to_string(id) + " retired");
+    return waiter.Wait();
+  }
+  // Inline fast path: a synchronous single on an unreserved plan gains
+  // nothing from a queue hop. No shed check either — there is no queue
+  // delay to estimate — but already-expired work is still refused.
+  if (deadline_ns > 0) {
+    const int64_t now = NowNs();
+    if (now >= deadline_ns) {
+      pq->expired_admission.fetch_add(1, std::memory_order_relaxed);
+      return ExpiredStatus("at admission", DeadlineStage::kAdmission, now,
+                           deadline_ns, 0);
     }
-    pq->inline_predictions.fetch_add(1, std::memory_order_relaxed);
-    std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
-    ctx->subplan_cache = pq->group->inline_cache;
-    Result<float> result = ExecutePlan(*pq->plan, input, *ctx);
-    caller_contexts_.Release(std::move(ctx));
-    pq->ReleaseLifecycle();
-    return result;
   }
-  // Reserved plan: ride the dedicated queue so sync traffic is served by
-  // (and accounted against) the reserved executors, not the caller thread.
-  if (Status admit = AdmitDeadline(pq, deadline_ns, 1); !admit.ok()) {
-    return admit;
-  }
-  struct Waiter {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Result<float> result = Status::Error("pending");
-  } waiter;
-  Event event;
-  event.input = std::string(input);
-  event.deadline_ns = deadline_ns;
-  event.done = [&waiter](Result<float> r) {
-    std::lock_guard<std::mutex> lock(waiter.mu);
-    waiter.result = std::move(r);
-    waiter.done = true;
-    waiter.cv.notify_one();
-  };
   if (!pq->AdmitLifecycle()) {
     return Status::NotFound("plan " + std::to_string(id) + " retired");
   }
-  Status submitted = EnqueueOne(pq, std::move(event));
+  pq->inline_predictions.fetch_add(1, std::memory_order_relaxed);
+  std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
+  ctx->subplan_cache = pq->group->inline_cache;
+  Result<float> result = ExecutePlan(*pq->plan, input, *ctx);
+  caller_contexts_.Release(std::move(ctx));
   pq->ReleaseLifecycle();
-  if (!submitted.ok()) {
-    return submitted;
-  }
-  std::unique_lock<std::mutex> lock(waiter.mu);
-  waiter.cv.wait(lock, [&] { return waiter.done; });
-  return std::move(waiter.result);
+  return result;
 }
 
 Result<float> Runtime::PredictBinary(PlanId id,
                                      std::span<const uint8_t> record,
                                      int64_t deadline_ns) {
-  // One wire record, borrowed: the executor validates it in place and an
-  // aligned dense payload aliases straight into the kernels.
-  return Predict(id,
-                 std::string_view(reinterpret_cast<const char*>(record.data()),
-                                  record.size()),
-                 deadline_ns);
+  return Predict(id, WireView(record), deadline_ns);
 }
 
 Status Runtime::PredictAsync(PlanId id, std::string input,
@@ -790,8 +780,9 @@ Status Runtime::PredictAsync(PlanId id, std::string input,
   }
   // The lifecycle ref covers an inline quantum's whole execution, so a
   // racing Retire drains it like an executor's.
-  Status submitted =
-      TryRunInline(pq, event) ? Status::OK() : EnqueueOne(pq, std::move(event));
+  Status submitted = TryRunInline(pq, event)
+                         ? Status::OK()
+                         : EnqueueEvents(pq, &event, 1);
   pq->ReleaseLifecycle();
   return submitted;
 }
@@ -875,7 +866,7 @@ void Runtime::AccountDispatch(PlanQueue* pq, const std::vector<Event>& batch,
 Status Runtime::SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
                                size_t max_batch) {
   const size_t parallelism = std::max<size_t>(1, pq->group->num_executors);
-  const size_t n = job->count;
+  const size_t n = job->view_inputs.size();
   size_t chunk = (n + parallelism - 1) / parallelism;
   if (max_batch > 0) {
     chunk = std::min(chunk, max_batch);
@@ -893,43 +884,7 @@ Status Runtime::SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
     event.end = std::min(n, begin + chunk);
     events.push_back(std::move(event));
   }
-  return Enqueue(pq, std::move(events));
-}
-
-Status Runtime::PredictBatchAsync(PlanId id, std::vector<std::string> inputs,
-                                  BatchCallback callback, size_t max_batch,
-                                  int64_t deadline_ns) {
-  PlanQueue* pq = GetQueue(id);
-  if (pq == nullptr) {
-    return Status::NotFound("plan " + std::to_string(id));
-  }
-  if (callback == nullptr) {
-    return Status::InvalidArgument("null callback");
-  }
-  if (inputs.empty()) {
-    callback(Status::OK(), {});
-    return Status::OK();
-  }
-  if (Status admit = AdmitDeadline(pq, deadline_ns, inputs.size());
-      !admit.ok()) {
-    return admit;
-  }
-  if (!pq->AdmitLifecycle()) {
-    return Status::NotFound("plan " + std::to_string(id) + " retired");
-  }
-  auto job = std::make_shared<BatchJob>();
-  job->plan = pq->plan;
-  job->owned_inputs = std::move(inputs);
-  job->owned_results.assign(job->owned_inputs.size(), 0.0f);
-  job->str_inputs = job->owned_inputs.data();
-  job->results = job->owned_results.data();
-  job->count = job->owned_inputs.size();
-  job->remaining.store(job->count);
-  job->callback = std::move(callback);
-  job->deadline_ns = deadline_ns;
-  Status submitted = SubmitBatchJob(pq, std::move(job), max_batch);
-  pq->ReleaseLifecycle();
-  return submitted;
+  return EnqueueEvents(pq, events.data(), events.size());
 }
 
 // The synchronous borrowed-input protocol: submit, run the job's own chunks
@@ -939,17 +894,9 @@ Status Runtime::PredictBatchAsync(PlanId id, std::vector<std::string> inputs,
 Status Runtime::SubmitBatchJobAndWait(PlanQueue* pq,
                                       std::shared_ptr<BatchJob> job,
                                       size_t max_batch) {
-  struct Waiter {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-  } waiter;
+  Waiter<Status> waiter;
   job->callback = [&waiter](Status s, std::span<const float>) {
-    std::lock_guard<std::mutex> lock(waiter.mu);
-    waiter.status = std::move(s);
-    waiter.done = true;
-    waiter.cv.notify_one();
+    waiter.Set(std::move(s));
   };
   Status submit = SubmitBatchJob(pq, job, max_batch);
   if (!submit.ok()) {
@@ -962,68 +909,41 @@ Status Runtime::SubmitBatchJobAndWait(PlanQueue* pq,
   // ticket counts in `stale_chunks`, not against the cap. When the caller
   // finishes the last chunk, the wait below returns at once.
   if (!pq->reserved) {
+    const size_t n = job->view_inputs.size();
     std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
     ctx->subplan_cache = pq->group->inline_cache;
     for (size_t i = job->claims.size(); i-- > 0 && job->claims.TryTake(i);) {
       pq->stale_chunks.fetch_add(1, std::memory_order_seq_cst);
       const size_t begin = i * job->chunk;
-      const size_t end = std::min(job->count, begin + job->chunk);
+      const size_t end = std::min(n, begin + job->chunk);
       AccountCallerDispatch(pq, end - begin);
       RunChunk(pq, *job, begin, end, /*enqueue_ns=*/0, *ctx);
     }
     caller_contexts_.Release(std::move(ctx));
   }
-  std::unique_lock<std::mutex> lock(waiter.mu);
-  waiter.cv.wait(lock, [&] { return waiter.done; });
-  return waiter.status;
+  return waiter.Wait();
 }
 
-Status Runtime::PredictBatch(PlanId id, const std::vector<std::string>& inputs,
-                             size_t max_batch, std::span<float> out,
-                             int64_t deadline_ns) {
+template <typename Frame>
+Status Runtime::SubmitBatch(PlanId id, std::span<float> out, size_t max_batch,
+                            int64_t deadline_ns, Frame frame) {
   PlanQueue* pq = GetQueue(id);
   if (pq == nullptr) {
     return Status::NotFound("plan " + std::to_string(id));
-  }
-  if (inputs.empty()) {
-    return Status::OK();
-  }
-  if (out.size() < inputs.size()) {
-    return Status::InvalidArgument("output span narrower than batch");
-  }
-  if (Status admit = AdmitDeadline(pq, deadline_ns, inputs.size());
-      !admit.ok()) {
-    return admit;
-  }
-  // Borrowed inputs/results: this caller blocks until the last chunk
-  // completes, so the executors write scores straight through the caller's
-  // span and read the caller's strings in place — no copy on either side.
-  if (!pq->AdmitLifecycle()) {
-    return Status::NotFound("plan " + std::to_string(id) + " retired");
   }
   auto job = std::make_shared<BatchJob>();
-  job->plan = pq->plan;
-  job->str_inputs = inputs.data();
-  job->results = out.data();
-  job->count = inputs.size();
-  job->remaining.store(job->count);
-  job->deadline_ns = deadline_ns;
-  Status submitted = SubmitBatchJobAndWait(pq, std::move(job), max_batch);
-  pq->ReleaseLifecycle();
-  return submitted;
-}
-
-Status Runtime::PredictBatch(PlanId id, const std::string_view* inputs,
-                             size_t n, size_t max_batch, std::span<float> out,
-                             int64_t deadline_ns) {
-  PlanQueue* pq = GetQueue(id);
-  if (pq == nullptr) {
-    return Status::NotFound("plan " + std::to_string(id));
+  if (Status framed = frame(*job); !framed.ok()) {
+    return framed;
   }
+  const size_t n = job->view_inputs.size();
+  const bool wait = job->callback == nullptr;
   if (n == 0) {
+    if (!wait) {
+      job->callback(Status::OK(), {});
+    }
     return Status::OK();
   }
-  if (out.size() < n) {
+  if (wait && out.size() < n) {
     return Status::InvalidArgument("output span narrower than batch");
   }
   if (Status admit = AdmitDeadline(pq, deadline_ns, n); !admit.ok()) {
@@ -1032,58 +952,31 @@ Status Runtime::PredictBatch(PlanId id, const std::string_view* inputs,
   if (!pq->AdmitLifecycle()) {
     return Status::NotFound("plan " + std::to_string(id) + " retired");
   }
-  auto job = std::make_shared<BatchJob>();
   job->plan = pq->plan;
-  job->view_inputs = inputs;
-  job->results = out.data();
-  job->count = n;
+  if (wait) {
+    // Borrowed results: this caller blocks until the last chunk completes,
+    // so chunks write scores straight through its span.
+    job->results = out.data();
+  } else {
+    job->owned_results.assign(n, 0.0f);
+    job->results = job->owned_results.data();
+  }
   job->remaining.store(n);
   job->deadline_ns = deadline_ns;
-  Status submitted = SubmitBatchJobAndWait(pq, std::move(job), max_batch);
+  Status submitted = wait ? SubmitBatchJobAndWait(pq, std::move(job), max_batch)
+                          : SubmitBatchJob(pq, std::move(job), max_batch);
   pq->ReleaseLifecycle();
   return submitted;
 }
 
-Status Runtime::PredictBinary(PlanId id, std::span<const uint8_t> records,
-                              size_t max_batch, std::span<float> out,
-                              int64_t deadline_ns) {
-  PlanQueue* pq = GetQueue(id);
-  if (pq == nullptr) {
-    return Status::NotFound("plan " + std::to_string(id));
-  }
-  // Frame the wire buffer into per-record views — a header walk, no record
-  // is parsed or copied — then ride the borrowed-views batch path: aligned
-  // dense payloads alias straight into the per-record kernels.
-  auto job = std::make_shared<BatchJob>();
-  Status split = SplitBinaryBatch(
-      std::string_view(reinterpret_cast<const char*>(records.data()),
-                       records.size()),
-      &job->owned_views);
-  if (!split.ok()) {
-    return split;
-  }
-  if (job->owned_views.empty()) {
+Status Runtime::PredictBatch(PlanId id, const std::vector<std::string>& inputs,
+                             size_t max_batch, std::span<float> out,
+                             int64_t deadline_ns) {
+  // Views of the caller's strings: no copy, and they outlive the call.
+  return SubmitBatch(id, out, max_batch, deadline_ns, [&inputs](BatchJob& job) {
+    job.view_inputs.assign(inputs.begin(), inputs.end());
     return Status::OK();
-  }
-  if (out.size() < job->owned_views.size()) {
-    return Status::InvalidArgument("output span narrower than batch");
-  }
-  if (Status admit = AdmitDeadline(pq, deadline_ns, job->owned_views.size());
-      !admit.ok()) {
-    return admit;
-  }
-  if (!pq->AdmitLifecycle()) {
-    return Status::NotFound("plan " + std::to_string(id) + " retired");
-  }
-  job->plan = pq->plan;
-  job->view_inputs = job->owned_views.data();
-  job->results = out.data();
-  job->count = job->owned_views.size();
-  job->remaining.store(job->count);
-  job->deadline_ns = deadline_ns;
-  Status submitted = SubmitBatchJobAndWait(pq, std::move(job), max_batch);
-  pq->ReleaseLifecycle();
-  return submitted;
+  });
 }
 
 Result<std::vector<float>> Runtime::PredictBatch(
@@ -1096,6 +989,31 @@ Result<std::vector<float>> Runtime::PredictBatch(
     return status;
   }
   return scores;
+}
+
+Status Runtime::PredictBinary(PlanId id, std::span<const uint8_t> records,
+                              size_t max_batch, std::span<float> out,
+                              int64_t deadline_ns) {
+  // Framing is a header walk: no record is parsed or copied, and aligned
+  // dense payloads alias straight into the per-record kernels.
+  return SubmitBatch(id, out, max_batch, deadline_ns, [records](BatchJob& job) {
+    return SplitBinaryBatch(WireView(records), &job.view_inputs);
+  });
+}
+
+Status Runtime::PredictBatchAsync(PlanId id, std::vector<std::string> inputs,
+                                  BatchCallback callback, size_t max_batch,
+                                  int64_t deadline_ns) {
+  return SubmitBatch(id, {}, max_batch, deadline_ns, [&](BatchJob& job) {
+    if (callback == nullptr) {
+      return Status::InvalidArgument("null callback");
+    }
+    // The job owns the strings; the views point into them.
+    job.owned_inputs = std::move(inputs);
+    job.view_inputs.assign(job.owned_inputs.begin(), job.owned_inputs.end());
+    job.callback = std::move(callback);
+    return Status::OK();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1255,27 +1173,9 @@ void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
                                 job.deadline_ns, enqueue_ns);
     pq->expired_quantum.fetch_add(count, std::memory_order_relaxed);
   } else {
-    // Kernels consume record views; string jobs stage borrowed views in
-    // scratch moved out of the context for the duration (ExecutePlan's
-    // no-pooling ablation calls ReleaseScratch mid-chunk, which would
-    // otherwise free the views out from under the loop).
-    std::vector<std::string_view> views;
-    const std::string_view* in;
-    if (job.view_inputs != nullptr) {
-      in = job.view_inputs + begin;
-    } else {
-      views = std::move(ctx.batch_views);
-      views.resize(count);
-      for (size_t i = 0; i < count; ++i) {
-        views[i] = job.str_inputs[begin + i];
-      }
-      in = views.data();
-    }
-    const size_t failed =
-        ExecutePlanBatch(*job.plan, in, count, out, ctx, &chunk_error);
-    if (!views.empty()) {
-      ctx.batch_views = std::move(views);
-    }
+    const size_t failed = ExecutePlanBatch(
+        *job.plan, job.view_inputs.data() + begin, count, out, ctx,
+        &chunk_error);
     if (failed > 0) {
       pq->errors.fetch_add(failed, std::memory_order_relaxed);
     }
@@ -1294,7 +1194,8 @@ void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
       MutexLock lock(job.error_mu);
       status = job.first_error;
     }
-    job.callback(status, std::span<const float>(job.results, job.count));
+    job.callback(status, std::span<const float>(job.results,
+                                               job.view_inputs.size()));
   }
 }
 

@@ -2,6 +2,14 @@
 // Object Store; executor threads (one warm ExecContext each, so hot paths
 // stay allocation-free) drain per-plan event queues.
 //
+// One record path: every entry point takes a record as a std::string_view
+// of its wire bytes, a text record or a BinaryRecord
+// (src/common/serialize.h) that ExecutePlan tells apart; binary records take
+// the zero-parse path, an aligned dense payload aliasing straight into the
+// kernels. The binary entry points only re-type their bytes (WireView), and
+// each request kind has one body: the synchronous single, the async single,
+// and one batch sequence (SubmitBatch) every batch entry point shares.
+//
 // Scheduling model (Section 5.4): every queued request — async single,
 // reserved-plan single, batch chunk — becomes an event on its plan's
 // queue. Executors drain plans round-robin, one dispatch quantum per turn,
@@ -253,27 +261,27 @@ class Runtime {
   // shed up front with ResourceExhausted (+ retry-after hint) instead, so
   // the caller can fail over while budget remains.
 
+  // Every batch entry point checks in one order: unknown plan (NotFound);
+  // a binary buffer that does not frame, or a null async callback
+  // (InvalidArgument); an empty batch (OK with nothing counted — an async
+  // callback fires once with no scores); an output span narrower than the
+  // batch (InvalidArgument); then the deadline and lifecycle gates.
+
   // Synchronous single prediction. Unreserved plans execute inline on the
-  // caller's thread; reserved plans ride their dedicated queue so latency
-  // isolation holds for sync traffic too. The input bytes are borrowed for
-  // the call and may be a text record or a BinaryRecord wire record
-  // (src/common/serialize.h) — binary records take the zero-parse path.
+  // caller's thread; reserved plans ride their dedicated queue (as an
+  // async single this call waits for) so latency isolation holds for sync
+  // traffic too. The input bytes are borrowed for the call.
   Result<float> Predict(PlanId id, std::string_view input,
                         int64_t deadline_ns = 0);
 
-  // Zero-copy binary entry point: `record` is one BinaryRecord, validated
-  // and executed in place (an aligned dense payload aliases straight into
-  // the kernels; no parse, no conversion).
+  // Predict of one BinaryRecord.
   Result<float> PredictBinary(PlanId id, std::span<const uint8_t> record,
                               int64_t deadline_ns = 0);
 
   // Zero-copy binary batch: `records` is a back-to-back concatenation of
-  // BinaryRecords (the wire batch framing — SplitBinaryBatch). The buffer
-  // is split into borrowed per-record views and ridden through the
-  // borrowed-span batch path: whoever runs a chunk (an executor, or this
-  // caller on an unreserved plan) runs aligned dense payloads in place
-  // through the per-record kernels and writes scores through `out`
-  // (out.size() >= record count). Blocks until completion.
+  // BinaryRecords (the wire batch framing — SplitBinaryBatch), split into
+  // per-record views of the buffer and run like the span PredictBatch.
+  // A buffer that does not frame is refused before anything runs.
   Status PredictBinary(PlanId id, std::span<const uint8_t> records,
                        size_t max_batch, std::span<float> out,
                        int64_t deadline_ns = 0);
@@ -290,26 +298,18 @@ class Runtime {
   // Splits `inputs` into sub-batches of at most `max_batch` records and
   // enqueues each; the executors take them from the head while this caller
   // runs them from the tail (unreserved plans; see "Caller-assisted
-  // batches" above). Returns the scores in input order.
-  Result<std::vector<float>> PredictBatch(PlanId id,
-                                          const std::vector<std::string>& inputs,
-                                          size_t max_batch,
-                                          int64_t deadline_ns = 0);
-
-  // Copy-free variant: chunks write scores straight through the caller's
-  // span (out.size() >= inputs.size()), and the inputs are borrowed, not
-  // copied — the caller blocks until completion, so both stay valid. This
-  // is the batch hot path; the vector-returning overload wraps it.
+  // batches" above). Chunks write scores straight through the caller's
+  // span (out.size() >= inputs.size()) and read the caller's strings in
+  // place — the caller blocks until completion, so both stay valid.
   Status PredictBatch(PlanId id, const std::vector<std::string>& inputs,
                       size_t max_batch, std::span<float> out,
                       int64_t deadline_ns = 0);
 
-  // Borrowed-views variant of the span overload: `inputs` points at `n`
-  // record views (text or binary wire bytes) that stay valid for the call.
-  // This is the path the binary batch entry point rides.
-  Status PredictBatch(PlanId id, const std::string_view* inputs, size_t n,
-                      size_t max_batch, std::span<float> out,
-                      int64_t deadline_ns = 0);
+  // The span overload, returning the scores in input order.
+  Result<std::vector<float>> PredictBatch(PlanId id,
+                                          const std::vector<std::string>& inputs,
+                                          size_t max_batch,
+                                          int64_t deadline_ns = 0);
 
   // Asynchronous batch: returns after enqueueing; `callback` fires exactly
   // once, from an executor thread, with scores in input order. A deadline
@@ -368,12 +368,19 @@ class Runtime {
   // the queue-delay estimate (ResourceExhausted + hint, shed_deadline). `n`
   // is the record count the counters move by.
   Status AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n);
+  // The batch sequence every batch entry point runs: plan lookup, then
+  // `frame(job)` fills the job's record views (and an async batch's
+  // callback) or refuses the request, then the checks in the order the
+  // entry-point comment above gives, and SubmitBatchJob (async: the job
+  // has a callback) or SubmitBatchJobAndWait (sync: scores into `out`).
+  template <typename Frame>
+  Status SubmitBatch(PlanId id, std::span<float> out, size_t max_batch,
+                     int64_t deadline_ns, Frame frame);
   // Chunks a prepared BatchJob into per-quantum events and enqueues them.
   Status SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
                         size_t max_batch);
   // Submits a borrowed-input job, runs its chunks from the tail on this
-  // thread (unreserved plans), and blocks until its callback fires (the
-  // synchronous span/views/binary batch entry points share this).
+  // thread (unreserved plans), and blocks until its callback fires.
   Status SubmitBatchJobAndWait(PlanQueue* pq, std::shared_ptr<BatchJob> job,
                                size_t max_batch);
   // The one place an executor decides a popped chunk ticket: true takes
@@ -410,9 +417,6 @@ class Runtime {
   // The one enqueue protocol (cap check, stamping, publication, wakeups);
   // all entry points delegate to it.
   Status EnqueueEvents(PlanQueue* pq, Event* events, size_t n);
-  Status Enqueue(PlanQueue* pq, std::vector<Event> events);
-  // Allocation-free single-event fast path (async/sync singles).
-  Status EnqueueOne(PlanQueue* pq, Event event);
 
   static void PushRunnable(ExecGroup* group, PlanQueue* pq);
   static bool PopRunnable(ExecGroup* group, PlanQueue** pq);

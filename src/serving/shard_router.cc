@@ -9,6 +9,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/fault.h"
+#include "src/common/serialize.h"
 #include "src/flour/flour.h"
 #include "src/oven/model_plan.h"
 
@@ -1125,52 +1126,41 @@ std::vector<ShardPlacement> ShardRouter::Replicas(
   return replicas;
 }
 
-Result<float> ShardRouter::Predict(const std::string& name,
-                                   const std::string& input,
-                                   int64_t deadline_ns) {
+// A sync caller may run the auto-rollback teardown itself: it is on no
+// executor and in no completion.
+template <typename T, typename Call>
+Result<T> ShardRouter::Serve(const std::string& name, Call call) {
   Result<RouteDecision> route = Route(name);
   if (!route.ok()) {
     return route.status();
   }
   const RouteDecision decision = *route;
   const int64_t start_ns = NowNs();
-  if (Status fault = InjectedShardFault(decision.shard); !fault.ok()) {
-    if (FinishVersion(decision, fault, start_ns)) {
-      TryAutoRollback(name, decision.version);
-    }
-    return fault;
+  Status fault = InjectedShardFault(decision.shard);
+  Result<T> result =
+      fault.ok() ? call(*shards_[decision.shard]->runtime, decision.plan_id)
+                 : Result<T>(fault);
+  if (fault.ok()) {
+    RecordOutcome(decision.shard, result.status());
   }
-  Result<float> result = shards_[decision.shard]->runtime->Predict(
-      decision.plan_id, input, deadline_ns);
-  RecordOutcome(decision.shard, result.status());
   if (FinishVersion(decision, result.status(), start_ns)) {
     TryAutoRollback(name, decision.version);
   }
   return result;
 }
 
+Result<float> ShardRouter::Predict(const std::string& name,
+                                   std::string_view input,
+                                   int64_t deadline_ns) {
+  return Serve<float>(name, [&](Runtime& runtime, Runtime::PlanId id) {
+    return runtime.Predict(id, input, deadline_ns);
+  });
+}
+
 Result<float> ShardRouter::PredictBinary(const std::string& name,
                                          std::span<const uint8_t> record,
                                          int64_t deadline_ns) {
-  Result<RouteDecision> route = Route(name);
-  if (!route.ok()) {
-    return route.status();
-  }
-  const RouteDecision decision = *route;
-  const int64_t start_ns = NowNs();
-  if (Status fault = InjectedShardFault(decision.shard); !fault.ok()) {
-    if (FinishVersion(decision, fault, start_ns)) {
-      TryAutoRollback(name, decision.version);
-    }
-    return fault;
-  }
-  Result<float> result = shards_[decision.shard]->runtime->PredictBinary(
-      decision.plan_id, record, deadline_ns);
-  RecordOutcome(decision.shard, result.status());
-  if (FinishVersion(decision, result.status(), start_ns)) {
-    TryAutoRollback(name, decision.version);
-  }
-  return result;
+  return Predict(name, WireView(record), deadline_ns);
 }
 
 Status ShardRouter::PredictAsync(const std::string& name, std::string input,
@@ -1216,26 +1206,10 @@ Status ShardRouter::PredictAsync(const std::string& name, std::string input,
 Result<std::vector<float>> ShardRouter::PredictBatch(
     const std::string& name, const std::vector<std::string>& inputs,
     size_t max_batch, int64_t deadline_ns) {
-  Result<RouteDecision> route = Route(name);
-  if (!route.ok()) {
-    return route.status();
-  }
-  const RouteDecision decision = *route;
-  const int64_t start_ns = NowNs();
-  if (Status fault = InjectedShardFault(decision.shard); !fault.ok()) {
-    if (FinishVersion(decision, fault, start_ns)) {
-      TryAutoRollback(name, decision.version);
-    }
-    return fault;
-  }
-  Result<std::vector<float>> result =
-      shards_[decision.shard]->runtime->PredictBatch(decision.plan_id, inputs,
-                                                     max_batch, deadline_ns);
-  RecordOutcome(decision.shard, result.status());
-  if (FinishVersion(decision, result.status(), start_ns)) {
-    TryAutoRollback(name, decision.version);
-  }
-  return result;
+  return Serve<std::vector<float>>(
+      name, [&](Runtime& runtime, Runtime::PlanId id) {
+        return runtime.PredictBatch(id, inputs, max_batch, deadline_ns);
+      });
 }
 
 ShardedMetrics ShardRouter::GetMetrics() const {

@@ -74,6 +74,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -284,10 +285,11 @@ class ShardRouter {
   // queue delay. `deadline_ns` (absolute, NowNs() domain; 0 = none) is
   // forwarded so expiry is enforced inside the shard's queues, not just at
   // the edge.
-  Result<float> Predict(const std::string& name, const std::string& input,
+  // `input` is a record's wire bytes (text or BinaryRecord), borrowed for
+  // the call.
+  Result<float> Predict(const std::string& name, std::string_view input,
                         int64_t deadline_ns = 0);
-  // Binary wire record, borrowed: routed to the owning shard's zero-parse
-  // entry point without copy or conversion.
+  // Predict of one BinaryRecord.
   Result<float> PredictBinary(const std::string& name,
                               std::span<const uint8_t> record,
                               int64_t deadline_ns = 0);
@@ -508,6 +510,13 @@ class ShardRouter {
   // The breaker gate + canary split + p2c pick + failover step shared by
   // every predict entry point. Mutex-free in the common (routed) case.
   Result<RouteDecision> Route(const std::string& name);
+  // The body of the synchronous entry points (Predict, PredictBatch):
+  // Route, the injected shard fault, `call(runtime, plan_id)` on the chosen
+  // shard, RecordOutcome, FinishVersion, and TryAutoRollback when the
+  // verdict asks. PredictAsync keeps its own body: its outcome books from
+  // the completion, where the teardown must not run.
+  template <typename T, typename Call>
+  Result<T> Serve(const std::string& name, Call call);
   // Books a finished request's outcome into the owning shard's health.
   void RecordOutcome(size_t shard, const Status& status);
   // Books the outcome into the decision's per-version stats, evaluates the

@@ -5,19 +5,9 @@
 namespace pretzel {
 
 Result<float> ShardedBackend::Predict(const std::string& name,
-                                      const std::string& input,
+                                      std::string_view input,
                                       int64_t deadline_ns) {
   Result<float> result = router_->Predict(name, input, deadline_ns);
-  if (!result.ok() && result.status().IsResourceExhausted()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return result;
-}
-
-Result<float> ShardedBackend::PredictBinary(const std::string& name,
-                                            std::span<const uint8_t> record,
-                                            int64_t deadline_ns) {
-  Result<float> result = router_->PredictBinary(name, record, deadline_ns);
   if (!result.ok() && result.status().IsResourceExhausted()) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
   }

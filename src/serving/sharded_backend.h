@@ -2,13 +2,15 @@
 // client-facing Backend interface, so the same tier that fronted one
 // Runtime (PretzelBackend) or the container cluster (ClipperBackend) can
 // front N shards. Routing is one placement lookup in the router; the async
-// path rides the owning shard's event scheduler.
+// path rides the owning shard's event scheduler. A record of either wire
+// format (text or BinaryRecord) passes through as its borrowed bytes, so
+// there is no separate binary path.
 //
 // The backend also aggregates admission drops across shards: every
-// ResourceExhausted outcome — rejected at submit or surfaced through the
-// async callback — lands in one dropped() counter, the shard-side analog of
-// FrontEnd::dropped(), so operators see total shed load without walking
-// per-shard metrics.
+// ResourceExhausted outcome — a sync result, a rejection at submit, or one
+// surfaced through the async callback — lands in one dropped() counter,
+// the shard-side analog of FrontEnd::dropped(), so operators see total shed
+// load without walking per-shard metrics.
 #ifndef PRETZEL_SERVING_SHARDED_BACKEND_H_
 #define PRETZEL_SERVING_SHARDED_BACKEND_H_
 
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "src/frontend/frontend.h"
 #include "src/serving/shard_router.h"
@@ -26,7 +29,9 @@ class ShardedBackend : public Backend {
  public:
   explicit ShardedBackend(ShardRouter* router) : router_(router) {}
 
-  Result<float> Predict(const std::string& name, const std::string& input,
+  // The borrowed record bytes (text or BinaryRecord) route to the owning
+  // shard as-is.
+  Result<float> Predict(const std::string& name, std::string_view input,
                         int64_t deadline_ns = 0) override;
 
   // Submits to the owning shard's event scheduler (which may run it inline
@@ -35,12 +40,6 @@ class ShardedBackend : public Backend {
                     std::function<void(Result<float>)> callback,
                     int64_t deadline_ns = 0) override;
   bool PredictAsyncNeverBlocks() const override { return true; }
-
-  // Zero-copy: the borrowed wire record routes to the owning shard's
-  // binary entry point; admission drops land in the same counter.
-  Result<float> PredictBinary(const std::string& name,
-                              std::span<const uint8_t> record,
-                              int64_t deadline_ns = 0) override;
 
   // Predictions shed by any shard's admission control, summed router-wide.
   uint64_t dropped() const {

@@ -3,8 +3,9 @@
 // outcome split, deadline admission at the tier's edge, and the dispatch
 // rules — which thread hands a request to the backend and which delivers
 // its callback — including re-entrant requests from callbacks and teardown
-// with executor-thread completions in flight. The retry-wait tests run on a
-// fake clock injected through FrontEndOptions, so every wait is observed
+// with executor-thread completions in flight. Also the binary record path
+// through both zero-parse backends. The retry-wait tests run on a fake
+// clock injected through FrontEndOptions, so every wait is observed
 // exactly, not timed.
 #include <atomic>
 #include <chrono>
@@ -20,10 +21,16 @@
 
 #include "src/common/clock.h"
 #include "src/common/rng.h"
+#include "src/flour/flour.h"
+#include "src/frontend/backends.h"
 #include "src/frontend/frontend.h"
+#include "src/oven/model_plan.h"
+#include "src/runtime/exec_context.h"
 #include "src/serving/shard_router.h"
 #include "src/serving/sharded_backend.h"
+#include "src/workload/ac_workload.h"
 #include "src/workload/sa_workload.h"
+#include "tests/executor_hold.h"
 #include "tests/test_util.h"
 
 using namespace pretzel;
@@ -66,7 +73,7 @@ struct FlakyBackend : Backend {
   std::atomic<int> calls{0};
   int fail_first = 0;
   int64_t hint_us = 0;
-  Result<float> Predict(const std::string&, const std::string&,
+  Result<float> Predict(const std::string&, std::string_view,
                         int64_t) override {
     if (calls.fetch_add(1) < fail_first) {
       Status shed = Status::ResourceExhausted("backend busy");
@@ -168,7 +175,7 @@ void TestRetryRespectsDeadline() {
 // retry machinery works through the IO loop as well.
 void TestAsyncOutcomeSplit() {
   struct ScriptedBackend : Backend {
-    Result<float> Predict(const std::string& name, const std::string&,
+    Result<float> Predict(const std::string& name, std::string_view,
                           int64_t) override {
       if (name == "shed") {
         return Status::ResourceExhausted("backend full").WithRetryAfterUs(500);
@@ -237,7 +244,7 @@ void TestAsyncOutcomeSplit() {
 void TestBackoffDoesNotStallQueue() {
   struct NameScriptedBackend : Backend {
     int64_t hint_us = 2'000'000;
-    Result<float> Predict(const std::string& name, const std::string&,
+    Result<float> Predict(const std::string& name, std::string_view,
                           int64_t) override {
       if (name == "shed") {
         return Status::ResourceExhausted("busy").WithRetryAfterUs(hint_us);
@@ -323,7 +330,7 @@ class ThreadedBackend : public Backend {
     worker_.join();
   }
 
-  Result<float> Predict(const std::string&, const std::string&,
+  Result<float> Predict(const std::string&, std::string_view,
                         int64_t) override {
     return 1.0f;
   }
@@ -449,7 +456,7 @@ void TestBlockingOrHopDispatchesOnIoPool() {
     std::condition_variable cv;
     bool open = false;
     std::thread::id predict_thread;
-    Result<float> Predict(const std::string&, const std::string&,
+    Result<float> Predict(const std::string&, std::string_view,
                           int64_t) override {
       std::unique_lock<std::mutex> lock(mu);
       predict_thread = std::this_thread::get_id();
@@ -661,6 +668,112 @@ void TestDestroyWithCompletionsInFlight() {
   }
 }
 
+// The binary record path through both zero-parse backends. For every AC
+// plan, a text record and its BinaryRecord twin score bit-equal to
+// ExecutePlan through FrontEnd::Request and FrontEnd::RequestBinary, over
+// ShardedBackend and over PretzelBackend. A synchronous ResourceExhausted
+// on the binary path counts exactly once in ShardedBackend::dropped().
+void TestBinaryRequestsThroughBackends() {
+  AcWorkloadOptions aopts;
+  aopts.num_pipelines = 4;
+  aopts.featurizer_trees = 6;
+  aopts.featurizer_depth = 4;
+  aopts.final_trees = 4;
+  aopts.final_depth = 3;
+  const AcWorkload ac = AcWorkload::Generate(aopts);
+  ShardRouterOptions sopts;
+  sopts.num_shards = 2;
+  sopts.runtime.num_executors = 1;
+  ShardRouter router(sopts);
+  ObjectStore store;
+  RuntimeOptions ropts;
+  ropts.num_executors = 1;
+  Runtime runtime(&store, ropts);
+  PretzelBackend pretzel(&runtime);
+  FlourContext flour(&store);
+  std::vector<std::shared_ptr<ModelPlan>> plans;
+  for (const auto& spec : ac.pipelines()) {
+    CHECK(router.Place(spec).ok());
+    auto plan = Plan(*flour.FromPipeline(spec), spec.name);
+    CHECK(plan.ok());
+    auto id = runtime.Register(*plan);
+    CHECK(id.ok());
+    pretzel.AddRoute(spec.name, *id);
+    plans.push_back(*plan);
+  }
+  ShardedBackend sharded(&router);
+  FrontEndOptions options;
+  options.network_delay_us = 0;
+  options.num_io_threads = 1;
+  FrontEnd via_shards(&sharded, options);
+  FrontEnd via_runtime(&pretzel, options);
+  VectorPool pool;
+  ExecContext ctx(&pool);
+  Rng rng(61);
+  const auto bytes_of = [](const std::string& s) {
+    return std::span<const uint8_t>(
+        reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  };
+  for (size_t m = 0; m < plans.size(); ++m) {
+    const std::string& name = ac.pipelines()[m].name;
+    for (int i = 0; i < 8; ++i) {
+      const std::string text = ac.SampleInput(rng);
+      const std::string binary = AcWorkload::BinaryFromText(text);
+      const Result<float> expected = ExecutePlan(*plans[m], text, ctx);
+      CHECK(expected.ok());
+      const Result<float> served[] = {
+          via_shards.Request(name, text),
+          via_shards.RequestBinary(name, bytes_of(binary)),
+          via_runtime.Request(name, text),
+          via_runtime.RequestBinary(name, bytes_of(binary)),
+      };
+      for (const Result<float>& r : served) {
+        CHECK_MSG(r.ok(), "%s", r.status().ToString().c_str());
+        CHECK_BITS(*r, *expected);
+      }
+    }
+  }
+  CHECK_EQ(sharded.dropped(), uint64_t{0});
+
+  // A reserved plan rides its queue even for synchronous requests: with its
+  // executor held and its one-event queue full, the binary request is shed
+  // at enqueue.
+  ShardRouterOptions capped = sopts;
+  capped.num_shards = 1;
+  capped.runtime.max_queued_events_per_plan = 1;
+  ShardRouter capped_router(capped);
+  PlanRegistration reserved;
+  reserved.reserve_cores = 1;
+  const std::string& name = ac.pipelines()[0].name;
+  auto where = capped_router.Place(ac.pipelines()[0], reserved);
+  CHECK(where.ok());
+  ShardedBackend capped_backend(&capped_router);
+  FrontEnd frontend(&capped_backend, options);
+  Runtime* shard = capped_router.runtime(where->shard);
+  const std::string binary =
+      AcWorkload::BinaryFromText(ac.SampleInput(rng));
+  std::atomic<bool> queued_done{false};
+  {
+    ExecutorHold hold(*shard, {where->plan_id});
+    CHECK(shard
+              ->PredictAsync(where->plan_id, binary,
+                             [&queued_done](Result<float> r) {
+                               CHECK(r.ok());
+                               queued_done.store(true);
+                             })
+              .ok());
+    const Result<float> shed = frontend.RequestBinary(name, bytes_of(binary));
+    CHECK_MSG(shed.status().IsResourceExhausted(), "%s",
+              shed.status().ToString().c_str());
+    CHECK_EQ(capped_backend.dropped(), uint64_t{1});
+    CHECK_EQ(frontend.GetMetrics().dropped_backpressure, uint64_t{1});
+  }
+  while (!queued_done.load()) {
+    std::this_thread::yield();
+  }
+  CHECK_EQ(capped_backend.dropped(), uint64_t{1});
+}
+
 }  // namespace
 
 int main() {
@@ -684,5 +797,7 @@ int main() {
   std::printf("TestRequestFromCallback: PASS\n");
   TestDestroyWithCompletionsInFlight();
   std::printf("TestDestroyWithCompletionsInFlight: PASS\n");
+  TestBinaryRequestsThroughBackends();
+  std::printf("TestBinaryRequestsThroughBackends: PASS\n");
   return 0;
 }

@@ -1,7 +1,7 @@
 // Runtime: registration, inline predict, batch fan-out ordering, async
 // completion, error propagation, reservations, the inline-when-idle rule
-// for async singles, caller-assisted synchronous batches, and bit-exact
-// dense scores on every batch path.
+// for async singles, caller-assisted synchronous batches, the batch check
+// order, and bit-exact dense scores on every batch path.
 #include "src/runtime/runtime.h"
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/fault.h"
+#include "src/common/serialize.h"
 #include "src/flour/flour.h"
 #include "src/oven/model_plan.h"
 #include "src/runtime/exec_context.h"
@@ -371,9 +372,10 @@ PlanMetrics AwaitEmptyQueue(const Runtime& runtime, Runtime::PlanId id) {
 // With the group's only executor held, a synchronous batch of 4 chunks
 // completes on the calling thread: every chunk is still enqueued, the
 // caller runs all 4, and the scores are bit-equal to the same batch through
-// PredictBatchAsync, over every AC pipeline shape built here and both the
-// string and the binary-wire entry points. Once the hold lifts, the stale
-// tickets drain with nothing recorded.
+// PredictBatchAsync, over every AC pipeline shape built here and all three
+// synchronous entry points (span, vector-returning, binary wire). Once the
+// hold lifts, the stale tickets drain with nothing recorded, and the async
+// batch's chunks all run on the executor.
 void TestHeldExecutorCallerRunsSyncBatch() {
   AcWorkloadOptions aopts;
   aopts.num_pipelines = 4;
@@ -411,7 +413,9 @@ void TestHeldExecutorCallerRunsSyncBatch() {
       reinterpret_cast<const uint8_t*>(wire.data()), wire.size());
   // Plan 0 holds the executor; the others are under test.
   const std::vector<Runtime::PlanId> tested(ids.begin() + 1, ids.end());
-  std::vector<std::vector<float>> sync_scores, binary_scores;
+  // The three synchronous entry points: span, vector-returning, binary.
+  constexpr uint64_t kSyncCalls = 3;
+  std::vector<std::vector<float>> sync_scores, vector_scores, binary_scores;
   std::vector<PlanMetrics> held;
   {
     ExecutorHold hold(runtime, {ids[0]});
@@ -419,19 +423,24 @@ void TestHeldExecutorCallerRunsSyncBatch() {
       const PlanMetrics before = MetricsOf(runtime, id);
       std::vector<float> out(kRecords, -1.0f);
       CHECK(runtime.PredictBatch(id, inputs, kMaxBatch, out).ok());
+      auto returned = runtime.PredictBatch(id, inputs, kMaxBatch);
+      CHECK(returned.ok());
+      CHECK_EQ(returned->size(), kRecords);
       std::vector<float> out_binary(kRecords, -1.0f);
       CHECK(runtime.PredictBinary(id, wire_span, kMaxBatch, out_binary).ok());
       const PlanMetrics after = MetricsOf(runtime, id);
-      CHECK_EQ(after.enqueued_events, before.enqueued_events + 2 * kChunks);
+      CHECK_EQ(after.enqueued_events,
+               before.enqueued_events + kSyncCalls * kChunks);
       CHECK_EQ(after.caller_dispatches,
-               before.caller_dispatches + 2 * kChunks);
-      CHECK_EQ(after.dispatches, before.dispatches + 2 * kChunks);
+               before.caller_dispatches + kSyncCalls * kChunks);
+      CHECK_EQ(after.dispatches, before.dispatches + kSyncCalls * kChunks);
       CHECK_EQ(after.batch_records.count(),
-               before.batch_records.count() + 2 * kChunks);
+               before.batch_records.count() + kSyncCalls * kChunks);
       // Every ticket still waits for the held executor.
-      CHECK_EQ(after.queue_depth, static_cast<size_t>(2 * kChunks));
+      CHECK_EQ(after.queue_depth, static_cast<size_t>(kSyncCalls * kChunks));
       CHECK_EQ(after.errors, uint64_t{0});
       sync_scores.push_back(std::move(out));
+      vector_scores.push_back(std::move(*returned));
       binary_scores.push_back(std::move(out_binary));
       held.push_back(after);
     }
@@ -446,8 +455,10 @@ void TestHeldExecutorCallerRunsSyncBatch() {
     CHECK_EQ(drained.queue_wait_us.count(), held[k].queue_wait_us.count());
     CHECK_EQ(drained.queue_delay_ewma_us, held[k].queue_delay_ewma_us);
   }
-  // The same batch through the async path, run by the executor.
+  // The same batch through the async path, run by the executor: every
+  // chunk is enqueued and dispatched there, none by this caller.
   for (size_t k = 0; k < tested.size(); ++k) {
+    const PlanMetrics before = MetricsOf(runtime, tested[k]);
     Completion c;
     std::vector<float> async_scores;
     CHECK(runtime
@@ -462,15 +473,106 @@ void TestHeldExecutorCallerRunsSyncBatch() {
     c.Await();
     CHECK(c.ok);
     CHECK(c.thread != std::this_thread::get_id());
+    const PlanMetrics after = MetricsOf(runtime, tested[k]);
+    CHECK_EQ(after.enqueued_events, before.enqueued_events + kChunks);
+    CHECK_EQ(after.dispatches, before.dispatches + kChunks);
+    CHECK_EQ(after.caller_dispatches, before.caller_dispatches);
+    CHECK_EQ(after.errors, uint64_t{0});
     CHECK_EQ(async_scores.size(), kRecords);
     for (size_t i = 0; i < kRecords; ++i) {
       CHECK_MSG(Bits(sync_scores[k][i]) == Bits(async_scores[i]) &&
+                    Bits(vector_scores[k][i]) == Bits(async_scores[i]) &&
                     Bits(binary_scores[k][i]) == Bits(async_scores[i]),
-                "plan %zu record %zu: sync %a, binary %a, async %a",
-                tested[k], i, sync_scores[k][i], binary_scores[k][i],
-                async_scores[i]);
+                "plan %zu record %zu: sync %a, vector %a, binary %a, "
+                "async %a",
+                tested[k], i, sync_scores[k][i], vector_scores[k][i],
+                binary_scores[k][i], async_scores[i]);
     }
   }
+}
+
+// The batch check order, shared by every batch entry point: an unknown
+// plan is NotFound before anything else is looked at; an empty batch is OK
+// and moves no counter (an async one still completes, once, with no
+// scores); a narrow output span is InvalidArgument before the deadline
+// gate sees the batch.
+void TestBatchCheckOrder() {
+  Harness h(/*executors=*/1, /*pipelines=*/1);
+  const Runtime::PlanId id = h.ids[0];
+  const Runtime::PlanId unknown = 9999;
+  const std::vector<std::string> none;
+  const std::vector<std::string> two(2, h.input);
+  std::vector<float> out(2, -1.0f);
+  const std::span<const uint8_t> no_records;
+  const auto code = [](const Status& s) { return s.code(); };
+  const auto async_batch = [&](Runtime::PlanId plan,
+                               std::vector<std::string> inputs,
+                               size_t* fired, size_t* scores) {
+    return h.runtime->PredictBatchAsync(
+        plan, std::move(inputs),
+        [fired, scores](Status status, std::span<const float> s) {
+          CHECK(status.ok());
+          ++*fired;
+          *scores = s.size();
+        },
+        /*max_batch=*/8);
+  };
+
+  // Unknown plan, even with an empty batch or a null async callback.
+  CHECK(code(h.runtime->PredictBatch(unknown, two, 8, out)) ==
+        StatusCode::kNotFound);
+  CHECK(code(h.runtime->PredictBatch(unknown, none, 8, out)) ==
+        StatusCode::kNotFound);
+  CHECK(code(h.runtime->PredictBatch(unknown, two, 8).status()) ==
+        StatusCode::kNotFound);
+  CHECK(code(h.runtime->PredictBinary(unknown, no_records, 8, out)) ==
+        StatusCode::kNotFound);
+  CHECK(code(h.runtime->PredictBatchAsync(unknown, two, nullptr, 8)) ==
+        StatusCode::kNotFound);
+  size_t fired = 0, scores = 0;
+  CHECK(code(async_batch(unknown, two, &fired, &scores)) ==
+        StatusCode::kNotFound);
+  CHECK_EQ(fired, size_t{0});
+
+  // Empty: OK, even with an empty output span and an expired deadline, and
+  // no counter moves.
+  const PlanMetrics before = h.Metrics(id);
+  const int64_t expired = NowNs() - 1;
+  CHECK(h.runtime->PredictBatch(id, none, 8, std::span<float>(), expired)
+            .ok());
+  auto empty = h.runtime->PredictBatch(id, none, 8, expired);
+  CHECK(empty.ok());
+  CHECK(empty->empty());
+  CHECK(h.runtime->PredictBinary(id, no_records, 8, {}, expired).ok());
+  CHECK(async_batch(id, none, &fired, &scores).ok());
+  CHECK_EQ(fired, size_t{1});
+  CHECK_EQ(scores, size_t{0});
+  // Narrow span: InvalidArgument, ahead of the expired deadline.
+  CHECK(code(h.runtime->PredictBatch(id, two, 8, std::span<float>(out).first(1),
+                                     expired)) ==
+        StatusCode::kInvalidArgument);
+  const std::string wire = EncodeDenseRecord(std::vector<float>(4).data(), 4) +
+                           EncodeDenseRecord(std::vector<float>(4).data(), 4);
+  const std::span<const uint8_t> two_records(
+      reinterpret_cast<const uint8_t*>(wire.data()), wire.size());
+  CHECK(code(h.runtime->PredictBinary(id, two_records, 8,
+                                      std::span<float>(out).first(1),
+                                      expired)) ==
+        StatusCode::kInvalidArgument);
+  const PlanMetrics after = h.Metrics(id);
+  CHECK_EQ(after.enqueued_events, before.enqueued_events);
+  CHECK_EQ(after.dispatches, before.dispatches);
+  CHECK_EQ(after.caller_dispatches, before.caller_dispatches);
+  CHECK_EQ(after.errors, before.errors);
+  CHECK_EQ(after.expired_admission, before.expired_admission);
+  CHECK_EQ(after.shed_deadline, before.shed_deadline);
+  CHECK_EQ(after.batch_records.count(), before.batch_records.count());
+  // The same expired deadline on a well-formed batch is refused at
+  // admission, so the checks above really did come first.
+  CHECK(h.runtime->PredictBatch(id, two, 8, out, expired)
+            .IsDeadlineExceeded());
+  CHECK_EQ(h.Metrics(id).expired_admission,
+           before.expired_admission + two.size());
 }
 
 // A reserved plan keeps all its work on its dedicated executor: its
@@ -927,6 +1029,7 @@ int main() {
   TestResubmittingCallbackDoesNotRecurse();
   TestRetireWaitsForInlineQuantum();
   TestHeldExecutorCallerRunsSyncBatch();
+  TestBatchCheckOrder();
   TestReservedSyncBatchStaysOnExecutors();
   TestDeadlineExpiresMidCallerBatch();
   TestRetireWaitsForHelpingCaller();

@@ -352,7 +352,7 @@ void TestFrontEndBackpressure() {
     std::mutex mu;
     std::condition_variable cv;
     bool open = false;
-    Result<float> Predict(const std::string&, const std::string&,
+    Result<float> Predict(const std::string&, std::string_view,
                           int64_t) override {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [this] { return open; });

@@ -1,8 +1,8 @@
 // BinaryRecord wire format: round-trips, structural rejection (truncated,
 // oversized, corrupt, non-finite, unsorted), misaligned-buffer handling,
-// batch framing, deterministic mutation fuzz passes over records and over
-// forest parameter images (ASan/TSan builds run this test, so
-// out-of-bounds reads in the validators would be caught), and
+// batch framing, deterministic mutation fuzz passes over records, framed
+// record batches and forest parameter images (ASan/TSan builds run this
+// test, so out-of-bounds reads in the validators would be caught), and
 // the end-to-end contract: a binary record must score identically (1e-6) to
 // its text twin on every SA/AC plan under every optimizer config, through
 // the per-record, batch, and Runtime entry points.
@@ -352,8 +352,10 @@ void TestRuntimeBinaryPath() {
 }
 
 // Deterministic mutation fuzz: corrupt valid records (byte flips,
-// truncations, extensions) and require the validator and executor to reject
-// or score without reading out of bounds (the ASan job runs this test).
+// truncations, extensions) and framed multi-record buffers (also rewritten
+// length fields), and require the validator, the batch framing, the
+// executor and the Runtime's binary batch path to reject or score without
+// reading out of bounds (the ASan job runs this test).
 void TestMutationFuzz() {
   AcWorkloadOptions opts;
   opts.num_pipelines = 1;
@@ -425,6 +427,81 @@ void TestMutationFuzz() {
   CHECK(parsed > 0);
   CHECK(rejected > 0);
   std::printf("mutation fuzz: %zu parsed, %zu rejected\n", parsed, rejected);
+
+  // Framed batches: 2-5 seed records back to back, then byte flips,
+  // truncations, and rewritten dim/nnz length fields. A buffer that still
+  // frames must be tiled by its record views exactly and in order; every
+  // buffer also rides the Runtime's binary batch path, which must return a
+  // status (an error whenever framing failed) and never read out of bounds.
+  RuntimeOptions ropts;
+  ropts.num_executors = 1;
+  Runtime runtime(&store, ropts);
+  auto id = runtime.Register(*plan);
+  CHECK(id.ok());
+  size_t framed = 0, unframed = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    std::string buffer;
+    std::vector<size_t> starts;
+    for (size_t r = 0, n = 2 + rng.UniformInt(4); r < n; ++r) {
+      starts.push_back(buffer.size());
+      buffer += seeds[rng.UniformInt(2)];
+    }
+    for (size_t m = 0, n = 1 + rng.UniformInt(3); m < n && !buffer.empty();
+         ++m) {
+      switch (rng.UniformInt(3)) {
+        case 0:  // Byte flip.
+          buffer[rng.UniformInt(buffer.size())] =
+              static_cast<char>(rng.UniformInt(256));
+          break;
+        case 1:  // Truncate.
+          buffer.resize(rng.UniformInt(buffer.size() + 1));
+          break;
+        default: {  // Rewrite one record's dim (+8) or nnz (+12) field.
+          const size_t at = starts[rng.UniformInt(starts.size())] +
+                            (rng.UniformInt(2) == 0 ? 8 : 12);
+          if (at + sizeof(uint32_t) > buffer.size()) {
+            break;
+          }
+          uint32_t len;
+          std::memcpy(&len, &buffer[at], sizeof(len));
+          switch (rng.UniformInt(4)) {
+            case 0: len += 1; break;
+            case 1: len -= 1; break;
+            case 2: len = static_cast<uint32_t>(rng.UniformInt(32)); break;
+            default: len = 0xFFFFFFFFu >> rng.UniformInt(32); break;
+          }
+          std::memcpy(&buffer[at], &len, sizeof(len));
+          break;
+        }
+      }
+    }
+    std::vector<std::string_view> views;
+    const bool frames = SplitBinaryBatch(buffer, &views).ok();
+    if (frames) {
+      ++framed;
+      const char* cursor = buffer.data();
+      for (const std::string_view view : views) {
+        CHECK(view.data() == cursor);
+        CHECK(!view.empty());
+        cursor += view.size();
+      }
+      CHECK(cursor == buffer.data() + buffer.size());
+    } else {
+      ++unframed;
+    }
+    // Room for any record count the buffer could frame into.
+    std::vector<float> out(buffer.size() / 16 + 1, -1.0f);
+    const Status status = runtime.PredictBinary(
+        *id,
+        std::span<const uint8_t>(
+            reinterpret_cast<const uint8_t*>(buffer.data()), buffer.size()),
+        /*max_batch=*/2, std::span<float>(out));
+    CHECK(frames || !status.ok());
+  }
+  CHECK(framed > 0);
+  CHECK(unframed > 0);
+  std::printf("framed mutation fuzz: %zu framed, %zu rejected\n", framed,
+              unframed);
 }
 
 
