@@ -1,6 +1,6 @@
-// Section 5.2.1 ablations:
-//  - AOT compilation: without it, stage binding is deferred to the first
-//    prediction, inflating cold latency (paper: +1.6x SA, +4.2x AC).
+// Section 5.2.1 ablations. The paper's AOT ablation has no subject here:
+// compiling a plan binds views of its interned parameters, so there is no
+// deferred work for a first prediction to pay.
 //  - Vector pooling: without pooled buffers/contexts, allocation returns to
 //    the data path (paper: hot +47.1%, cold +24.7%).
 #include "bench/bench_util.h"
@@ -33,20 +33,18 @@ double PairedRatio(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 template <typename Workload>
-AblationResult Measure(const Workload& workload, bool aot, bool pooling,
-                       int hot_preds, uint64_t seed) {
+AblationResult Measure(const Workload& workload, bool pooling, int hot_preds,
+                       uint64_t seed) {
   AblationResult result;
   ObjectStore store;
   FlourContext ctx(&store);
-  CompileOptions copts;
-  copts.aot_compile = aot;
   VectorPool::Options popts;
   popts.pooling_enabled = pooling;
 
   std::vector<std::shared_ptr<ModelPlan>> plans;
   for (const auto& spec : workload.pipelines()) {
     auto program = ctx.FromPipeline(spec);
-    auto plan = CompilePlan(*program, spec.name, copts);
+    auto plan = Plan(*program, spec.name);
     plans.push_back(*plan);
   }
 
@@ -55,8 +53,7 @@ AblationResult Measure(const Workload& workload, bool aot, bool pooling,
   ExecContextPool ctx_pool(&pool, /*reuse_enabled=*/pooling);
   for (const auto& plan : plans) {
     const std::string input = workload.SampleInput(rng);
-    // Cold: first prediction (includes lazy binding when AOT is off; a
-    // fresh context models the unpooled path).
+    // Cold: first prediction (a fresh context models the unpooled path).
     int64_t t0 = NowNs();
     {
       auto exec = ctx_pool.Acquire();
@@ -92,30 +89,24 @@ void RunCategory(const char* name, const Workload& workload, int hot_preds,
   std::printf("  --- %s ---\n", name);
   // Untimed warm pass: faults in the shared dictionaries/forests so the
   // first measured configuration is not penalized by cold page caches.
-  (void)Measure(workload, /*aot=*/true, /*pooling=*/true, 5, seed);
-  auto base = Measure(workload, /*aot=*/true, /*pooling=*/true, hot_preds, seed);
-  auto no_aot = Measure(workload, /*aot=*/false, /*pooling=*/true, hot_preds, seed);
-  auto no_pool = Measure(workload, /*aot=*/true, /*pooling=*/false, hot_preds, seed);
+  (void)Measure(workload, /*pooling=*/true, 5, seed);
+  auto base = Measure(workload, /*pooling=*/true, hot_preds, seed);
+  auto no_pool = Measure(workload, /*pooling=*/false, hot_preds, seed);
 
   PrintCdfSummary("baseline hot", base.hot);
   PrintCdfSummary("baseline cold", base.cold);
-  PrintCdfSummary("no-AOT cold", no_aot.cold);
   PrintCdfSummary("no-pooling hot", no_pool.hot);
   PrintCdfSummary("no-pooling cold", no_pool.cold);
 
   // Paired per-plan ratios (median): each plan compares against itself, so
   // machine drift between the measurement passes cancels out.
-  const double aot_cold_ratio = PairedRatio(base.cold_per_plan, no_aot.cold_per_plan);
   const double pool_hot_ratio = PairedRatio(base.hot_per_plan, no_pool.hot_per_plan);
   const double pool_cold_ratio =
       PairedRatio(base.cold_per_plan, no_pool.cold_per_plan);
-  std::printf("  no-AOT cold inflation:     %.2fx (paper: 1.6x SA / 4.2x AC)\n",
-              aot_cold_ratio);
   std::printf("  no-pooling hot inflation:  %.2fx (paper: +47.1%%)\n",
               pool_hot_ratio);
   std::printf("  no-pooling cold inflation: %.2fx (paper: +24.7%%)\n",
               pool_cold_ratio);
-  ShapeCheck(aot_cold_ratio > 1.02, "disabling AOT inflates cold latency");
   ShapeCheck(pool_hot_ratio > 1.0 || pool_cold_ratio > 1.0,
              "disabling pooling inflates latency");
 }
@@ -127,7 +118,7 @@ int main(int argc, char** argv) {
   using namespace pretzel;
   BenchFlags flags(argc, argv);
   const int hot_preds = static_cast<int>(flags.GetInt("hot_preds", 50));
-  PrintHeader("Section 5.2.1 ablations", "AOT compilation and vector pooling");
+  PrintHeader("Section 5.2.1 ablations", "vector pooling");
   auto sa = SaWorkload::Generate(DefaultSaOptions(flags));
   RunCategory("Sentiment Analysis (SA)", sa, hot_preds, 2001);
   auto ac = AcWorkload::Generate(DefaultAcOptions(flags));

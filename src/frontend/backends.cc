@@ -27,7 +27,7 @@ Result<float> PretzelBackend::Predict(const std::string& name,
 }
 
 void PretzelBackend::PredictAsync(const std::string& name,
-                                  const std::string& input,
+                                  std::string_view input,
                                   std::function<void(Result<float>)> callback,
                                   int64_t deadline_ns) {
   Result<Runtime::PlanId> id = Route(name);
@@ -35,7 +35,9 @@ void PretzelBackend::PredictAsync(const std::string& name,
     callback(id.status());
     return;
   }
-  Status submitted = runtime_->PredictAsync(*id, input, callback, deadline_ns);
+  // The one owned copy of the record: it moves into the Runtime's event.
+  Status submitted =
+      runtime_->PredictAsync(*id, std::string(input), callback, deadline_ns);
   if (!submitted.ok()) {
     callback(submitted);
   }

@@ -34,7 +34,7 @@ class PretzelBackend : public Backend {
   // event, or one inline quantum on an idle executor group) instead of
   // blocking the calling IO thread. The deadline travels with the event so
   // expiry is enforced inside the scheduler's queues.
-  void PredictAsync(const std::string& name, const std::string& input,
+  void PredictAsync(const std::string& name, std::string_view input,
                     std::function<void(Result<float>)> callback,
                     int64_t deadline_ns = 0) override;
   bool PredictAsyncNeverBlocks() const override { return true; }

@@ -122,12 +122,12 @@ Status FrontEnd::RequestAsync(const std::string& name, const std::string& input,
     return Status::DeadlineExceeded("expired at frontend admission")
         .WithDeadlineStage(DeadlineStage::kAdmission);
   }
-  Work work;
-  work.name = name;
-  work.input = input;
-  work.callback = std::move(callback);
-  work.admit_ns = now_ns_();
-  work.deadline_ns = deadline_ns;
+  auto work = std::make_unique<Work>();
+  work->name = name;
+  work->input = input;
+  work->callback = std::move(callback);
+  work->admit_ns = now_ns_();
+  work->deadline_ns = deadline_ns;
   {
     MutexLock lock(mu_);
     if (stop_) {
@@ -159,12 +159,12 @@ Status FrontEnd::RequestAsync(const std::string& name, const std::string& input,
   return Status::OK();
 }
 
-void FrontEnd::Dispatch(Work work) {
-  if (work.attempt == 0 && hop_owed_) {
+void FrontEnd::Dispatch(std::unique_ptr<Work> work) {
+  if (work->attempt == 0 && hop_owed_) {
     sleep_us_(options_.network_delay_us);  // Client -> frontend.
   }
   // A popped retry is already due: its backoff was served queue-side.
-  if (work.deadline_ns > 0 && now_ns_() >= work.deadline_ns) {
+  if (work->deadline_ns > 0 && now_ns_() >= work->deadline_ns) {
     // Expired before the hand-off (typically while queued here): don't
     // burn a backend slot on it.
     Complete(std::move(work),
@@ -172,26 +172,28 @@ void FrontEnd::Dispatch(Work work) {
                  .WithDeadlineStage(DeadlineStage::kQueue));
     return;
   }
+  // The completion owns the Work from here on. The backend invokes it
+  // exactly once, and only after it is done with the borrowed name and
+  // input, so any copy of the callback carries two pointers, not the bytes.
   // The result hook may schedule a retry instead of completing.
-  const std::string name = work.name;
-  const std::string input = work.input;
-  const int64_t deadline_ns = work.deadline_ns;
+  Work* owned = work.release();
   backend_->PredictAsync(
-      name, input,
-      [this, work = std::move(work)](Result<float> result) mutable {
-        RetryOrComplete(std::move(work), std::move(result));
+      owned->name, owned->input,
+      [this, owned](Result<float> result) {
+        RetryOrComplete(std::unique_ptr<Work>(owned), std::move(result));
       },
-      deadline_ns);
+      owned->deadline_ns);
 }
 
-void FrontEnd::RetryOrComplete(Work work, Result<float> result) {
-  if (Retryable(result.status(), work.attempt)) {
-    const int64_t wait_us = RetryWaitUs(result.status(), work.attempt);
+void FrontEnd::RetryOrComplete(std::unique_ptr<Work> work,
+                               Result<float> result) {
+  if (Retryable(result.status(), work->attempt)) {
+    const int64_t wait_us = RetryWaitUs(result.status(), work->attempt);
     const int64_t now = now_ns_();
-    if (work.deadline_ns == 0 || now + wait_us * 1000 < work.deadline_ns) {
+    if (work->deadline_ns == 0 || now + wait_us * 1000 < work->deadline_ns) {
       retries_.fetch_add(1, std::memory_order_relaxed);
-      work.attempt += 1;
-      work.not_before_ns = now + wait_us * 1000;
+      work->attempt += 1;
+      work->not_before_ns = now + wait_us * 1000;
       MutexLock lock(mu_);
       // Retries go to the back: fresher work shouldn't starve behind a
       // request the backend just shed.
@@ -205,21 +207,21 @@ void FrontEnd::RetryOrComplete(Work work, Result<float> result) {
   Complete(std::move(work), std::move(result));
 }
 
-void FrontEnd::Complete(Work work, Result<float> result) {
+void FrontEnd::Complete(std::unique_ptr<Work> work, Result<float> result) {
   CountOutcome(result.status());
   // Admission -> backend-completion latency feeds the retry-after hint this
   // tier attaches to its own drops. Racy EWMA updates are fine (estimate).
-  const int64_t sample_us = (now_ns_() - work.admit_ns) / 1000;
+  const int64_t sample_us = (now_ns_() - work->admit_ns) / 1000;
   const int64_t prev = latency_ewma_us_.load(std::memory_order_relaxed);
   latency_ewma_us_.store(prev + (sample_us - prev) / 8,
                          std::memory_order_relaxed);
-  work.result = std::move(result);
+  work->result = std::move(result);
   if (!hop_owed_) {
     Deliver(std::move(work));
     return;
   }
   // The response hop is a sleep: never on a backend executor thread.
-  work.is_completion = true;
+  work->is_completion = true;
   MutexLock lock(mu_);
   // Completions jump the queue: finishing in-flight work beats admitting
   // more of the backlog.
@@ -227,16 +229,14 @@ void FrontEnd::Complete(Work work, Result<float> result) {
   cv_.notify_all();  // Under the lock, as in RetryOrComplete.
 }
 
-void FrontEnd::Deliver(Work work) {
+void FrontEnd::Deliver(std::unique_ptr<Work> work) {
   if (hop_owed_) {
     sleep_us_(options_.network_delay_us);  // Frontend -> client.
   }
-  {
-    // Destroyed before pending_ drops: a drained FrontEnd holds no user
-    // closure.
-    auto callback = std::move(work.callback);
-    callback(std::move(work.result));
-  }
+  // Destroyed before pending_ drops: a drained FrontEnd holds no user
+  // closure.
+  work->callback(std::move(work->result));
+  work.reset();
   MutexLock lock(mu_);
   // Lifetime rule: notify UNDER the lock. Off the IO pool, the draining
   // destructor may destroy this FrontEnd the moment pending_ hits zero and
@@ -257,7 +257,7 @@ void FrontEnd::IoLoop() {
   // sleep seam, so newly runnable work is picked up within one slice.
   constexpr int64_t kBackoffSliceUs = 200;
   while (true) {
-    Work work;
+    std::unique_ptr<Work> work;
     int64_t poll_us = 0;
     {
       MutexLock lock(mu_);
@@ -272,13 +272,13 @@ void FrontEnd::IoLoop() {
       }
       const int64_t now = now_ns_();
       auto due = queue_.end();
-      int64_t earliest_ns = queue_.front().not_before_ns;
+      int64_t earliest_ns = queue_.front()->not_before_ns;
       for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->not_before_ns <= now) {
+        if ((*it)->not_before_ns <= now) {
           due = it;
           break;
         }
-        earliest_ns = std::min(earliest_ns, it->not_before_ns);
+        earliest_ns = std::min(earliest_ns, (*it)->not_before_ns);
       }
       if (due == queue_.end()) {
         // Every item is a retry still serving out its backoff (the waits
@@ -292,7 +292,7 @@ void FrontEnd::IoLoop() {
     }
     if (poll_us > 0) {
       sleep_us_(poll_us);
-    } else if (work.is_completion) {
+    } else if (work->is_completion) {
       Deliver(std::move(work));
     } else {
       Dispatch(std::move(work));

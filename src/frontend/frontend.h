@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -62,8 +63,11 @@ class Backend {
   // `callback` must be invoked exactly once, from any thread: an executor
   // thread on completion, or the calling thread itself before PredictAsync
   // returns — on a submit-time rejection, or when the Runtime runs the
-  // request inline because its executor group is idle.
-  virtual void PredictAsync(const std::string& name, const std::string& input,
+  // request inline because its executor group is idle. `name` and `input`
+  // are borrowed until the callback is invoked or PredictAsync returns,
+  // whichever comes first; a backend that completes later copies what it
+  // keeps.
+  virtual void PredictAsync(const std::string& name, std::string_view input,
                             std::function<void(Result<float>)> callback,
                             int64_t deadline_ns = 0) {
     callback(Predict(name, input, deadline_ns));
@@ -169,7 +173,9 @@ class FrontEnd {
  private:
   // An admitted async request: awaiting its backend hand-off (possibly a
   // scheduled retry), or, on the IO queue with is_completion set, a
-  // finished request awaiting its response hop + user callback.
+  // finished request awaiting its response hop + user callback. It lives at
+  // one heap address from admission to delivery, so the backend reads its
+  // name and input in place: the admission copy is the FrontEnd's only one.
   struct Work {
     bool is_completion = false;
     std::string name;
@@ -185,16 +191,18 @@ class FrontEnd {
   void IoLoop() EXCLUDES(mu_);
   // The one hand-off path, on the caller's thread or an IO thread: request
   // hop (first attempt), queue-expiry check, backend PredictAsync.
-  void Dispatch(Work work) EXCLUDES(mu_);
+  void Dispatch(std::unique_ptr<Work> work) EXCLUDES(mu_);
   // Backend-result hook: queues a retry for the IO pool when the status is a
   // retryable shed and budget remains, else completes.
-  void RetryOrComplete(Work work, Result<float> result) EXCLUDES(mu_);
+  void RetryOrComplete(std::unique_ptr<Work> work, Result<float> result)
+      EXCLUDES(mu_);
   // The one completion path, on the thread that finished the request. Books
   // the outcome and the EWMA; with a hop owed, queues the rest for the IO
   // pool, else delivers in place.
-  void Complete(Work work, Result<float> result) EXCLUDES(mu_);
+  void Complete(std::unique_ptr<Work> work, Result<float> result)
+      EXCLUDES(mu_);
   // Response hop (when owed), user callback, then releases pending_.
-  void Deliver(Work work) EXCLUDES(mu_);
+  void Deliver(std::unique_ptr<Work> work) EXCLUDES(mu_);
   // Books a failed final outcome: backpressure / expired / error.
   void CountOutcome(const Status& status);
   // max(retry-after hint, jittered exponential backoff) for `attempt`.
@@ -217,7 +225,7 @@ class FrontEnd {
   // IO pool never wake idle IO threads.
   std::condition_variable cv_;
   std::condition_variable drained_cv_;
-  std::deque<Work> queue_ GUARDED_BY(mu_);
+  std::deque<std::unique_ptr<Work>> queue_ GUARDED_BY(mu_);
   // Admitted async requests not yet completed.
   size_t pending_ GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> dropped_backpressure_{0};

@@ -1,7 +1,5 @@
 #include "src/oven/model_plan.h"
 
-#include <algorithm>
-
 #include "src/common/fault.h"
 
 namespace pretzel {
@@ -51,58 +49,8 @@ size_t ModelPlan::ParameterBytes() const {
 }
 
 size_t ModelPlan::OverheadBytes() const {
-  size_t total = 256 + stages_.capacity() * sizeof(PlanStage) +
-                 ops_.capacity() * sizeof(LogicalOp);
-  if (bound_done_) {
-    total += text_.fused_weights.capacity() * sizeof(float);
-    total += dense_.bound_final.HeapBytes();
-  }
-  return total;
-}
-
-void ModelPlan::EnsureBound() const {
-  std::call_once(bind_once_, [this] { BindLocked(); });
-}
-
-void ModelPlan::BindLocked() const {
-  if (family_ == Family::kText) {
-    // Split the linear model's weights along the concat boundary into the
-    // fused per-source layout: one contiguous array, each source padded to
-    // an 8-float multiple (full SIMD lanes, no tail handling for bound
-    // consumers).
-    const auto* lin = text_.linear;
-    if (lin != nullptr) {
-      const auto padded = [](size_t n) { return (n + 7) & ~size_t{7}; };
-      const size_t char_dim = text_.char_dim;
-      const size_t word_dim = text_.word_dim;
-      text_.char_w_off = 0;
-      text_.word_w_off = padded(char_dim);
-      text_.fused_weights.assign(text_.word_w_off + padded(word_dim), 0.0f);
-      // Clamped copies: a linear model narrower than the concat space is
-      // legal (missing weights read as zero, matching the unfused stage's
-      // `id < w.size()` guard), so never form an iterator past end().
-      const size_t have_char = std::min(char_dim, lin->weights.size());
-      std::copy(lin->weights.begin(),
-                lin->weights.begin() + static_cast<ptrdiff_t>(have_char),
-                text_.fused_weights.begin());
-      const size_t have_word =
-          std::min(word_dim, lin->weights.size() > char_dim
-                                 ? lin->weights.size() - char_dim
-                                 : 0);
-      std::copy(lin->weights.begin() + static_cast<ptrdiff_t>(have_char),
-                lin->weights.begin() +
-                    static_cast<ptrdiff_t>(have_char + have_word),
-                text_.fused_weights.begin() +
-                    static_cast<ptrdiff_t>(text_.word_w_off));
-      text_.bias = lin->bias;
-    }
-  } else {
-    // Lay the final model out contiguously for this plan.
-    if (dense_.final_forest != nullptr) {
-      dense_.bound_final = dense_.final_forest->forest;
-    }
-  }
-  bound_done_ = true;
+  return 256 + stages_.capacity() * sizeof(PlanStage) +
+         ops_.capacity() * sizeof(LogicalOp);
 }
 
 namespace {
@@ -160,6 +108,7 @@ Result<std::shared_ptr<ModelPlan>> CompilePlan(const LogicalProgram& program,
         bound.linear == nullptr) {
       return Status::InvalidArgument("unsupported text pipeline shape: " + name);
     }
+    bound.bias = bound.linear->bias;
     // Branch dimensions come from Flour's concat-layout metadata; fall back
     // to the raw params for programs lowered without it.
     bound.char_dim = bound.char_ngram->dict.size();
@@ -170,6 +119,12 @@ Result<std::shared_ptr<ModelPlan>> CompilePlan(const LogicalProgram& program,
       } else if (source.kind == OpKind::kWordNgram) {
         bound.word_dim = source.dim;
       }
+    }
+    // The weight views cover the whole concat space (Flour widens a
+    // narrower linear model at lowering).
+    if (bound.linear->weights.size() < bound.char_dim + bound.word_dim) {
+      return Status::InvalidArgument(
+          "linear model narrower than the concat space: " + name);
     }
 
     const bool push = opt.enable_linear_push && HasKind(ops, OpKind::kConcat);
@@ -226,6 +181,7 @@ Result<std::shared_ptr<ModelPlan>> CompilePlan(const LogicalProgram& program,
         bound.tree_feat == nullptr || bound.final_forest == nullptr) {
       return Status::InvalidArgument("unsupported dense pipeline shape: " + name);
     }
+    bound.bound_final.forest = &bound.final_forest->forest;
     // Feature-space offsets come from Flour's concat layout (pipeline
     // order); fall back to the canonical Pca|KMeans|Tree order otherwise.
     bound.pca_off = 0;
@@ -262,9 +218,6 @@ Result<std::shared_ptr<ModelPlan>> CompilePlan(const LogicalProgram& program,
     }
   }
 
-  if (options.aot_compile) {
-    plan->EnsureBound();
-  }
   return plan;
 }
 

@@ -1,5 +1,5 @@
 // Oven: compiles a Flour LogicalProgram into a ModelPlan — a short list of
-// fused physical stages plus bound (pre-materialized) parameter state.
+// fused physical stages plus bound views of its interned parameters.
 // Rewrite rules (Section 4.1.2 of the paper):
 //  - linear push-through-Concat: the final linear model's weight vector is
 //    split along the concat boundaries so each featurizer branch accumulates
@@ -9,15 +9,13 @@
 //    one fused stage (tokenize+scans for text, featurizers+concat for dense);
 //  - singleton inlining: trailing trivial stages (bias/score) fold into
 //    their predecessor.
-// AOT compilation: with aot_compile (default) stage binding — materializing
-// the split weight arrays and plan-local final-model layout — happens at
-// Plan() time; without it, binding is deferred to the first prediction,
-// which is exactly the cold-latency inflation the ablation bench measures.
+// Binding is pointer setup: a plan's bound state points into the params its
+// ops hold (interned in the Object Store), so a plan owns no parameter
+// bytes — two plans of one program read one weight array and one forest.
 #ifndef PRETZEL_OVEN_MODEL_PLAN_H_
 #define PRETZEL_OVEN_MODEL_PLAN_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -40,7 +38,6 @@ struct OptimizerOptions {
 };
 
 struct CompileOptions {
-  bool aot_compile = true;
   OptimizerOptions optimizer;
 };
 
@@ -81,10 +78,9 @@ class ModelPlan {
   // Unique parameter bytes referenced by this plan (what a private copy
   // would cost; the Object Store makes much of it shared).
   size_t ParameterBytes() const;
-  // Plan-private bytes: stage metadata plus bound arrays.
+  // Plan-private bytes: stage metadata and bound views, independent of the
+  // size of the parameters.
   size_t OverheadBytes() const;
-
-  bool IsBound() const { return bound_done_; }
 
   // --- Implementation surface for the executor (src/runtime) and tests. ---
 
@@ -95,21 +91,20 @@ class ModelPlan {
     const CharNgramParams* char_ngram = nullptr;
     const WordNgramParams* word_ngram = nullptr;
     const LinearBinaryParams* linear = nullptr;
-    // Fused per-source weight layout, materialized at bind time (the AOT
-    // work): the linear model split along the Flour concat layout into one
-    // contiguous array [char | word], each source zero-padded to an 8-float
-    // multiple so vectorized consumers can always run full lanes. The scan
-    // branches index their source at its offset — exactly the per-source
-    // view the linear-push and sparse-fuse stages accumulate through.
-    std::vector<float> fused_weights;
-    size_t char_w_off = 0;
-    size_t word_w_off = 0;
     float bias = 0.0f;
+    // Widths of the char and word slices of the concat space (Flour's
+    // layout). The linear model covers both: Flour widens a narrower one
+    // at lowering and CompilePlan rejects one it did not widen.
     size_t char_dim = 0;
     size_t word_dim = 0;
 
-    const float* char_weights() const { return fused_weights.data() + char_w_off; }
-    const float* word_weights() const { return fused_weights.data() + word_w_off; }
+    // Per-source views of the interned linear weights: the char slice at 0
+    // and the word slice at char_dim — what the linear-push and
+    // sparse-fuse stages accumulate through.
+    const float* char_weights() const { return linear->weights.data(); }
+    const float* word_weights() const {
+      return linear->weights.data() + char_dim;
+    }
   };
 
   struct BoundDense {
@@ -117,9 +112,17 @@ class ModelPlan {
     const KMeansParams* kmeans = nullptr;
     const TreeFeaturizerParams* tree_feat = nullptr;
     const ForestParams* final_forest = nullptr;
-    // Plan-local copy of the final model, laid out contiguously at bind
-    // time (the AOT work for dense plans).
-    Forest bound_final;
+    // The interned final forest, with Forest's evaluation entry points.
+    struct ForestView {
+      const Forest* forest = nullptr;
+      float Eval(const float* features) const {
+        return forest->Eval(features);
+      }
+      float Eval(const std::vector<float>& features) const {
+        return forest->Eval(features);
+      }
+    };
+    ForestView bound_final;
     size_t pca_off = 0, kmeans_off = 0, tree_off = 0;
     size_t feature_dim = 0;
   };
@@ -130,28 +133,20 @@ class ModelPlan {
   const BoundText& bound_text() const { return text_; }
   const BoundDense& bound_dense() const { return dense_; }
 
-  // Idempotent, thread-safe. Called at compile time under AOT, else by the
-  // executor on the first prediction.
-  void EnsureBound() const;
+  // A no-op: CompilePlan binds. Kept for callers that bind before timing.
+  void EnsureBound() const {}
 
  private:
   friend Result<std::shared_ptr<ModelPlan>> CompilePlan(
       const LogicalProgram& program, const std::string& name,
       const CompileOptions& options);
 
-  void BindLocked() const;
-
   std::string name_;
   Family family_ = Family::kText;
   std::vector<LogicalOp> ops_;  // Keeps shared params alive.
   std::vector<PlanStage> stages_;
-
-  // Bound state is logically part of plan construction; with deferred
-  // binding it materializes on the first prediction, hence mutable + once.
-  mutable std::once_flag bind_once_;
-  mutable bool bound_done_ = false;
-  mutable BoundText text_;
-  mutable BoundDense dense_;
+  BoundText text_;
+  BoundDense dense_;
 };
 
 // Compiles with explicit options.
@@ -159,7 +154,7 @@ Result<std::shared_ptr<ModelPlan>> CompilePlan(const LogicalProgram& program,
                                                const std::string& name,
                                                const CompileOptions& options);
 
-// Default compile: full optimizer, AOT on.
+// Default compile: full optimizer.
 inline Result<std::shared_ptr<ModelPlan>> Plan(const LogicalProgram& program,
                                                const std::string& name) {
   return CompilePlan(program, name, CompileOptions{});

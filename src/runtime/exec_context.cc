@@ -124,8 +124,8 @@ inline uint64_t InputHash(std::string_view input) {
 
 // Pre-featurized sparse wire record on a text-family plan: the record's ids
 // live in the plan's concat space (char ids first, word ids offset by
-// char_dim), so scoring is two sparse dots against the bound fused weight
-// layout plus the bias — featurization (tokenize + scans) is skipped
+// char_dim), so scoring is two sparse dots against the plan's per-source
+// weight views plus the bias — featurization (tokenize + scans) is skipped
 // entirely. Every optimizer config of a text plan computes
 // sigmoid(w . x + bias) over that space, so one scoring path serves all of
 // them, validated, never converted.
@@ -145,9 +145,6 @@ Result<float> ExecuteSparseWireRecord(const ModelPlan::BoundText& b,
   }
   if (view.dim != b.char_dim + b.word_dim) {
     return Status::InvalidArgument("sparse record dim != plan concat space");
-  }
-  if (b.fused_weights.empty() && view.dim > 0) {
-    return Status::InvalidArgument("text plan has no bound linear weights");
   }
   const uint32_t* ids = view.ids;
   const float* vals = view.values;
@@ -430,7 +427,6 @@ Result<float> ExecutePlan(const ModelPlan& plan, std::string_view input,
   // denormals, thermal throttle) — the per-record stall every deadline and
   // health check must survive.
   PRETZEL_FAULT_STALL("ops.slow_kernel", 0);
-  plan.EnsureBound();
   Result<float> result = plan.family() == ModelPlan::Family::kText
                              ? ExecuteText(plan, input, ctx)
                              : ExecuteDense(plan, input, ctx);
@@ -443,7 +439,6 @@ Result<float> ExecutePlan(const ModelPlan& plan, std::string_view input,
 size_t ExecutePlanBatch(const ModelPlan& plan, const std::string_view* inputs,
                         size_t n, float* scores, ExecContext& ctx,
                         Status* first_error, uint8_t* failed_flags) {
-  plan.EnsureBound();
   size_t failed = 0;
   for (size_t i = 0; i < n; ++i) {
     Result<float> r = ExecutePlan(plan, inputs[i], ctx);

@@ -153,8 +153,8 @@ class ExecContextPool {
   std::atomic<uint64_t> misses_{0};
 };
 
-// Executes one prediction through a compiled plan. Binds the plan first if
-// compilation deferred it (no-AOT). Thread-safe across distinct contexts.
+// Executes one prediction through a compiled plan. Thread-safe across
+// distinct contexts.
 // The input is borrowed bytes: either a text record or a BinaryRecord wire
 // record (src/common/serialize.h) — binary records take the zero-parse fast
 // path (dense payloads alias straight into the kernels; sparse records
@@ -163,9 +163,8 @@ Result<float> ExecutePlan(const ModelPlan& plan, std::string_view input,
                           ExecContext& ctx);
 
 // Executes `n` inputs through the plan, writing one score per record to
-// `scores`: the plan is bound once, then every record runs through
-// ExecutePlan, so each score is bit-equal to that record's ExecutePlan
-// score. Returns the number of failed records; failed records score 0.0f,
+// `scores`: every record runs through ExecutePlan, so each score is
+// bit-equal to that record's ExecutePlan score. Returns the number of failed records; failed records score 0.0f,
 // *first_error (when non-null) receives the first failure, and failed_flags
 // (when non-null, n bytes) gets 1 for each failed record and 0 otherwise.
 size_t ExecutePlanBatch(const ModelPlan& plan, const std::string_view* inputs,

@@ -15,13 +15,14 @@ Result<float> ShardedBackend::Predict(const std::string& name,
 }
 
 void ShardedBackend::PredictAsync(const std::string& name,
-                                  const std::string& input,
+                                  std::string_view input,
                                   std::function<void(Result<float>)> callback,
                                   int64_t deadline_ns) {
   // Captured by copy: the outer `callback` must stay callable for the
-  // rejected-at-submit path below, where the wrapper never runs.
+  // rejected-at-submit path below, where the wrapper never runs. The record
+  // is copied once, into the string that moves into the shard's event.
   Status submitted = router_->PredictAsync(
-      name, input,
+      name, std::string(input),
       [this, callback](Result<float> result) mutable {
         if (!result.ok() && result.status().IsResourceExhausted()) {
           dropped_.fetch_add(1, std::memory_order_relaxed);

@@ -36,7 +36,7 @@ class ShardedBackend : public Backend {
 
   // Submits to the owning shard's event scheduler (which may run it inline
   // when that shard's executors are idle); never blocks.
-  void PredictAsync(const std::string& name, const std::string& input,
+  void PredictAsync(const std::string& name, std::string_view input,
                     std::function<void(Result<float>)> callback,
                     int64_t deadline_ns = 0) override;
   bool PredictAsyncNeverBlocks() const override { return true; }

@@ -286,6 +286,9 @@ void CheckShortWeights() {
     copts.optimizer = opts2;
     auto plan = CompilePlan(*program, "short", copts);
     CHECK(plan.ok());
+    // Flour widened the 5 weights to the concat space, zeros past them.
+    const ModelPlan::BoundText& b = (*plan)->bound_text();
+    CHECK_EQ(b.linear->weights.size(), b.char_dim + b.word_dim);
     for (int i = 0; i < 3; ++i) {
       const std::string input = sa.SampleInput(rng);
       auto expected = (*model)->Predict(input);

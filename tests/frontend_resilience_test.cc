@@ -334,7 +334,7 @@ class ThreadedBackend : public Backend {
                         int64_t) override {
     return 1.0f;
   }
-  void PredictAsync(const std::string&, const std::string&,
+  void PredictAsync(const std::string&, std::string_view,
                     std::function<void(Result<float>)> callback,
                     int64_t) override {
     {
@@ -774,6 +774,151 @@ void TestBinaryRequestsThroughBackends() {
   CHECK_EQ(capped_backend.dropped(), uint64_t{1});
 }
 
+// A retried async request resends the bytes it was admitted with. The
+// backend reads the FrontEnd's admission copy in place, so a request longer
+// than the SSO buffer must survive the caller reusing its own string, a
+// completion from another thread and a retry from the IO queue — on the
+// caller-thread hand-off and on the IO pool alike, and through
+// ShardedBackend, whose submit-time rejection completes through its own
+// copy of the callback.
+void TestRetryResendsAdmittedBytes() {
+  // Records every attempt's bytes; the first attempt's callback is held
+  // until the test releases it with a shed.
+  struct RecordingBackend : Backend {
+    explicit RecordingBackend(bool never_blocks) : never_blocks_(never_blocks) {}
+    Result<float> Predict(const std::string&, std::string_view,
+                          int64_t) override {
+      return Status::Error("async only");
+    }
+    void PredictAsync(const std::string& name, std::string_view input,
+                      std::function<void(Result<float>)> callback,
+                      int64_t) override {
+      std::lock_guard<std::mutex> lock(mu);
+      seen.emplace_back(std::string(name) + "|" + std::string(input));
+      if (seen.size() == 1) {
+        held = std::move(callback);
+        return;
+      }
+      callback(0.5f);
+    }
+    bool PredictAsyncNeverBlocks() const override { return never_blocks_; }
+    void ReleaseShed() {
+      std::function<void(Result<float>)> callback;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        callback = std::move(held);
+      }
+      callback(Status::ResourceExhausted("busy").WithRetryAfterUs(100));
+    }
+    std::mutex mu;
+    std::vector<std::string> seen;
+    std::function<void(Result<float>)> held;
+    const bool never_blocks_;
+  };
+
+  const std::string admitted =
+      "a sentence well past the fifteen-byte small-string buffer";
+  for (const bool never_blocks : {true, false}) {
+    RecordingBackend backend(never_blocks);
+    FrontEndOptions options;
+    options.network_delay_us = 0;
+    options.num_io_threads = 1;
+    options.max_retries = 2;
+    options.retry_base_us = 100;
+    FrontEnd frontend(&backend, options);
+    CallbackProbe probe;
+    std::string name = "model-name-longer-than-sso";
+    std::string input = admitted;
+    CHECK(frontend.RequestAsync(name, input, probe.Callback()).ok());
+    name.assign(name.size(), '#');
+    input.assign(input.size(), '#');
+    while (true) {
+      std::lock_guard<std::mutex> lock(backend.mu);
+      if (backend.held) {
+        break;
+      }
+    }
+    backend.ReleaseShed();
+    probe.WaitFor(1);
+    CHECK(probe.results[0].ok());
+    std::lock_guard<std::mutex> lock(backend.mu);
+    CHECK_EQ(backend.seen.size(), size_t{2});
+    for (const std::string& bytes : backend.seen) {
+      CHECK(bytes == "model-name-longer-than-sso|" + admitted);
+    }
+    CHECK_EQ(frontend.GetMetrics().retries, uint64_t{1});
+  }
+
+  // Through ShardedBackend: a reserved plan with its executor held and its
+  // one-event queue full sheds the first attempt at submit; the retries
+  // score the admitted record once the hold ends.
+  SaWorkloadOptions sopts;
+  sopts.num_pipelines = 1;
+  sopts.char_dict_entries = 300;
+  sopts.word_dict_entries = 100;
+  sopts.vocabulary_size = 200;
+  const SaWorkload sa = SaWorkload::Generate(sopts);
+  ShardRouterOptions ropts;
+  ropts.num_shards = 1;
+  ropts.runtime.num_executors = 1;
+  ropts.runtime.max_queued_events_per_plan = 1;
+  ShardRouter router(ropts);
+  PlanRegistration reserved;
+  reserved.reserve_cores = 1;
+  const PipelineSpec& spec = sa.pipelines()[0];
+  auto where = router.Place(spec, reserved);
+  CHECK(where.ok());
+  ObjectStore store;
+  FlourContext flour(&store);
+  auto plan = Plan(*flour.FromPipeline(spec), spec.name);
+  CHECK(plan.ok());
+  Rng rng(62);
+  std::string input = sa.SampleInput(rng);
+  while (input.size() <= 15) {
+    input += ' ';
+    input += sa.SampleInput(rng);
+  }
+  VectorPool pool;
+  ExecContext ctx(&pool);
+  const Result<float> expected = ExecutePlan(**plan, input, ctx);
+  CHECK(expected.ok());
+
+  ShardedBackend backend(&router);
+  FrontEndOptions options;
+  options.network_delay_us = 0;
+  options.num_io_threads = 1;
+  options.max_retries = 1000;
+  options.retry_base_us = 200;
+  options.retry_max_us = 1'000;
+  FrontEnd frontend(&backend, options);
+  Runtime* shard = router.runtime(where->shard);
+  CallbackProbe probe;
+  std::atomic<bool> queued_done{false};
+  {
+    ExecutorHold hold(*shard, {where->plan_id});
+    CHECK(shard
+              ->PredictAsync(where->plan_id, input,
+                             [&queued_done](Result<float> r) {
+                               CHECK(r.ok());
+                               queued_done.store(true);
+                             })
+              .ok());
+    CHECK(frontend.RequestAsync(spec.name, input, probe.Callback()).ok());
+    input.assign(input.size(), '#');
+    while (frontend.GetMetrics().retries == 0) {
+      std::this_thread::yield();
+    }
+  }
+  probe.WaitFor(1);
+  CHECK_MSG(probe.results[0].ok(), "%s",
+            probe.results[0].status().ToString().c_str());
+  CHECK_BITS(*probe.results[0], *expected);
+  CHECK(backend.dropped() >= 1);
+  while (!queued_done.load()) {
+    std::this_thread::yield();
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -799,5 +944,7 @@ int main() {
   std::printf("TestDestroyWithCompletionsInFlight: PASS\n");
   TestBinaryRequestsThroughBackends();
   std::printf("TestBinaryRequestsThroughBackends: PASS\n");
+  TestRetryResendsAdmittedBytes();
+  std::printf("TestRetryResendsAdmittedBytes: PASS\n");
   return 0;
 }

@@ -46,7 +46,6 @@ void CheckFamily(const Workload& workload, uint64_t seed,
     for (size_t c = 0; c < configs.size(); ++c) {
       CompileOptions copts;
       copts.optimizer = configs[c];
-      copts.aot_compile = c % 2 == 0;  // Exercise both binding modes.
       auto plan = CompilePlan(*program, spec.name, copts);
       CHECK(plan.ok());
       plans.push_back(*plan);
@@ -72,6 +71,90 @@ void CheckFamily(const Workload& workload, uint64_t seed,
   }
 }
 
+// Binding is pointer setup: a plan's weight and forest views alias the
+// interned params, two plans of one program share them, and a plan's own
+// bytes do not grow with its parameters.
+template <typename Workload>
+std::vector<std::shared_ptr<ModelPlan>> CompileBoth(const Workload& workload,
+                                                    ObjectStore* store) {
+  FlourContext flour(store);
+  auto program = flour.FromPipeline(workload.pipelines()[0]);
+  std::vector<std::shared_ptr<ModelPlan>> plans;
+  for (const char* name : {"first", "second"}) {
+    auto plan = Plan(*program, name);
+    CHECK(plan.ok());
+    plans.push_back(*plan);
+  }
+  return plans;
+}
+
+void CheckBoundViews() {
+  size_t text_overhead = 0;
+  size_t dense_overhead = 0;
+  for (const size_t scale : {1, 8}) {
+    SaWorkloadOptions sa_opts;
+    sa_opts.num_pipelines = 1;
+    sa_opts.char_dict_entries = 300 * scale;
+    sa_opts.word_dict_entries = 100 * scale;
+    sa_opts.vocabulary_size = 200 * scale;
+    ObjectStore store;
+    const auto text = CompileBoth(SaWorkload::Generate(sa_opts), &store);
+    for (const auto& plan : text) {
+      const ModelPlan::BoundText& b = plan->bound_text();
+      CHECK(b.char_weights() == b.linear->weights.data());
+      CHECK(b.word_weights() == b.linear->weights.data() + b.char_dim);
+      CHECK(b.linear->weights.size() >= b.char_dim + b.word_dim);
+      CHECK(b.char_dim == 300 * scale && b.word_dim == 100 * scale);
+    }
+    CHECK(text[0]->bound_text().linear == text[1]->bound_text().linear);
+    CHECK(text[0]->bound_text().char_weights() ==
+          text[1]->bound_text().char_weights());
+
+    AcWorkloadOptions ac_opts;
+    ac_opts.num_pipelines = 1;
+    ac_opts.featurizer_trees = 6 * scale;
+    ac_opts.final_trees = 4 * scale;
+    const auto dense = CompileBoth(AcWorkload::Generate(ac_opts), &store);
+    for (const auto& plan : dense) {
+      const ModelPlan::BoundDense& b = plan->bound_dense();
+      CHECK(b.bound_final.forest == &b.final_forest->forest);
+    }
+    CHECK(dense[0]->bound_dense().bound_final.forest ==
+          dense[1]->bound_dense().bound_final.forest);
+
+    // Eight times the parameters, the same plan-private bytes.
+    if (scale == 1) {
+      text_overhead = text[0]->OverheadBytes();
+      dense_overhead = dense[0]->OverheadBytes();
+      CHECK(text_overhead < text[0]->ParameterBytes());
+    } else {
+      CHECK_EQ(text[0]->OverheadBytes(), text_overhead);
+      CHECK_EQ(dense[0]->OverheadBytes(), dense_overhead);
+    }
+  }
+
+  // A program not lowered through Flour keeps a narrow linear model;
+  // the plan's weight views would overrun it, so compile refuses.
+  SaWorkloadOptions sa_opts;
+  sa_opts.num_pipelines = 1;
+  sa_opts.char_dict_entries = 300;
+  sa_opts.word_dict_entries = 100;
+  sa_opts.vocabulary_size = 200;
+  FlourContext flour(nullptr);
+  auto program = flour.FromPipeline(SaWorkload::Generate(sa_opts).pipelines()[0]);
+  for (auto& op : program->ops) {
+    if (op.params->kind() == OpKind::kLinearBinary) {
+      auto narrow = std::make_shared<LinearBinaryParams>(
+          static_cast<const LinearBinaryParams&>(*op.params));
+      narrow->weights.resize(5);
+      narrow->Finalize();
+      op.params = narrow;
+    }
+  }
+  CHECK(!Plan(*program, "narrow").ok());
+  std::printf("bound views alias the interned params: PASS\n");
+}
+
 int main() {
   SaWorkloadOptions sa_opts;
   sa_opts.num_pipelines = 8;
@@ -89,6 +172,8 @@ int main() {
   ac_opts.final_depth = 4;
   CheckFamily(AcWorkload::Generate(ac_opts), 5678, /*expect_full_stages=*/2,
               /*push_applies=*/false);
+
+  CheckBoundViews();
 
   std::printf("plan_equivalence_test: PASS\n");
   return 0;
