@@ -26,9 +26,10 @@
 // operator action.
 //
 // Exit status: 1 when a deterministic check fails (exactly-once
-// accounting, zero torn/errored completions, the byte-exact swap cost, or
-// settled-bytes reclamation), so a smoke run under ctest gates them. The
-// timing checks and the "lifecycle actually churned" check only print.
+// accounting, zero torn/errored completions, the byte-exact swap cost,
+// settled-bytes reclamation, or the health-gated auto-rollback), so a
+// smoke run under ctest gates them. The timing checks and the "lifecycle
+// actually churned" check only print.
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -605,12 +606,12 @@ int main(int argc, char** argv) {
       churn_bytes_settled == churn_bytes0,
       "after the churn settles, retired versions left the ObjectStore: "
       "resident bytes equal the pre-churn baseline exactly");
-  bool pass = gate && churn_ok;
-  pass &= ShapeCheck(
+  gate &= ShapeCheck(
       ar_fired && ar_count >= 1 && ar_clean,
       "a degraded canary is killed by the health controller alone: "
       "auto-rollback fires, the stable version keeps serving, and the "
       "canary's bytes are reclaimed");
+  bool pass = gate && churn_ok;
 
   const bool parallel_host = hw >= 2;
   const bool ratio_check = flags.GetBool("ratio_check", true);

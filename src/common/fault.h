@@ -16,7 +16,7 @@
 //     is what the chaos invariants (exactly-once, bounded in-flight,
 //     recovery) are stated over.
 //
-// Sites are string literals, e.g. PRETZEL_FAULT_POINT("runtime.ring_full").
+// Sites are string literals, e.g. PRETZEL_FAULT_POINT("oven.compile_fail").
 // tools/lint_invariants.py enforces that every site named in src/ appears in
 // tests/chaos_test.cc. The registry is a small fixed table guarded by a
 // mutex on the (cold) Arm/Disarm/SetSeed path; Hit() walks it lock-free via

@@ -2,19 +2,18 @@
 // tests/lockfree_test.cc):
 //
 //  - BoundedMpmcRing<T>: Vyukov's bounded queue with per-cell sequence
-//    numbers. One type serves both hot-path roles in the Runtime: as an
-//    MPSC ring it carries a plan's events (producers = caller/FrontEnd
-//    threads, consumer = the executor holding the plan's dispatch quantum),
-//    and as an MPMC ring it carries the runnable PlanQueue* rotation.
+//    numbers. In the Runtime it carries the runnable PlanQueue* rotation
+//    (MPMC: producers publish plans, executors pop them).
 //  - IndexStack: a Treiber stack over small indices with the ABA tag packed
 //    beside the index in one 64-bit word, so push/pop are single
 //    pointer-width CASes (the constant-time free-list scheme of Blelloch &
 //    Wei, arXiv:2008.04296 / arXiv:1911.09671, specialized to bounded
 //    pools). Backs the VectorPool / ExecContextPool free lists.
 //  - MpscIntrusiveQueue: Vyukov's intrusive unbounded MPSC queue — push is
-//    wait-free (one exchange), pop is single-consumer. Carries the FIFO
-//    chain of spill segments behind each plan's bounded event ring, so even
-//    burst overflow never takes a mutex.
+//    wait-free (one exchange), pop is single-consumer. It is each plan's
+//    event queue: a FIFO chain of per-enqueue-call event segments
+//    (producers = caller/FrontEnd threads, consumer = the executor holding
+//    the plan's dispatch quantum), so no enqueue ever takes a mutex.
 //  - EventCount: futex-style sleep/wake for executor parking. Producers pay
 //    one atomic bump and skip the kernel entirely while every consumer is
 //    busy; mutex+condvar survive only on the park/unpark slow path.

@@ -17,12 +17,12 @@
 // inline on an idle executor group. Callbacks therefore must not block,
 // and must not take a lock the caller holds across RequestAsync.
 //
-// Backpressure composition with the Runtime's bounded event rings: a
+// Backpressure composition with the Runtime's per-plan event queues: a
 // backend enqueue that fails (e.g. the per-plan ResourceExhausted cap,
-// enforced ahead of the lock-free rings) surfaces through the async
+// enforced ahead of the lock-free queue) surfaces through the async
 // callback with that status, so callers see the same fail-fast semantics on
-// both admission tiers. Ring-capacity spills inside the Runtime are NOT
-// rejections — they only leave the lock-free fast path.
+// both admission tiers. The Runtime's queue itself is unbounded; only that
+// cap rejects.
 #ifndef PRETZEL_FRONTEND_FRONTEND_H_
 #define PRETZEL_FRONTEND_FRONTEND_H_
 

@@ -154,26 +154,21 @@ struct Runtime::MetricShard {
   SampleStats single_latency_us GUARDED_BY(mu);
 };
 
-// One link of a plan's overflow spill: a producer's burst remainder, packed
-// into a ring segment chained FIFO behind the bounded event ring through
-// the lock-free Vyukov MPSC queue. Sized exactly to the call's spilled
-// events (trailing storage, one allocation) because the dominant spill
-// producer is a single-event enqueue: a fixed-capacity segment would pay
-// for dead Event constructions and kilobytes of slack per spilled single —
-// a fixed per-event tax that measurably compresses the coalescing win.
-// Producer-created on the (rare) spill path, consumer-destroyed after its
-// events are drained or bulk-refilled into the ring.
-struct Runtime::SpillSegment : MpscNode {
+// One link of a plan's event queue: the events of one enqueue call, packed
+// into trailing storage (one allocation per call, exactly sized) and
+// chained FIFO through the lock-free Vyukov MPSC queue. Producer-created,
+// destroyed by the quantum owner once its cursor has moved every event out.
+struct Runtime::EventSegment : MpscNode {
   size_t count = 0;
 
   Event* events() { return reinterpret_cast<Event*>(this + 1); }
 
   // Moves events[0, n) out of `src` into the trailing storage.
-  static SpillSegment* Create(Event* src, size_t n) {
-    static_assert(alignof(Event) <= alignof(SpillSegment),
+  static EventSegment* Create(Event* src, size_t n) {
+    static_assert(alignof(Event) <= alignof(EventSegment),
                   "trailing Event storage would be misaligned");
-    void* mem = ::operator new(sizeof(SpillSegment) + n * sizeof(Event));
-    auto* segment = new (mem) SpillSegment();
+    void* mem = ::operator new(sizeof(EventSegment) + n * sizeof(Event));
+    auto* segment = new (mem) EventSegment();
     segment->count = n;
     for (size_t i = 0; i < n; ++i) {
       new (&segment->events()[i]) Event(std::move(src[i]));
@@ -183,11 +178,11 @@ struct Runtime::SpillSegment : MpscNode {
 
   // Destroys every slot (moved-from ones included; at shutdown undrained
   // slots still hold events whose callbacks never ran).
-  static void Destroy(SpillSegment* segment) {
+  static void Destroy(EventSegment* segment) {
     for (size_t i = 0; i < segment->count; ++i) {
       segment->events()[i].~Event();
     }
-    segment->~SpillSegment();
+    segment->~EventSegment();
     ::operator delete(segment);
   }
 };
@@ -223,25 +218,21 @@ struct Runtime::ExecGroup {
 // under registry_mu_ before the queue is first published, and read-only
 // afterwards.
 //
-// Producers admit through the atomic `queued` counter, then
-// publish into `ring` (bounded MPSC; bursts spill to the `spill` chain of
-// ring segments, which stays FIFO-ordered after the ring's contents). The
-// dispatch `claim` keeps the plan at most once in the group's runnable
-// rotation; whoever pops it from the rotation (or wins it inline) is the
-// queue's single consumer until it re-publishes or releases the claim.
-// `held` stashes a chunk event the consumer popped while coalescing singles
-// (consumer-private; ownership transfers with the claim).
+// Producers admit through the atomic `queued` counter, then push their
+// call's events as one EventSegment onto `segments`. The dispatch `claim`
+// keeps the plan at most once in the group's runnable rotation; whoever
+// pops it from the rotation (or wins it inline) is the queue's single
+// consumer, reading through the `cur`/`cur_idx` cursor, until it
+// re-publishes or releases the claim.
 struct Runtime::PlanQueue {
-  explicit PlanQueue(size_t ring_capacity) : ring(ring_capacity) {}
-
-  // Frees spill segments stranded at shutdown (their events' callbacks are
-  // never invoked).
+  // Frees segments stranded at shutdown (their events' callbacks are never
+  // invoked).
   ~PlanQueue() {
-    if (spill_cur != nullptr) {
-      SpillSegment::Destroy(spill_cur);
+    if (cur != nullptr) {
+      EventSegment::Destroy(cur);
     }
-    while (MpscNode* node = spill.TryPop()) {
-      SpillSegment::Destroy(static_cast<SpillSegment*>(node));
+    while (MpscNode* node = segments.TryPop()) {
+      EventSegment::Destroy(static_cast<EventSegment*>(node));
     }
   }
 
@@ -284,27 +275,28 @@ struct Runtime::PlanQueue {
     lifecycle_refs.fetch_sub(1, std::memory_order_seq_cst);
   }
 
-  // `queued_events` (the queue's occupancy, read first) less its stale
-  // chunk tickets: the work the cap and the shedding estimate should see. A
-  // closed-loop synchronous batch caller that outruns the executors then
-  // never has more than its own call's chunks counted.
-  size_t LiveQueued(size_t queued_events) const {
+  // The work the cap and the shedding estimate should see: `queued` less
+  // its stale chunk tickets, so a closed-loop synchronous batch caller that
+  // outruns the executors never has more than its own call's chunks
+  // counted. `stale_chunks` is loaded FIRST: an executor that drops stale
+  // tickets subtracts from `queued` before `stale_chunks`, so a drop landing
+  // between the two loads makes this under-count (admit early), never
+  // over-count (a false cap rejection). The `queued` it read goes to
+  // *queued_now (the cap's CAS expects it).
+  size_t LiveQueued(size_t* queued_now) const {
     const auto stale = static_cast<size_t>(
         std::max<int64_t>(0, stale_chunks.load(std::memory_order_seq_cst)));
-    return queued_events - std::min(queued_events, stale);
+    *queued_now = queued.load(std::memory_order_seq_cst);
+    return *queued_now - std::min(*queued_now, stale);
   }
 
   // ---- Event queue ----
-  BoundedMpmcRing<Event> ring;
-  // Overflow spill: FIFO chain of SpillSegments (wait-free producer push);
-  // spill_cur/spill_idx are the consumer's private cursor into the segment
-  // it is draining (ownership travels with the dispatch claim).
-  MpscIntrusiveQueue spill;
-  SpillSegment* spill_cur = nullptr;
-  size_t spill_idx = 0;
-  // Spilled events not yet returned or refilled into the ring; incremented
-  // before a segment is published so it never underflows.
-  std::atomic<size_t> overflow_count{0};
+  // FIFO chain of EventSegments (wait-free producer push). cur/cur_idx are
+  // the consumer's private cursor: the segment it is reading and the index
+  // of its next event (ownership travels with the dispatch claim).
+  MpscIntrusiveQueue segments;
+  EventSegment* cur = nullptr;
+  size_t cur_idx = 0;
   // Events admitted and not yet gathered into a dispatch quantum; doubles
   // as the backpressure cap check and the queue_depth metric.
   std::atomic<size_t> queued{0};
@@ -317,8 +309,6 @@ struct Runtime::PlanQueue {
   // True while an executor lingers for this plan's batch to fill; enqueues
   // then NotifyAll so the linger predicate is re-evaluated.
   std::atomic<bool> lingering{false};
-  bool held_valid = false;  // Quantum-owner-private chunk stash.
-  Event held;
 
   // ---- Counters (relaxed atomics) ----
   // Enqueue->dispatch delay EWMA (alpha 1/8), written by whichever executor
@@ -331,9 +321,9 @@ struct Runtime::PlanQueue {
   std::atomic<int64_t> exec_ewma_ns{0};
   // Chunk tickets still queued whose chunk the job's synchronous caller
   // ran: the caller adds one per chunk it takes, the executor that
-  // drops the ticket subtracts it AFTER its `queued` decrement, so
-  // LiveQueued may under-count for a moment but never over-counts (no false
-  // cap rejection). Signed — the caller's add may land after the drop.
+  // drops the ticket subtracts it AFTER its `queued` decrement (LiveQueued
+  // relies on that order). Between a caller's take and its add, the ticket
+  // still reads live. Signed — the caller's add may land after the drop.
   std::atomic<int64_t> stale_chunks{0};
   std::atomic<uint64_t> inline_predictions{0};
   std::atomic<uint64_t> enqueued{0};
@@ -356,7 +346,6 @@ Runtime::Runtime(ObjectStore* store, const RuntimeOptions& options)
         RuntimeOptions o = options;
         o.num_executors = std::max<size_t>(1, o.num_executors);
         o.default_max_batch = std::max<size_t>(1, o.default_max_batch);
-        o.event_ring_capacity = std::max<size_t>(8, o.event_ring_capacity);
         return o;
       }()),
       caller_contexts_(&caller_pool_, /*reuse_enabled=*/true) {
@@ -410,7 +399,7 @@ Result<Runtime::PlanId> Runtime::Register(std::shared_ptr<ModelPlan> plan,
   }
   WriterMutexLock lock(registry_mu_);
   const PlanId id = plan_queues_.size();
-  auto pq = std::make_unique<PlanQueue>(options_.event_ring_capacity);
+  auto pq = std::make_unique<PlanQueue>();
   pq->id = id;
   pq->plan = std::move(plan);
   pq->plan_name = pq->plan->name();
@@ -477,7 +466,6 @@ Status Runtime::Retire(PlanId id) {
   // loading `retired`, so any in-flight work the occupancy check misses is
   // visible to the refs check of the same pass.
   while (pq->queued.load(std::memory_order_seq_cst) != 0 ||
-         pq->overflow_count.load(std::memory_order_seq_cst) != 0 ||
          pq->claim.held() ||
          pq->lifecycle_refs.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
@@ -508,9 +496,8 @@ Status Runtime::AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n) {
   // open: shed everything -> nothing dispatches -> the EWMA never
   // refreshes -> shed forever, starving an idle plan (observed as goodput
   // collapse in bench_resilience's post-burst phase).
-  // relaxed: queued is a monotonic-noise admission heuristic; a stale read
-  // only mis-sheds or mis-admits one request, never corrupts state.
-  if (pq->LiveQueued(pq->queued.load(std::memory_order_relaxed)) > 0) {
+  size_t queued_now = 0;
+  if (pq->LiveQueued(&queued_now) > 0) {
     const int64_t est_us =
         pq->queue_delay_ewma_us.load(std::memory_order_relaxed);
     const int64_t remaining_us = (deadline_ns - now) / 1000;
@@ -541,9 +528,9 @@ Status Runtime::EnqueueEvents(PlanQueue* pq, Event* events, size_t n) {
   // the cap (LiveQueued).
   const size_t cap = options_.max_queued_events_per_plan;
   if (cap > 0) {
-    size_t queued_now = pq->queued.load(std::memory_order_seq_cst);
     for (;;) {
-      if (pq->LiveQueued(queued_now) + n > cap) {
+      size_t queued_now = 0;
+      if (pq->LiveQueued(&queued_now) + n > cap) {
         pq->rejected.fetch_add(n, std::memory_order_relaxed);
         return Status::ResourceExhausted("plan " + std::to_string(pq->id) +
                                          " queue over " + std::to_string(cap) +
@@ -569,25 +556,7 @@ Status Runtime::EnqueueEvents(PlanQueue* pq, Event* events, size_t n) {
   if (chunks > 0) {
     pq->chunk_count.fetch_add(chunks, std::memory_order_seq_cst);
   }
-  // While spilled events exist, new ones must queue behind them (not jump
-  // ahead through the ring), so FIFO degrades no further than the spill —
-  // and once one event of this call spills, the rest follow it into the
-  // chain, keeping the call's events contiguous per segment.
-  size_t i = 0;
-  while (i < n && pq->overflow_count.load(std::memory_order_acquire) == 0 &&
-         !PRETZEL_FAULT_POINT("runtime.ring_full",
-                              static_cast<int64_t>(pq->id)) &&
-         pq->ring.TryPush(std::move(events[i]))) {
-    ++i;
-  }
-  if (i < n) {
-    // Count first: the consumer decrements only for events whose segment
-    // publication it observed, so the counter never underflows; it may
-    // transiently read count > 0 with the chain still mid-push, which it
-    // treats exactly like empty.
-    pq->overflow_count.fetch_add(n - i, std::memory_order_release);
-    pq->spill.Push(SpillSegment::Create(events + i, n - i));
-  }
+  pq->segments.Push(EventSegment::Create(events, n));
   pq->enqueued.fetch_add(n, std::memory_order_relaxed);
   // Publish: first producer to find the plan unclaimed puts it in the
   // rotation; everyone else just wakes an executor.
@@ -629,83 +598,45 @@ void Runtime::HandOff(PlanQueue* pq) {
   const auto pending = [pq] {
     return pq->queued.load(std::memory_order_seq_cst) > 0;
   };
-  if (pq->held_valid || pending() || pq->claim.Release(pending)) {
+  if (pending() || pq->claim.Release(pending)) {
     PushRunnable(pq->group, pq);
     pq->group->ec.NotifyOne();
   }
 }
 
-// Quantum-owner only: held stash first, then the lock-free ring, then the
-// spill chain (whose remainder is bulk-refilled into the ring so subsequent
-// pops return to the single-CAS path).
-bool Runtime::PopEvent(PlanQueue* pq, Event* out) {
-  if (pq->held_valid) {
-    *out = std::move(pq->held);
-    pq->held_valid = false;
-    return true;
-  }
-  if (pq->ring.TryPop(out)) {
-    return true;
-  }
-  if (pq->spill_cur != nullptr ||
-      pq->overflow_count.load(std::memory_order_acquire) > 0) {
-    if (PopSpill(pq, out)) {
-      return true;
+// Quantum-owner only. A transiently split chain (a producer between its
+// exchange and its link store) reads as empty; ExecutorLoop's
+// admitted-but-unpublished handling covers it.
+Runtime::Event* Runtime::PeekEvent(PlanQueue* pq) {
+  if (pq->cur == nullptr) {
+    MpscNode* node = pq->segments.TryPop();
+    if (node == nullptr) {
+      return nullptr;
     }
+    pq->cur = static_cast<EventSegment*>(node);
+    pq->cur_idx = 0;
   }
-  // A producer may have published between the ring check and the (empty)
-  // spill check.
-  return pq->ring.TryPop(out);
+  return &pq->cur->events()[pq->cur_idx];
+}
+
+Runtime::Event Runtime::TakeEvent(PlanQueue* pq) {
+  Event event = std::move(pq->cur->events()[pq->cur_idx]);
+  if (++pq->cur_idx == pq->cur->count) {
+    EventSegment::Destroy(pq->cur);
+    pq->cur = nullptr;
+  }
+  return event;
 }
 
 bool Runtime::PopLive(PlanQueue* pq, Event* out, size_t* stale) {
-  while (PopEvent(pq, out)) {
+  while (PeekEvent(pq) != nullptr) {
+    *out = TakeEvent(pq);
     if (out->job == nullptr || TakeChunk(*out)) {
       return true;
     }
     ++*stale;
   }
   return false;
-}
-
-// Quantum-owner only. Returns the oldest spilled event, then drains as much
-// of the chain as fits back into the ring (bulk refill) so the spill is an
-// excursion, not a new steady state. A transiently inconsistent chain (a
-// producer between its exchange and its link store) reads as empty; the
-// caller's admitted-but-unpublished handling covers it.
-bool Runtime::PopSpill(PlanQueue* pq, Event* out) {
-  if (pq->spill_cur == nullptr) {
-    MpscNode* node = pq->spill.TryPop();
-    if (node == nullptr) {
-      return false;
-    }
-    pq->spill_cur = static_cast<SpillSegment*>(node);
-    pq->spill_idx = 0;
-  }
-  SpillSegment* segment = pq->spill_cur;
-  *out = std::move(segment->events()[pq->spill_idx++]);
-  size_t moved = 1;
-  for (;;) {
-    while (pq->spill_idx < segment->count &&
-           pq->ring.TryPush(std::move(segment->events()[pq->spill_idx]))) {
-      ++pq->spill_idx;
-      ++moved;
-    }
-    if (pq->spill_idx < segment->count) {
-      break;  // Ring full; the cursor resumes here next quantum.
-    }
-    SpillSegment::Destroy(segment);
-    pq->spill_cur = nullptr;
-    MpscNode* node = pq->spill.TryPop();
-    if (node == nullptr) {
-      break;
-    }
-    segment = static_cast<SpillSegment*>(node);
-    pq->spill_cur = segment;
-    pq->spill_idx = 0;
-  }
-  pq->overflow_count.fetch_sub(moved, std::memory_order_release);
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1097,24 +1028,18 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
       Linger(group, pq, first.enqueue_ns);
     }
     // Gather one dispatch quantum: a single batch chunk, or a coalesced run
-    // of up to max_batch queued singles (a chunk met mid-run is stashed in
-    // `held` for the plan's next quantum).
+    // of up to max_batch queued singles (a chunk met mid-run stays at the
+    // cursor for the plan's next quantum, still counted in `queued`).
     bool chunk_quantum = false;
     if (have) {
-      if (first.job != nullptr) {
-        chunk_quantum = true;
-        batch.push_back(std::move(first));
-      } else {
-        batch.push_back(std::move(first));
-        Event next;
-        while (batch.size() < pq->max_batch && PopEvent(pq, &next)) {
-          if (next.job != nullptr) {
-            pq->held = std::move(next);
-            pq->held_valid = true;
-            break;
-          }
-          batch.push_back(std::move(next));
+      chunk_quantum = first.job != nullptr;
+      batch.push_back(std::move(first));
+      while (!chunk_quantum && batch.size() < pq->max_batch) {
+        const Event* next = PeekEvent(pq);
+        if (next == nullptr || next->job != nullptr) {
+          break;
         }
+        batch.push_back(TakeEvent(pq));
       }
     }
     const bool popped = stale > 0 || !batch.empty();
@@ -1305,6 +1230,7 @@ RuntimeMetrics Runtime::GetMetrics() const {
     pm.queue_delay_ewma_us =
         pq->queue_delay_ewma_us.load(std::memory_order_relaxed);
     pm.queue_depth = pq->queued.load(std::memory_order_relaxed);
+    pm.queued_chunks = pq->chunk_count.load(std::memory_order_relaxed);
     for (const auto& shard : pq->shards) {
       SampleStats batch_records, queue_wait, single_latency;
       {
@@ -1363,6 +1289,7 @@ static void MergePlanMetrics(PlanMetrics& into, const PlanMetrics& from) {
   // A logical plan is retired only once every replica is.
   into.retired = into.retired && from.retired;
   into.queue_depth += from.queue_depth;
+  into.queued_chunks += from.queued_chunks;
   into.inline_predictions += from.inline_predictions;
   into.enqueued_events += from.enqueued_events;
   into.rejected_events += from.rejected_events;

@@ -22,14 +22,12 @@
 //
 // Hot-path concurrency: no enqueue, dispatch, or buffer acquire takes a
 // mutex in the common case.
-//  - Each plan's events ride a bounded lock-free MPSC ring
-//    (BoundedMpmcRing; producers = caller/FrontEnd threads, consumer = the
-//    executor holding the plan's dispatch quantum). Bursts beyond the ring
-//    spill to a FIFO chain of ring segments linked through a Vyukov
-//    intrusive MPSC queue — wait-free push, bulk-refilled back into the
-//    ring by the consumer — so even deep backlogs never take a mutex; the
-//    ResourceExhausted cap is enforced by an atomic counter before any
-//    structure is touched.
+//  - Each plan's events ride one lock-free FIFO: every enqueue call packs
+//    its events into one exactly-sized segment and pushes it onto a Vyukov
+//    intrusive MPSC chain (wait-free push; producers = caller/FrontEnd
+//    threads, consumer = the executor holding the plan's dispatch quantum,
+//    reading through a private cursor). The ResourceExhausted cap is
+//    enforced by an atomic counter before any structure is touched.
 //  - A plan is claimed for dispatch via its DispatchClaim (lockfree.h); the
 //    runnable rotation itself is a lock-free MPMC ring of PlanQueue*.
 //  - Executors park and linger on an EventCount: producers skip the kernel
@@ -117,11 +115,6 @@ struct RuntimeOptions {
   // fill, but only while no other plan has runnable work.
   size_t default_max_batch = 16;
   int64_t default_max_delay_us = 0;
-  // Per-plan event-ring capacity (rounded up to a power of two). Bursts
-  // beyond it spill to a lock-free FIFO chain of ring segments —
-  // correctness and admission semantics are unchanged, only that tail
-  // leaves the single-CAS fast path.
-  size_t event_ring_capacity = 256;
 };
 
 struct PlanRegistration {
@@ -150,6 +143,7 @@ struct PlanMetrics {
   // job's synchronous caller already ran, until an executor drops them
   // (those do not count against max_queued_events_per_plan).
   size_t queue_depth = 0;
+  size_t queued_chunks = 0;  // Batch chunk tickets among queue_depth.
   // Synchronous singles on an unreserved plan, run on the caller's thread;
   // they bypass the scheduler, so the enqueue/dispatch counters below
   // never include them.
@@ -357,7 +351,7 @@ class Runtime {
   struct ExecGroup;
   struct PlanQueue;
   struct MetricShard;
-  struct SpillSegment;
+  struct EventSegment;
 
   // Appends to threads_ / executor_caches_ / executor_pools_; callers hold
   // the registry lock exclusively (constructor and Register).
@@ -423,16 +417,16 @@ class Runtime {
   // A claim owner's hand-off: re-publishes the plan if events remain, else
   // releases the dispatch claim (with its re-check).
   static void HandOff(PlanQueue* pq);
-  // Pops the plan's next event (held slot, then ring, then spill chain).
-  // Quantum-owner only.
-  static bool PopEvent(PlanQueue* pq, Event* out);
-  // PopEvent, dropping stale chunk tickets (TakeChunk) on the way and
+  // The event at the cursor (the plan's oldest queued event), or null when
+  // the queue reads empty. Quantum-owner only.
+  static Event* PeekEvent(PlanQueue* pq);
+  // Moves the event PeekEvent just returned out and advances the cursor,
+  // freeing a segment once it is drained. Quantum-owner only.
+  static Event TakeEvent(PlanQueue* pq);
+  // Takes events, dropping stale chunk tickets (TakeChunk) on the way and
   // counting them in `*stale`; a chunk it returns is taken. Quantum-owner
   // only.
   static bool PopLive(PlanQueue* pq, Event* out, size_t* stale);
-  // Takes the oldest spilled event and bulk-refills the ring from the
-  // remaining chain. Quantum-owner only.
-  static bool PopSpill(PlanQueue* pq, Event* out);
   void Linger(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns);
   // Executes one gathered quantum (outside all scheduler structures) and
   // records error/latency accounting into shard `shard_idx` (an executor's,

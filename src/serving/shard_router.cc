@@ -207,6 +207,38 @@ void ShardRouter::PublishLocked(const std::string& name) {
 // ---------------------------------------------------------------------------
 // Placement.
 
+Result<ShardRouter::ReplicaState> ShardRouter::Materialize(
+    size_t shard, const PipelineSpec& spec,
+    const PlanRegistration& registration) {
+  // Flour interns the params into the shard's segment (or through it into
+  // the global store), Oven binds there.
+  ObjectStore* segment = shards_[shard]->segment.get();
+  FlourContext flour(segment);
+  auto program = flour.FromPipeline(spec);
+  if (program == nullptr) {
+    return Status::InvalidArgument("pipeline '" + spec.name +
+                                   "' did not lower");
+  }
+  Result<std::shared_ptr<ModelPlan>> plan = Plan(*program, spec.name);
+  if (!plan.ok()) {
+    ReleaseProgramPins(segment, *program);
+    return plan.status();
+  }
+  Runtime& runtime = *shards_[shard]->runtime;
+  Result<Runtime::PlanId> id = runtime.Register(std::move(*plan), registration);
+  if (!id.ok()) {
+    ReleaseProgramPins(segment, *program);
+    return id.status();
+  }
+  ReplicaState replica;
+  replica.shard = shard;
+  replica.plan_id = *id;
+  replica.queue_delay_us = runtime.QueueDelayCounter(*id);
+  replica.stats = std::make_unique<ReplicaStats>();
+  replica.checksums = CollectChecksums(*program);
+  return replica;
+}
+
 Result<ShardPlacement> ShardRouter::Place(const PipelineSpec& spec,
                                           const PlanRegistration& registration) {
   const size_t shard = ShardFor(spec.name);
@@ -223,31 +255,14 @@ Result<ShardPlacement> ShardRouter::Place(const PipelineSpec& spec,
     it->second.pending = true;
   }
   // Compile against the owning shard's segment — outside the lock; the
-  // pending entry holds the name. Flour interns the params into the segment
-  // (or through it into the global store), Oven binds there.
-  const auto fail = [&](Status status) -> Result<ShardPlacement> {
+  // pending entry holds the name.
+  Result<ReplicaState> replica = Materialize(shard, spec, registration);
+  if (!replica.ok()) {
     WriterMutexLock lock(mu_);
     plans_.erase(spec.name);  // Pending, never published: plain erase.
-    return status;
-  };
-  FlourContext flour(shards_[shard]->segment.get());
-  auto program = flour.FromPipeline(spec);
-  if (program == nullptr) {
-    return fail(Status::InvalidArgument("pipeline '" + spec.name +
-                                        "' did not lower"));
+    return replica.status();
   }
-  Result<std::shared_ptr<ModelPlan>> plan = Plan(*program, spec.name);
-  if (!plan.ok()) {
-    ReleaseProgramPins(shards_[shard]->segment.get(), *program);
-    return fail(plan.status());
-  }
-  Result<Runtime::PlanId> id =
-      shards_[shard]->runtime->Register(std::move(*plan), registration);
-  if (!id.ok()) {
-    ReleaseProgramPins(shards_[shard]->segment.get(), *program);
-    return fail(id.status());
-  }
-  ShardPlacement placement{shard, *id};
+  const ShardPlacement placement{shard, replica->plan_id};
   VersionGate* gate = NewGate();
   VersionStats* vstats = NewVersionStats();
   WriterMutexLock lock(mu_);
@@ -259,14 +274,7 @@ Result<ShardPlacement> ShardRouter::Place(const PipelineSpec& spec,
   st.next_version = 2;
   st.gate = gate;
   st.vstats = vstats;
-  ReplicaState replica;
-  replica.shard = shard;
-  replica.plan_id = *id;
-  replica.queue_delay_us = shards_[shard]->runtime->QueueDelayCounter(*id);
-  replica.stats = std::make_unique<ReplicaStats>();
-  replica.active = true;
-  replica.checksums = CollectChecksums(*program);
-  st.replicas.push_back(std::move(replica));
+  st.replicas.push_back(std::move(*replica));
   st.primary = 0;
   st.pending = false;
   PublishLocked(spec.name);
@@ -320,34 +328,15 @@ Result<uint64_t> ShardRouter::Deploy(const PipelineSpec& spec) {
   // Compile + register outside every router lock (mu_ is a leaf; the
   // control mutex serializes lifecycle ops only). A failure — including an
   // armed oven.compile_fail — returns here with the live version untouched.
-  FlourContext flour(shards_[shard]->segment.get());
-  auto program = flour.FromPipeline(spec);
-  if (program == nullptr) {
-    return Status::InvalidArgument("pipeline '" + spec.name +
-                                   "' did not lower");
-  }
-  Result<std::shared_ptr<ModelPlan>> plan = Plan(*program, spec.name);
-  if (!plan.ok()) {
-    ReleaseProgramPins(shards_[shard]->segment.get(), *program);
-    return plan.status();
-  }
-  Result<Runtime::PlanId> id =
-      shards_[shard]->runtime->Register(std::move(*plan), registration);
-  if (!id.ok()) {
-    ReleaseProgramPins(shards_[shard]->segment.get(), *program);
-    return id.status();
+  Result<ReplicaState> replica = Materialize(shard, spec, registration);
+  if (!replica.ok()) {
+    return replica.status();
   }
   auto rollout = std::make_unique<Rollout>();
   rollout->version = version;
   rollout->initial_fraction_bp = options_.rollout.canary_fraction_bp;
   rollout->spec = spec;
-  rollout->replica.shard = shard;
-  rollout->replica.plan_id = *id;
-  rollout->replica.queue_delay_us =
-      shards_[shard]->runtime->QueueDelayCounter(*id);
-  rollout->replica.stats = std::make_unique<ReplicaStats>();
-  rollout->replica.active = true;
-  rollout->replica.checksums = CollectChecksums(*program);
+  rollout->replica = std::move(*replica);
   rollout->gate = NewGate();
   rollout->stats = NewVersionStats();
   rollout->split = NewSplit();
@@ -673,37 +662,18 @@ Result<ShardPlacement> ShardRouter::Failover(const std::string& name,
   if (target == from) {
     return Status::Error("no healthy shard to fail '" + name + "' over to");
   }
-  // Same compile path as Place, against the target shard's segment; mu_
-  // stays dropped around the compile (it is a leaf lock).
-  FlourContext flour(shards_[target]->segment.get());
-  auto program = flour.FromPipeline(spec);
-  if (program == nullptr) {
-    return Status::Error("pipeline '" + name + "' did not re-lower");
+  // Same materialize path as Place, against the target shard's segment;
+  // mu_ stays dropped around the compile (it is a leaf lock).
+  Result<ReplicaState> replica = Materialize(target, spec, registration);
+  if (!replica.ok()) {
+    return replica.status();
   }
-  Result<std::shared_ptr<ModelPlan>> plan = Plan(*program, spec.name);
-  if (!plan.ok()) {
-    ReleaseProgramPins(shards_[target]->segment.get(), *program);
-    return plan.status();
-  }
-  Result<Runtime::PlanId> id =
-      shards_[target]->runtime->Register(std::move(*plan), registration);
-  if (!id.ok()) {
-    ReleaseProgramPins(shards_[target]->segment.get(), *program);
-    return id.status();
-  }
-  ShardPlacement placement{target, *id};
+  const ShardPlacement placement{target, replica->plan_id};
   {
     WriterMutexLock lock(mu_);
     PlanState& st = plans_.at(name);
-    ReplicaState replica;
-    replica.shard = target;
-    replica.plan_id = *id;
-    replica.queue_delay_us = shards_[target]->runtime->QueueDelayCounter(*id);
-    replica.stats = std::make_unique<ReplicaStats>();
-    replica.active = true;
-    replica.checksums = CollectChecksums(*program);
     st.replicas[st.primary].active = false;
-    st.replicas.push_back(std::move(replica));
+    st.replicas.push_back(std::move(*replica));
     st.primary = st.replicas.size() - 1;
     PublishLocked(name);
   }
@@ -797,31 +767,14 @@ Result<int> ShardRouter::SetActiveReplicas(const std::string& name,
             CircuitBreaker::State::kClosed) {
       continue;
     }
-    FlourContext flour(shards_[candidate]->segment.get());
-    auto program = flour.FromPipeline(spec);
-    if (program == nullptr) {
-      break;  // Spec no longer lowers; nothing later will either.
+    Result<ReplicaState> replica = Materialize(candidate, spec, registration);
+    if (!replica.ok()) {
+      if (replica.status().IsResourceExhausted()) {
+        continue;  // This shard is full; the next candidate may not be.
+      }
+      break;  // Spec no longer lowers or plans; nothing later will either.
     }
-    Result<std::shared_ptr<ModelPlan>> plan = Plan(*program, spec.name);
-    if (!plan.ok()) {
-      ReleaseProgramPins(shards_[candidate]->segment.get(), *program);
-      break;
-    }
-    Result<Runtime::PlanId> id =
-        shards_[candidate]->runtime->Register(std::move(*plan), registration);
-    if (!id.ok()) {
-      ReleaseProgramPins(shards_[candidate]->segment.get(), *program);
-      continue;  // This shard is full; the next candidate may not be.
-    }
-    ReplicaState replica;
-    replica.shard = candidate;
-    replica.plan_id = *id;
-    replica.queue_delay_us =
-        shards_[candidate]->runtime->QueueDelayCounter(*id);
-    replica.stats = std::make_unique<ReplicaStats>();
-    replica.active = true;
-    replica.checksums = CollectChecksums(*program);
-    fresh.push_back(std::move(replica));
+    fresh.push_back(std::move(*replica));
     ++active;
     ++added;
   }

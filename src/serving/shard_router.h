@@ -578,6 +578,15 @@ class ShardRouter {
   VersionGate* NewGate();
   VersionStats* NewVersionStats();
   CanarySplit* NewSplit();
+  // The one materialize path of Place, Deploy, Failover and
+  // SetActiveReplicas: lowers and plans `spec` against `shard`'s segment,
+  // registers the plan with that shard's Runtime, and returns the active
+  // replica. Runs with no router lock held. A failure unwinds the
+  // compile's interned pins; ResourceExhausted comes only from Register (the
+  // shard's executor group is full), every other failure from lowering or
+  // planning.
+  Result<ReplicaState> Materialize(size_t shard, const PipelineSpec& spec,
+                                   const PlanRegistration& registration);
   // Declared before shards_ so it outlives them: async callbacks running on
   // shard executors record outcomes here, and members destroy in reverse
   // declaration order (shards_ joins its executors first).

@@ -4,7 +4,6 @@
 // only under -DPRETZEL_FAULT_INJECT=ON (CI runs it under ASan and TSan);
 // tools/lint_invariants.py enforces that every site named in src/ appears
 // here. Sites covered:
-//   runtime.ring_full          — enqueue spills to the overflow chain
 //   runtime.pool_exhausted     — vector-pool acquires take the miss path
 //   runtime.executor_stall     — a quantum stalls before dispatching (also
 //                                under concurrent caller-assisted batches,
@@ -14,6 +13,8 @@
 //   ops.slow_kernel            — plan execution stalls inside the operator
 //   oven.compile_fail          — a versioned deploy's compile blows up
 //   store.swap_stall           — version reclamation stalls before draining
+// and, with no fault armed, exactly-once completion through a plan's event
+// queue while its executors are held.
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -159,10 +160,11 @@ void TestDeterministicDecisions() {
   fault::DisarmAll();
 }
 
-// runtime.ring_full: every ring push refused, so all events take the spill
-// chain. Under Zipf-skewed async load every request must still complete
-// exactly once with the correct score.
-void TestRingFullSpillExactlyOnce() {
+// The one event queue, with no fault armed: both executors held while
+// Zipf-skewed async singles arrive, so every request queues as its own
+// segment behind the others. Each must complete exactly once with the
+// correct score, and plain predictions score the same afterwards.
+void TestHeldQueueExactlyOnce() {
   fault::DisarmAll();
   Harness h(2, 4);
   const std::string input = "service was outstanding and the food dreadful";
@@ -173,16 +175,12 @@ void TestRingFullSpillExactlyOnce() {
     baseline.push_back(*r);
   }
 
-  fault::SetSeed(0x51);
-  fault::Arm("runtime.ring_full", fault::Spec{});  // p=1: always spill.
-
   constexpr size_t kRequests = 200;
   const auto models = ZipfModelSequence(h.ids.size(), kRequests, 2.0, 7);
   std::vector<std::atomic<int>> completions(kRequests);
   Waiter waiter;
   {
-    // Both executors held while the requests arrive, so every one queues
-    // and meets the refused ring.
+    // Both executors held while the requests arrive, so every one queues.
     ExecutorHold hold(*h.runtime, {h.ids[0], h.ids[1]});
     for (size_t i = 0; i < kRequests; ++i) {
       const size_t m = models[i];
@@ -201,10 +199,6 @@ void TestRingFullSpillExactlyOnce() {
   for (size_t i = 0; i < kRequests; ++i) {
     CHECK_EQ(completions[i].load(), 1);  // Exactly once, never zero or twice.
   }
-  CHECK(fault::Fires("runtime.ring_full") > 0);
-
-  fault::DisarmAll();
-  // Recovery: the fast path is back and scores unchanged.
   for (size_t m = 0; m < h.ids.size(); ++m) {
     auto r = h.runtime->Predict(h.ids[m], input);
     CHECK(r.ok());
@@ -973,8 +967,8 @@ void TestSwapStallServesThrough() {
 int main() {
   TestDeterministicDecisions();
   std::printf("TestDeterministicDecisions: PASS\n");
-  TestRingFullSpillExactlyOnce();
-  std::printf("TestRingFullSpillExactlyOnce: PASS\n");
+  TestHeldQueueExactlyOnce();
+  std::printf("TestHeldQueueExactlyOnce: PASS\n");
   TestPoolExhaustedMissPath();
   std::printf("TestPoolExhaustedMissPath: PASS\n");
   TestExecutorStallBoundedInFlight();

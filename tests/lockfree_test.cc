@@ -163,10 +163,10 @@ void TestIndexStackAbaChurn() {
   CHECK_EQ(count, kCapacity);
 }
 
-// Intrusive MPSC chain (the overflow-spill backbone): N producers push
+// Intrusive MPSC chain (each plan's event queue): N producers push
 // recycled nodes through the queue, one consumer pops. Exactly-once
 // delivery, per-producer FIFO, and clean drain — under node-recycling
-// pressure, since the spill reuses segment allocations rapidly. A transient
+// pressure, since the allocator hands freed segments back quickly. A transient
 // nullptr from TryPop while producers are mid-push is part of the contract
 // and must never lose a node.
 void TestMpscIntrusiveQueueExactlyOnceFifo() {

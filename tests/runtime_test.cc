@@ -1,7 +1,8 @@
-// Runtime: registration, inline predict, batch fan-out ordering, async
-// completion, error propagation, reservations, the inline-when-idle rule
-// for async singles, caller-assisted synchronous batches, the batch check
-// order, and bit-exact dense scores on every batch path.
+// Runtime: registration (and what it allocates), inline predict, batch
+// fan-out ordering, async completion, error propagation, reservations, the
+// inline-when-idle rule for async singles, caller-assisted synchronous
+// batches, the batch check order, coalescing around a queued chunk, and
+// bit-exact dense scores on every batch path.
 #include "src/runtime/runtime.h"
 
 #include <algorithm>
@@ -9,8 +10,11 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
+#include <new>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -25,6 +29,82 @@
 #include "tests/test_util.h"
 
 using namespace pretzel;
+
+// Every global operator new/delete of this binary routes through malloc and
+// free, counting the bytes a thread requests while its t_count_allocs is
+// set (TestRegisterAllocationBound). The nothrow and aligned forms are
+// replaced too, so no allocation pairs one allocator with the other.
+thread_local bool t_count_allocs = false;
+thread_local size_t t_alloc_bytes = 0;
+
+static void* CountedAlloc(size_t size, size_t align) {
+  if (t_count_allocs) {
+    t_alloc_bytes += size;
+  }
+  size = std::max<size_t>(1, size);
+  void* p = align > alignof(std::max_align_t)
+                ? std::aligned_alloc(align, (size + align - 1) / align * align)
+                : std::malloc(size);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+static void* CountedAllocNoThrow(size_t size, size_t align) noexcept {
+  try {
+    return CountedAlloc(size, align);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+void* operator new(size_t n) { return CountedAlloc(n, 0); }
+void* operator new[](size_t n) { return CountedAlloc(n, 0); }
+void* operator new(size_t n, std::align_val_t a) {
+  return CountedAlloc(n, static_cast<size_t>(a));
+}
+void* operator new[](size_t n, std::align_val_t a) {
+  return CountedAlloc(n, static_cast<size_t>(a));
+}
+void* operator new(size_t n, const std::nothrow_t&) noexcept {
+  return CountedAllocNoThrow(n, 0);
+}
+void* operator new[](size_t n, const std::nothrow_t&) noexcept {
+  return CountedAllocNoThrow(n, 0);
+}
+void* operator new(size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return CountedAllocNoThrow(n, static_cast<size_t>(a));
+}
+void* operator new[](size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return CountedAllocNoThrow(n, static_cast<size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -798,6 +878,93 @@ void TestSyncBatchBesideSaturatedExecutor() {
   AwaitEmptyQueue(*h.runtime, p);
 }
 
+// A chunk the coalescing loop meets at the cursor stays there for the
+// plan's next quantum. With the only executor held, plan P queues 3 async
+// singles, an async batch of 2 one-record chunks, then 2 more singles; on
+// release the executor runs the 3 singles as one quantum, then each chunk,
+// then the last 2 singles as one quantum.
+void TestChunkAtCursorWaitsForNextQuantum() {
+  Harness h(/*executors=*/1, /*pipelines=*/2);
+  const Runtime::PlanId p = h.ids[1];
+  std::mutex mu;
+  std::vector<std::string> order;
+  const auto record = [&](std::string what) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(std::move(what));
+  };
+  std::vector<std::unique_ptr<Completion>> singles;
+  const auto single = [&] {
+    singles.push_back(std::make_unique<Completion>());
+    Completion* c = singles.back().get();
+    const std::string name = "s" + std::to_string(singles.size());
+    CHECK(h.runtime
+              ->PredictAsync(p, h.input,
+                             [&record, c, name](Result<float> r) {
+                               record(name);
+                               c->Fire(r.ok());
+                             })
+              .ok());
+  };
+  Completion batch;
+  {
+    ExecutorHold hold(*h.runtime, {h.ids[0]});
+    single();
+    single();
+    single();
+    CHECK(h.runtime
+              ->PredictBatchAsync(
+                  p, {h.input, h.input},
+                  [&](Status status, std::span<const float>) {
+                    record("batch");
+                    batch.Fire(status.ok());
+                  },
+                  /*max_batch=*/1)
+              .ok());
+    single();
+    single();
+    const PlanMetrics queued = h.Metrics(p);
+    CHECK_EQ(queued.queue_depth, size_t{7});
+    CHECK_EQ(queued.queued_chunks, size_t{2});
+  }
+  batch.Await();
+  CHECK(batch.ok);
+  for (auto& c : singles) {
+    c->Await();
+    CHECK(c->ok);
+  }
+  const std::vector<std::string> want = {"s1", "s2", "s3", "batch", "s4",
+                                         "s5"};
+  CHECK(order == want);
+  const PlanMetrics pm = h.Metrics(p);
+  CHECK_EQ(pm.dispatches, uint64_t{4});
+  CHECK_EQ(pm.coalesced_singles, uint64_t{5});
+  CHECK_EQ(pm.queue_depth, size_t{0});
+  CHECK_EQ(pm.queued_chunks, size_t{0});
+  CHECK(pm.batch_records.samples() == std::vector<double>({3, 1, 1, 2}));
+}
+
+// Registering a plan allocates its scheduler bookkeeping (queue head,
+// counters, metric shards, name) and no per-plan event storage: events live
+// only in the segments their enqueue calls allocate.
+void TestRegisterAllocationBound() {
+  Harness h(/*executors=*/1, /*pipelines=*/1);
+  const auto& spec = h.workload.pipelines()[0];
+  FlourContext flour(&h.store);
+  auto program = flour.FromPipeline(spec);
+  auto plan = Plan(*program, spec.name);
+  CHECK(plan.ok());
+  std::shared_ptr<ModelPlan> given = std::move(*plan);
+  t_alloc_bytes = 0;
+  t_count_allocs = true;
+  auto id = h.runtime->Register(std::move(given));
+  t_count_allocs = false;
+  CHECK(id.ok());
+  std::printf("  Register allocated %zu bytes beyond its plan\n",
+              t_alloc_bytes);
+  CHECK_MSG(t_alloc_bytes < 4096, "Register allocated %zu bytes",
+            t_alloc_bytes);
+}
+
 // Every dense path scores with the per-record kernels: an AC synchronous
 // batch whose caller runs all its chunks (the executor is held), and a
 // coalesced group of async dense singles run by the executor, both return
@@ -1037,6 +1204,8 @@ int main() {
   TestStaleTicketsDrainInOneTurn();
   TestCapIgnoresStaleTickets();
   TestSyncBatchBesideSaturatedExecutor();
+  TestChunkAtCursorWaitsForNextQuantum();
+  TestRegisterAllocationBound();
   TestDenseBatchPathsMatchExecutePlan();
 
   std::printf("runtime_test: PASS\n");

@@ -286,17 +286,15 @@ void TestRuntimeBackpressure() {
   CHECK(m.plans[ids[0]].queue_delay_ewma_us >= 0);
 }
 
-// Deep backlog through a deliberately tiny event ring: every burst spills
-// into the segmented overflow chain (Vyukov intrusive MPSC) and every
-// callback still fires exactly once, in order per producer. Run under TSan
-// in CI.
+// Deep backlog through the plan's event queue, a chain of per-call
+// segments (Vyukov intrusive MPSC): every callback still fires exactly
+// once, in order per producer. Run under TSan in CI.
 void TestSegmentedSpillDeepBacklog() {
   auto sa = SmallSa(2);
   ObjectStore store;
   FlourContext flour(&store);
   RuntimeOptions ropts;
   ropts.num_executors = 2;
-  ropts.event_ring_capacity = 8;  // Floor value: near-constant spilling.
   Runtime runtime(&store, ropts);
   auto ids = RegisterAll(runtime, flour, sa, /*reserve_first_cores=*/0);
 
@@ -322,7 +320,7 @@ void TestSegmentedSpillDeepBacklog() {
               completed.fetch_add(1);
             });
         CHECK(st.ok());
-        // A mid-stream batch forces chunk events through the same spill.
+        // A mid-stream batch sends chunk events through the same queue.
         if (i % 512 == 0) {
           auto batch = runtime.PredictBatch(
               ids[p % ids.size()],
