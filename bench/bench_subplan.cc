@@ -6,6 +6,7 @@
 #include "src/common/clock.h"
 #include "src/flour/flour.h"
 #include "src/oven/model_plan.h"
+#include "src/oven/subplan_cache.h"
 
 namespace pretzel {
 namespace {

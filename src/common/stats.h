@@ -37,6 +37,12 @@ class SampleStats {
 
   const std::vector<double>& samples() const { return samples_; }
 
+  // Heap bytes the reservoir holds (capacity, not size; the sorted query
+  // cache included).
+  size_t HeldBytes() const {
+    return (samples_.capacity() + sorted_.capacity()) * sizeof(double);
+  }
+
  private:
   void EnsureSorted() const;
 

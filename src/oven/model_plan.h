@@ -21,7 +21,6 @@
 
 #include "src/common/status.h"
 #include "src/flour/flour.h"
-#include "src/oven/subplan_cache.h"
 #include "src/runtime/exec_context.h"
 
 namespace pretzel {

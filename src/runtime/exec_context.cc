@@ -216,34 +216,22 @@ Result<float> ExecuteText(const ModelPlan& plan, std::string_view input,
       }
       return;
     }
-    if (cache != nullptr) {
-      if (SubPlanCache::EntryRef hit = cache->Lookup(key)) {
-        if (pushed) {
-          // Copy-free: accumulate straight out of the shared entry.
-          for (const uint32_t id : *hit) {
-            *acc += weights[id];
-          }
-        } else {
-          // AssignCounts sorts the staging buffer in place, so unpushed
-          // consumers need a private copy of the cached scan.
-          raw_out->assign(hit->begin(), hit->end());
-        }
-        return;
-      }
-    }
+    // A hit copies the cached scan into the same buffer a miss scans into.
     std::vector<uint32_t>* ids = pushed ? &ctx.cache_ids : raw_out;
-    tokenize_once();
-    ids->clear();
-    if (is_char) {
-      ScanCharNgrams(ctx.text, b.char_ngram->dict, b.char_ngram->scan,
-                     [&](uint32_t id) { ids->push_back(id); });
-    } else {
-      ScanWordNgrams(ctx.text, ctx.spans, b.word_ngram->dict,
-                     b.word_ngram->scan,
-                     [&](uint32_t id) { ids->push_back(id); });
-    }
-    if (cache != nullptr) {
-      cache->Insert(key, *ids);
+    if (cache == nullptr || !cache->Lookup(key, ids)) {
+      tokenize_once();
+      ids->clear();
+      if (is_char) {
+        ScanCharNgrams(ctx.text, b.char_ngram->dict, b.char_ngram->scan,
+                       [&](uint32_t id) { ids->push_back(id); });
+      } else {
+        ScanWordNgrams(ctx.text, ctx.spans, b.word_ngram->dict,
+                       b.word_ngram->scan,
+                       [&](uint32_t id) { ids->push_back(id); });
+      }
+      if (cache != nullptr) {
+        cache->Insert(key, *ids);
+      }
     }
     if (pushed) {
       for (const uint32_t id : *ids) {

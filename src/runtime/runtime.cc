@@ -472,8 +472,21 @@ Status Runtime::Retire(PlanId id) {
   }
   // No admission can now succeed and no executor holds the plan: drop the
   // reference, so params the ObjectStore has Released can actually leave
-  // the heap. The PlanQueue shell stays (id/counter pointer stability).
+  // the heap. The PlanQueue shell stays (id/counter pointer stability), but
+  // with no writer left its metric reservoirs go too; counters stay. Every
+  // sample follows a dispatch count, so a plan that never dispatched (a
+  // canary rolled back before it served) has nothing to release.
   pq->plan.reset();
+  // relaxed: the drain's seq_cst loads already ordered every dispatch's
+  // increment before this point.
+  if (pq->dispatches.load(std::memory_order_relaxed) > 0) {
+    for (const auto& shard : pq->shards) {
+      MutexLock lock(shard->mu);
+      shard->batch_records = SampleStats();
+      shard->queue_wait_us = SampleStats();
+      shard->single_latency_us = SampleStats();
+    }
+  }
   return Status::OK();
 }
 
@@ -1240,6 +1253,9 @@ RuntimeMetrics Runtime::GetMetrics() const {
         batch_records = shard->batch_records;
         queue_wait = shard->queue_wait_us;
         single_latency = shard->single_latency_us;
+        pm.reservoir_bytes += shard->batch_records.HeldBytes() +
+                              shard->queue_wait_us.HeldBytes() +
+                              shard->single_latency_us.HeldBytes();
       }
       MergeStats(pm.batch_records, batch_records);
       MergeStats(pm.queue_wait_us, queue_wait);
@@ -1304,6 +1320,7 @@ static void MergePlanMetrics(PlanMetrics& into, const PlanMetrics& from) {
   MergeStats(into.batch_records, from.batch_records);
   MergeStats(into.queue_wait_us, from.queue_wait_us);
   MergeStats(into.single_latency_us, from.single_latency_us);
+  into.reservoir_bytes += from.reservoir_bytes;
 }
 
 void MergeRuntimeMetrics(RuntimeMetrics& into, const RuntimeMetrics& from) {

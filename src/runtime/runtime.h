@@ -67,7 +67,8 @@
 //
 // The Runtime owns one SubPlanCache and one VectorPool per executor (plus a
 // pool for the inline path, whose work shares the sub-plan cache of the
-// group it bypasses), so Figure-10 sub-plan materialization is active in
+// group it bypasses, so that cache has concurrent users: its mutex covers
+// a hit's copy-out), so Figure-10 sub-plan materialization is active in
 // serving, and exposes per-plan queue/batch/latency metrics plus pool
 // hit/miss counters through GetMetrics().
 #ifndef PRETZEL_RUNTIME_RUNTIME_H_
@@ -103,7 +104,8 @@ struct RuntimeOptions {
   // Sub-plan materialization cache budget per executor (0 disables). Each
   // executor owns a cache, so executors never contend on one across cores;
   // inline (caller-thread) work borrows the first executor's cache of the
-  // group it bypasses.
+  // group it bypasses, and contends with that executor only for the
+  // cache's mutex, held for one probe plus a hit's id copy.
   size_t subplan_cache_bytes = 8ull << 20;
   // Per-plan cap on queued events (backpressure); 0 = unbounded. Enqueues
   // that would exceed it fail fast with ResourceExhausted. Chunk tickets
@@ -186,6 +188,9 @@ struct PlanMetrics {
   // Enqueue -> completion, sampled once per dispatch (the dispatched
   // group's oldest single, i.e. its worst case).
   SampleStats single_latency_us;
+  // Heap bytes the plan's shards hold for the three reservoirs above.
+  // Retire releases them (its counters stay), so a retired plan reads 0.
+  size_t reservoir_bytes = 0;
 };
 
 struct RuntimeMetrics {

@@ -1,8 +1,8 @@
 // Runtime: registration (and what it allocates), inline predict, batch
 // fan-out ordering, async completion, error propagation, reservations, the
 // inline-when-idle rule for async singles, caller-assisted synchronous
-// batches, the batch check order, coalescing around a queued chunk, and
-// bit-exact dense scores on every batch path.
+// batches, the batch check order, coalescing around a queued chunk, what
+// Retire releases, and bit-exact dense scores on every batch path.
 #include "src/runtime/runtime.h"
 
 #include <algorithm>
@@ -12,9 +12,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
-#include <new>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -25,86 +23,11 @@
 #include "src/runtime/exec_context.h"
 #include "src/workload/ac_workload.h"
 #include "src/workload/sa_workload.h"
+#include "tests/counting_alloc.h"
 #include "tests/executor_hold.h"
 #include "tests/test_util.h"
 
 using namespace pretzel;
-
-// Every global operator new/delete of this binary routes through malloc and
-// free, counting the bytes a thread requests while its t_count_allocs is
-// set (TestRegisterAllocationBound). The nothrow and aligned forms are
-// replaced too, so no allocation pairs one allocator with the other.
-thread_local bool t_count_allocs = false;
-thread_local size_t t_alloc_bytes = 0;
-
-static void* CountedAlloc(size_t size, size_t align) {
-  if (t_count_allocs) {
-    t_alloc_bytes += size;
-  }
-  size = std::max<size_t>(1, size);
-  void* p = align > alignof(std::max_align_t)
-                ? std::aligned_alloc(align, (size + align - 1) / align * align)
-                : std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-static void* CountedAllocNoThrow(size_t size, size_t align) noexcept {
-  try {
-    return CountedAlloc(size, align);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-
-void* operator new(size_t n) { return CountedAlloc(n, 0); }
-void* operator new[](size_t n) { return CountedAlloc(n, 0); }
-void* operator new(size_t n, std::align_val_t a) {
-  return CountedAlloc(n, static_cast<size_t>(a));
-}
-void* operator new[](size_t n, std::align_val_t a) {
-  return CountedAlloc(n, static_cast<size_t>(a));
-}
-void* operator new(size_t n, const std::nothrow_t&) noexcept {
-  return CountedAllocNoThrow(n, 0);
-}
-void* operator new[](size_t n, const std::nothrow_t&) noexcept {
-  return CountedAllocNoThrow(n, 0);
-}
-void* operator new(size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  return CountedAllocNoThrow(n, static_cast<size_t>(a));
-}
-void* operator new[](size_t n, std::align_val_t a,
-                     const std::nothrow_t&) noexcept {
-  return CountedAllocNoThrow(n, static_cast<size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -965,6 +888,39 @@ void TestRegisterAllocationBound() {
             t_alloc_bytes);
 }
 
+// A retired plan's shell stays registered, so Retire releases its metric
+// reservoirs: after more than one window of singles (a reserved plan's
+// sync singles each dispatch once on its executor), the retired plan's
+// counters read as before and its reservoirs are empty and hold no bytes.
+void TestRetireReleasesReservoirs() {
+  Harness h(/*executors=*/1, /*pipelines=*/1, /*reserve_first=*/true);
+  const Runtime::PlanId id = h.ids[0];
+  constexpr uint64_t kSingles = 4096 + 512;  // One shard window is 4096.
+  for (uint64_t i = 0; i < kSingles; ++i) {
+    CHECK(h.runtime->Predict(id, h.input).ok());
+  }
+  const PlanMetrics before = h.Metrics(id);
+  CHECK_EQ(before.dispatches, kSingles);
+  CHECK(!before.batch_records.empty());
+  CHECK(before.batch_records.count() < kSingles);  // The window restarted.
+  CHECK(before.reservoir_bytes > 0);
+
+  CHECK(h.runtime->Retire(id).ok());
+  const PlanMetrics after = h.Metrics(id);
+  CHECK(after.retired);
+  CHECK_EQ(after.dispatches, before.dispatches);
+  CHECK_EQ(after.enqueued_events, before.enqueued_events);
+  CHECK_EQ(after.coalesced_singles, before.coalesced_singles);
+  CHECK_EQ(after.inline_predictions, before.inline_predictions);
+  CHECK_EQ(after.errors, before.errors);
+  CHECK(after.batch_records.empty());
+  CHECK(after.queue_wait_us.empty());
+  CHECK(after.single_latency_us.empty());
+  CHECK_EQ(after.reservoir_bytes, size_t{0});
+  std::printf("  retired plan reservoirs: %zu -> %zu bytes\n",
+              before.reservoir_bytes, after.reservoir_bytes);
+}
+
 // Every dense path scores with the per-record kernels: an AC synchronous
 // batch whose caller runs all its chunks (the executor is held), and a
 // coalesced group of async dense singles run by the executor, both return
@@ -1206,6 +1162,7 @@ int main() {
   TestSyncBatchBesideSaturatedExecutor();
   TestChunkAtCursorWaitsForNextQuantum();
   TestRegisterAllocationBound();
+  TestRetireReleasesReservoirs();
   TestDenseBatchPathsMatchExecutePlan();
 
   std::printf("runtime_test: PASS\n");
