@@ -148,34 +148,31 @@ size_t ShardRouter::ShardFor(const std::string& name) const {
 // ---------------------------------------------------------------------------
 // Snapshot publication.
 
+ShardRouter::VersionRouting ShardRouter::RoutingFor(const Version& version) {
+  VersionRouting routing;
+  routing.number = version.number;
+  routing.gate = &version.handles->gate;
+  routing.stats = &version.handles->stats;
+  const auto ref = [](const ReplicaState& r) {
+    return ReplicaRef{r.shard, r.plan_id, r.queue_delay_us, r.stats.get()};
+  };
+  routing.replicas.push_back(ref(version.replicas[version.primary]));
+  for (size_t i = 0; i < version.replicas.size(); ++i) {
+    if (i != version.primary && version.replicas[i].active) {
+      routing.replicas.push_back(ref(version.replicas[i]));
+    }
+  }
+  return routing;
+}
+
 void ShardRouter::PublishLocked(const std::string& name) {
   const PlanState& st = plans_.at(name);
   auto routing = std::make_unique<PlanRouting>();
   routing->traffic = st.traffic.get();
-  routing->version = st.active_version;
-  routing->gate = st.gate;
-  routing->stats = st.vstats;
-  if (st.rollout != nullptr) {
-    const ReplicaState& c = st.rollout->replica;
-    routing->has_canary = true;
-    routing->canary_version = st.rollout->version;
-    routing->canary =
-        ReplicaRef{c.shard, c.plan_id, c.queue_delay_us, c.stats.get()};
-    routing->canary_gate = st.rollout->gate;
-    routing->canary_stats = st.rollout->stats;
-    routing->split = st.rollout->split;
-  }
-  const ReplicaState& primary = st.replicas[st.primary];
-  routing->replicas.push_back(ReplicaRef{primary.shard, primary.plan_id,
-                                         primary.queue_delay_us,
-                                         primary.stats.get()});
-  for (size_t i = 0; i < st.replicas.size(); ++i) {
-    if (i == st.primary || !st.replicas[i].active) {
-      continue;
-    }
-    const ReplicaState& r = st.replicas[i];
-    routing->replicas.push_back(
-        ReplicaRef{r.shard, r.plan_id, r.queue_delay_us, r.stats.get()});
+  routing->active = RoutingFor(st.active);
+  if (st.canary.has_value()) {
+    routing->canary = RoutingFor(*st.canary);
+    routing->split = &st.canary->handles->split;
   }
   ++routing_entries_built_;
   // Only a name's first publish (its Place) changes the index; every later
@@ -263,19 +260,15 @@ Result<ShardPlacement> ShardRouter::Place(const PipelineSpec& spec,
     return replica.status();
   }
   const ShardPlacement placement{shard, replica->plan_id};
-  VersionGate* gate = NewGate();
-  VersionStats* vstats = NewVersionStats();
+  VersionHandles* handles = NewVersionHandles();
   WriterMutexLock lock(mu_);
   PlanState& st = plans_.at(spec.name);
-  st.spec = spec;  // Retained for replica / failover recompiles.
   st.registration = registration;
   st.traffic = std::make_unique<PlanTraffic>();
-  st.active_version = 1;
-  st.next_version = 2;
-  st.gate = gate;
-  st.vstats = vstats;
-  st.replicas.push_back(std::move(*replica));
-  st.primary = 0;
+  st.active.number = 1;
+  st.active.spec = spec;
+  st.active.replicas.push_back(std::move(*replica));
+  st.active.handles = handles;
   st.pending = false;
   PublishLocked(spec.name);
   return placement;
@@ -284,22 +277,9 @@ Result<ShardPlacement> ShardRouter::Place(const PipelineSpec& spec,
 // ---------------------------------------------------------------------------
 // Versioned lifecycle.
 
-VersionGate* ShardRouter::NewGate() {
+ShardRouter::VersionHandles* ShardRouter::NewVersionHandles() {
   std::lock_guard<std::mutex> lock(lifecycle_.mu);
-  lifecycle_.gates.push_back(std::make_unique<VersionGate>());
-  return lifecycle_.gates.back().get();
-}
-
-ShardRouter::VersionStats* ShardRouter::NewVersionStats() {
-  std::lock_guard<std::mutex> lock(lifecycle_.mu);
-  lifecycle_.stats.push_back(std::make_unique<VersionStats>());
-  return lifecycle_.stats.back().get();
-}
-
-CanarySplit* ShardRouter::NewSplit() {
-  std::lock_guard<std::mutex> lock(lifecycle_.mu);
-  lifecycle_.splits.push_back(std::make_unique<CanarySplit>());
-  return lifecycle_.splits.back().get();
+  return &lifecycle_.versions.emplace_back();
 }
 
 Result<uint64_t> ShardRouter::Deploy(const PipelineSpec& spec) {
@@ -315,13 +295,13 @@ Result<uint64_t> ShardRouter::Deploy(const PipelineSpec& spec) {
                               "' not placed (Deploy upgrades; Place first)");
     }
     const PlanState& st = it->second;
-    if (st.rollout != nullptr) {
+    if (st.canary.has_value()) {
       return Status::InvalidArgument("rollout already in flight for '" +
                                      spec.name + "'");
     }
     // Compile where the active version lives: its params are interned in
     // that shard's segment, so v(n+1)'s unchanged blobs resolve to hits.
-    shard = st.replicas[st.primary].shard;
+    shard = st.active.replicas[st.active.primary].shard;
     version = st.next_version;
     registration = st.registration;
   }
@@ -332,20 +312,19 @@ Result<uint64_t> ShardRouter::Deploy(const PipelineSpec& spec) {
   if (!replica.ok()) {
     return replica.status();
   }
-  auto rollout = std::make_unique<Rollout>();
-  rollout->version = version;
-  rollout->initial_fraction_bp = options_.rollout.canary_fraction_bp;
-  rollout->spec = spec;
-  rollout->replica = std::move(*replica);
-  rollout->gate = NewGate();
-  rollout->stats = NewVersionStats();
-  rollout->split = NewSplit();
-  rollout->split->Publish(rollout->initial_fraction_bp, version);
+  const uint32_t fraction_bp = options_.rollout.canary_fraction_bp;
+  Version canary;
+  canary.number = version;
+  canary.spec = spec;
+  canary.replicas.push_back(std::move(*replica));
+  canary.handles = NewVersionHandles();
+  canary.handles->split.Publish(fraction_bp, version);
   {
     WriterMutexLock lock(mu_);
     PlanState& st = plans_.at(spec.name);
     st.next_version = version + 1;
-    st.rollout = std::move(rollout);
+    st.canary = std::move(canary);
+    st.canary_fraction_bp = fraction_bp;
     PublishLocked(spec.name);
   }
   deploys_.fetch_add(1, std::memory_order_relaxed);
@@ -354,8 +333,7 @@ Result<uint64_t> ShardRouter::Deploy(const PipelineSpec& spec) {
 
 Status ShardRouter::Promote(const std::string& name) {
   std::lock_guard<std::mutex> control(control_mu_);
-  std::vector<ReplicaState> old_replicas;
-  VersionGate* old_gate = nullptr;
+  Version retired;
   uint64_t killed_version = 0;
   {
     WriterMutexLock lock(mu_);
@@ -364,28 +342,19 @@ Status ShardRouter::Promote(const std::string& name) {
       return Status::NotFound("plan '" + name + "'");
     }
     PlanState& st = it->second;
-    if (st.rollout == nullptr) {
+    if (!st.canary.has_value()) {
       return Status::NotFound("no rollout in flight for '" + name + "'");
     }
-    if (st.rollout->initial_fraction_bp != 0 &&
-        st.rollout->split->Load().fraction_bp == 0) {
+    if (st.canary_killed()) {
       // The data path's kill switch fired but nothing has completed the
       // teardown yet (async completions only flip the switch; the sync and
       // maintenance paths may not have run since). Promoting a canary the
       // health gate condemned would defeat the controller, so finish the
       // rollback instead and tell the caller why.
-      killed_version = st.rollout->version;
+      killed_version = st.canary->number;
     } else {
-      std::unique_ptr<Rollout> rollout = std::move(st.rollout);
-      old_replicas = std::move(st.replicas);
-      old_gate = st.gate;
-      st.replicas.clear();
-      st.replicas.push_back(std::move(rollout->replica));
-      st.primary = 0;
-      st.spec = std::move(rollout->spec);
-      st.active_version = rollout->version;
-      st.gate = rollout->gate;
-      st.vstats = rollout->stats;
+      retired = std::exchange(st.active, std::move(*st.canary));
+      st.canary.reset();
       // One swap: all traffic moves to the new version, the canary split
       // disappears from the snapshot. The RCU grace inside guarantees no
       // reader still routes to the old version when we return.
@@ -398,7 +367,7 @@ Status ShardRouter::Promote(const std::string& name) {
                          "' was killed by the health gate; rolled back");
   }
   promotes_.fetch_add(1, std::memory_order_relaxed);
-  ReclaimVersion(old_gate, std::move(old_replicas));
+  ReclaimVersion(std::move(retired));
   return Status::OK();
 }
 
@@ -410,26 +379,24 @@ Status ShardRouter::Rollback(const std::string& name) {
 Status ShardRouter::RollbackLocked(const std::string& name,
                                    uint64_t expect_version,
                                    bool auto_trigger) {
-  std::unique_ptr<Rollout> rollout;
+  Version canary;
   {
     WriterMutexLock lock(mu_);
     auto it = plans_.find(name);
-    if (it == plans_.end() || it->second.rollout == nullptr) {
+    if (it == plans_.end() || !it->second.canary.has_value()) {
       return Status::NotFound("no rollout in flight for '" + name + "'");
     }
-    if (expect_version != 0 &&
-        it->second.rollout->version != expect_version) {
+    if (expect_version != 0 && it->second.canary->number != expect_version) {
       return Status::NotFound("rollout for '" + name + "' superseded");
     }
-    rollout = std::move(it->second.rollout);
+    canary = std::move(*it->second.canary);
+    it->second.canary.reset();
     PublishLocked(name);  // Snapshot without the canary: no new canary routes.
   }
   // Belt and braces: the kill switch may already have fired from the data
   // path; republish 0 so every observer agrees before the teardown.
-  rollout->split->Publish(0, rollout->version);
-  std::vector<ReplicaState> replicas;
-  replicas.push_back(std::move(rollout->replica));
-  ReclaimVersion(rollout->gate, std::move(replicas));
+  canary.handles->split.Publish(0, canary.number);
+  ReclaimVersion(std::move(canary));
   rollbacks_.fetch_add(1, std::memory_order_relaxed);
   if (auto_trigger) {
     auto_rollbacks_.fetch_add(1, std::memory_order_relaxed);
@@ -448,8 +415,7 @@ void ShardRouter::TryAutoRollback(const std::string& name, uint64_t version) {
   (void)RollbackLocked(name, version, /*auto_trigger=*/true);
 }
 
-void ShardRouter::ReclaimVersion(VersionGate* gate,
-                                 std::vector<ReplicaState> replicas) {
+void ShardRouter::ReclaimVersion(Version version) {
   // Chaos site: the swap commit stalls (slow store, straggling drain). The
   // armed latency lands HERE — on the control plane, after the new snapshot
   // is live — so a stalled reclaim can never block the route path. That
@@ -458,9 +424,9 @@ void ShardRouter::ReclaimVersion(VersionGate* gate,
   // Epoch order: the table swap's RCU grace already passed (PublishLocked),
   // so no new request can reach this gate; close it and wait out the
   // stragglers that routed before the swap.
-  gate->Close();
-  gate->AwaitDrain();
-  for (const ReplicaState& r : replicas) {
+  version.handles->gate.Close();
+  version.handles->gate.AwaitDrain();
+  for (const ReplicaState& r : version.replicas) {
     (void)shards_[r.shard]->runtime->Retire(r.plan_id);
     for (const uint64_t checksum : r.checksums) {
       shards_[r.shard]->segment->Release(checksum);
@@ -469,7 +435,7 @@ void ShardRouter::ReclaimVersion(VersionGate* gate,
   // Sweep once per distinct segment (global scope delegates, so any one
   // sweep clears the shared store's zero-pin entries).
   std::vector<bool> swept(shards_.size(), false);
-  for (const ReplicaState& r : replicas) {
+  for (const ReplicaState& r : version.replicas) {
     if (!swept[r.shard]) {
       swept[r.shard] = true;
       shards_[r.shard]->segment->Sweep();
@@ -479,59 +445,51 @@ void ShardRouter::ReclaimVersion(VersionGate* gate,
 
 bool ShardRouter::FinishVersion(const RouteDecision& decision,
                                 const Status& status, int64_t start_ns) {
+  // Mirror RecordOutcome's verdict taxonomy: backpressure, caller errors,
+  // and admission-expired requests say nothing about the version either.
+  const bool fault = (status.IsDeadlineExceeded() &&
+                      status.deadline_stage() != DeadlineStage::kAdmission) ||
+                     status.code() == StatusCode::kError;
+  VersionStats& stats = *decision.stats;
+  if (status.ok()) {
+    stats.successes.fetch_add(1, std::memory_order_relaxed);
+  } else if (fault) {
+    stats.faults.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (status.ok() || fault) {
+    const double latency_us = static_cast<double>(NowNs() - start_ns) / 1000.0;
+    UpdateEwma(stats.failure_ewma_bits, fault ? 1.0 : 0.0);
+    UpdateEwma(stats.latency_ewma_bits, latency_us);
+    if (decision.split != nullptr) {
+      // Judged per request, so one preempted request moves the share by
+      // 1/16 instead of moving a latency mean by its full stall.
+      const double stable_us = LoadEwma(decision.baseline->latency_ewma_bits);
+      const bool slow =
+          stable_us > 0.0 && latency_us > stable_us * kRollbackLatencyX;
+      UpdateEwma(stats.slow_ewma_bits, slow ? 1.0 : 0.0);
+    }
+  }
   bool want_rollback = false;
-  if (decision.stats != nullptr) {
-    // Mirror RecordOutcome's verdict taxonomy: backpressure, caller errors,
-    // and admission-expired requests say nothing about the version either.
-    const bool fault =
-        (status.IsDeadlineExceeded() &&
-         status.deadline_stage() != DeadlineStage::kAdmission) ||
-        status.code() == StatusCode::kError;
-    if (status.ok()) {
-      decision.stats->successes.fetch_add(1, std::memory_order_relaxed);
-    } else if (fault) {
-      decision.stats->faults.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (status.ok() || fault) {
-      const double latency_us =
-          static_cast<double>(NowNs() - start_ns) / 1000.0;
-      UpdateEwma(decision.stats->failure_ewma_bits, fault ? 1.0 : 0.0);
-      UpdateEwma(decision.stats->latency_ewma_bits, latency_us);
-      if (decision.canary && decision.baseline != nullptr) {
-        // Judged per request, so one preempted request moves the share by
-        // 1/16 instead of moving a latency mean by its full stall.
-        const double stable_us =
-            LoadEwma(decision.baseline->latency_ewma_bits);
-        const bool slow =
-            stable_us > 0.0 &&
-            latency_us > stable_us * kRollbackLatencyX;
-        UpdateEwma(decision.stats->slow_ewma_bits, slow ? 1.0 : 0.0);
-      }
-    }
-    if (decision.canary && options_.rollout.auto_rollback &&
-        decision.split != nullptr && decision.baseline != nullptr) {
-      // Verdict is evaluated INSIDE the gate: the rollout (and these stats)
-      // cannot be reclaimed until we exit.
-      const RolloutOptions& ro = options_.rollout;
-      // relaxed: monotone counter; a stale read only delays the verdict by
-      // a request or two.
-      const uint64_t seen =
-          decision.stats->routed.load(std::memory_order_relaxed);
-      if (seen >= ro.min_canary_requests) {
-        const double fail = LoadEwma(decision.stats->failure_ewma_bits);
-        const double slow = LoadEwma(decision.stats->slow_ewma_bits);
-        if (fail >= kRollbackFailureEwma || slow >= kCanarySlowShare) {
-          // Kill switch first — lock-free, stops canary traffic NOW; the
-          // heavyweight teardown follows outside the gate.
-          decision.split->Publish(0, decision.version);
-          want_rollback = true;
-        }
+  if (decision.split != nullptr && options_.rollout.auto_rollback) {
+    // Verdict is evaluated INSIDE the gate: the rollout (and these stats)
+    // cannot be reclaimed until we exit. A canary has one replica, so its
+    // routed count is the canary's.
+    // relaxed: monotone counter; a stale read only delays the verdict by a
+    // request or two.
+    const uint64_t seen =
+        decision.replica->routed.load(std::memory_order_relaxed);
+    if (seen >= options_.rollout.min_canary_requests) {
+      const double fail = LoadEwma(stats.failure_ewma_bits);
+      const double slow = LoadEwma(stats.slow_ewma_bits);
+      if (fail >= kRollbackFailureEwma || slow >= kCanarySlowShare) {
+        // Kill switch first — lock-free, stops canary traffic NOW; the
+        // heavyweight teardown follows outside the gate.
+        decision.split->Publish(0, decision.version);
+        want_rollback = true;
       }
     }
   }
-  if (decision.gate != nullptr) {
-    decision.gate->Exit();
-  }
+  decision.gate->Exit();
   return want_rollback;
 }
 
@@ -609,7 +567,7 @@ Result<ShardPlacement> ShardRouter::Failover(const std::string& name,
   }
   PipelineSpec spec;
   PlanRegistration registration;
-  std::vector<bool> hosted(shards_.size(), false);
+  std::vector<size_t> spare;
   {
     // Cheapest exit first: a replica already materialized on a healthy
     // shard becomes the new primary with zero compiles — replication work
@@ -621,47 +579,34 @@ Result<ShardPlacement> ShardRouter::Failover(const std::string& name,
     if (it == plans_.end() || it->second.pending) {
       return Status::NotFound("plan '" + name + "'");
     }
-    PlanState& st = it->second;
-    for (size_t i = 0; i < st.replicas.size(); ++i) {
-      ReplicaState& r = st.replicas[i];
-      hosted[r.shard] = true;
+    Version& active = it->second.active;
+    for (size_t i = 0; i < active.replicas.size(); ++i) {
+      ReplicaState& r = active.replicas[i];
       if (r.shard == from ||
           health_[r.shard]->breaker.state() !=
               CircuitBreaker::State::kClosed) {
         continue;
       }
       r.active = true;
-      st.replicas[st.primary].active = false;
-      st.primary = i;
+      active.replicas[active.primary].active = false;
+      active.primary = i;
       PublishLocked(name);
       health.failovers.fetch_add(1, std::memory_order_relaxed);
       return ShardPlacement{r.shard, r.plan_id};
     }
-    spec = st.spec;
-    registration = st.registration;
+    // No usable replica: the walk starts at a name-keyed offset so one sick
+    // shard's plans spread over the survivors instead of piling onto a
+    // single neighbor. `from` hosts the primary, so the walk skips it.
+    const size_t n = shards_.size();
+    spare = SpareShards(
+        active, n > 1 ? (from + 1 + HashName(name) % (n - 1)) % n : from);
+    spec = active.spec;
+    registration = it->second.registration;
   }
-  // No usable replica: candidate scan starts at a name-keyed offset so one
-  // sick shard's plans spread over the survivors instead of piling onto a
-  // single neighbor.
-  const size_t n = shards_.size();
-  size_t target = from;
-  if (n > 1) {
-    const size_t start = (from + 1 + HashName(name) % (n - 1)) % n;
-    for (size_t k = 0; k < n; ++k) {
-      const size_t candidate = (start + k) % n;
-      if (candidate == from || hosted[candidate]) {
-        continue;
-      }
-      if (health_[candidate]->breaker.state() ==
-          CircuitBreaker::State::kClosed) {
-        target = candidate;
-        break;
-      }
-    }
-  }
-  if (target == from) {
+  if (spare.empty()) {
     return Status::Error("no healthy shard to fail '" + name + "' over to");
   }
+  const size_t target = spare.front();
   // Same materialize path as Place, against the target shard's segment;
   // mu_ stays dropped around the compile (it is a leaf lock).
   Result<ReplicaState> replica = Materialize(target, spec, registration);
@@ -671,14 +616,32 @@ Result<ShardPlacement> ShardRouter::Failover(const std::string& name,
   const ShardPlacement placement{target, replica->plan_id};
   {
     WriterMutexLock lock(mu_);
-    PlanState& st = plans_.at(name);
-    st.replicas[st.primary].active = false;
-    st.replicas.push_back(std::move(*replica));
-    st.primary = st.replicas.size() - 1;
+    Version& active = plans_.at(name).active;
+    active.replicas[active.primary].active = false;
+    active.replicas.push_back(std::move(*replica));
+    active.primary = active.replicas.size() - 1;
     PublishLocked(name);
   }
   health.failovers.fetch_add(1, std::memory_order_relaxed);
   return placement;
+}
+
+std::vector<size_t> ShardRouter::SpareShards(const Version& version,
+                                             size_t start) const {
+  const size_t n = shards_.size();
+  std::vector<bool> hosted(n, false);
+  for (const ReplicaState& r : version.replicas) {
+    hosted[r.shard] = true;
+  }
+  std::vector<size_t> spare;
+  for (size_t k = 0; k < n; ++k) {
+    const size_t shard = (start + k) % n;
+    if (!hosted[shard] && health_[shard]->breaker.state() ==
+                              CircuitBreaker::State::kClosed) {
+      spare.push_back(shard);
+    }
+  }
+  return spare;
 }
 
 // ---------------------------------------------------------------------------
@@ -691,7 +654,7 @@ Result<int> ShardRouter::SetActiveReplicas(const std::string& name,
                   shards_.size()));
   target = std::min(std::max<size_t>(1, target), cap);
   size_t active = 0;
-  std::vector<bool> hosted(shards_.size(), false);
+  std::vector<size_t> spare;
   PipelineSpec spec;
   PlanRegistration registration;
   {
@@ -700,14 +663,16 @@ Result<int> ShardRouter::SetActiveReplicas(const std::string& name,
     if (it == plans_.end() || it->second.pending) {
       return Status::NotFound("plan '" + name + "'");
     }
-    spec = it->second.spec;
+    const Version& version = it->second.active;
+    spec = version.spec;
     registration = it->second.registration;
-    for (const ReplicaState& r : it->second.replicas) {
-      hosted[r.shard] = true;
-      if (r.active) {
-        ++active;
-      }
+    for (const ReplicaState& r : version.replicas) {
+      active += r.active ? 1 : 0;
     }
+    // Fresh replicas go to healthy, not-yet-hosting shards walking the ring
+    // from the plan's home — deterministic, and different plans' homes
+    // stagger so replicas spread.
+    spare = SpareShards(version, ShardFor(name));
   }
   if (target == active) {
     return 0;
@@ -717,13 +682,13 @@ Result<int> ShardRouter::SetActiveReplicas(const std::string& name,
     // stay materialized — a re-heated plan re-activates with zero compiles,
     // and residency was already bounded by the cap at materialize time.
     WriterMutexLock lock(mu_);
-    PlanState& st = plans_.at(name);
+    Version& version = plans_.at(name).active;
     int removed = 0;
-    for (size_t i = st.replicas.size(); i-- > 0 && active > target;) {
-      if (i == st.primary || !st.replicas[i].active) {
+    for (size_t i = version.replicas.size(); i-- > 0 && active > target;) {
+      if (i == version.primary || !version.replicas[i].active) {
         continue;
       }
-      st.replicas[i].active = false;
+      version.replicas[i].active = false;
       --active;
       ++removed;
     }
@@ -740,34 +705,29 @@ Result<int> ShardRouter::SetActiveReplicas(const std::string& name,
   int added = 0;
   {
     WriterMutexLock lock(mu_);
-    PlanState& st = plans_.at(name);
-    for (size_t i = 0; i < st.replicas.size() && active < target; ++i) {
-      if (st.replicas[i].active) {
+    Version& version = plans_.at(name).active;
+    for (size_t i = 0; i < version.replicas.size() && active < target; ++i) {
+      if (version.replicas[i].active) {
         continue;
       }
-      st.replicas[i].active = true;
+      version.replicas[i].active = true;
       ++active;
       ++added;
     }
   }
-  // Materialize the remainder onto healthy, not-yet-hosting shards walking
-  // the ring from the plan's home — deterministic, and different plans'
-  // homes stagger so replicas spread. Compiles run with no router lock
-  // held; the fresh replicas are collected locally and committed in ONE
-  // publish after the loop. Per-replica activation visibility mid-loop is
-  // not load-bearing, and PublishLocked blocks in the RCU grace wait while
-  // holding mu_ — publishing per replica would charge a K-replica heat-up
-  // K publishes and K grace waits, stalling other control-plane writers.
+  // Materialize the remainder onto the spare shards. Compiles run with no
+  // router lock held; the fresh replicas are collected locally and
+  // committed in ONE publish after the loop. Per-replica activation
+  // visibility mid-loop is not load-bearing, and PublishLocked blocks in
+  // the RCU grace wait while holding mu_ — publishing per replica would
+  // charge a K-replica heat-up K publishes and K grace waits, stalling
+  // other control-plane writers.
   std::vector<ReplicaState> fresh;
-  const size_t home = ShardFor(name);
-  for (size_t k = 1; k < shards_.size() && active < target; ++k) {
-    const size_t candidate = (home + k) % shards_.size();
-    if (hosted[candidate] ||
-        health_[candidate]->breaker.state() !=
-            CircuitBreaker::State::kClosed) {
-      continue;
+  for (const size_t shard : spare) {
+    if (active >= target) {
+      break;
     }
-    Result<ReplicaState> replica = Materialize(candidate, spec, registration);
+    Result<ReplicaState> replica = Materialize(shard, spec, registration);
     if (!replica.ok()) {
       if (replica.status().IsResourceExhausted()) {
         continue;  // This shard is full; the next candidate may not be.
@@ -780,9 +740,9 @@ Result<int> ShardRouter::SetActiveReplicas(const std::string& name,
   }
   if (added > 0) {
     WriterMutexLock lock(mu_);
-    PlanState& st = plans_.at(name);
+    Version& version = plans_.at(name).active;
     for (ReplicaState& replica : fresh) {
-      st.replicas.push_back(std::move(replica));
+      version.replicas.push_back(std::move(replica));
     }
     PublishLocked(name);
     replications_.fetch_add(static_cast<uint64_t>(added),
@@ -804,7 +764,7 @@ MaintenanceReport ShardRouter::MaintainReplication() {
   // One reader pass collects both halves of the scan: the canaries to
   // finish and the traffic rows. The rollbacks and SetActiveReplicas take
   // mu_ themselves, so they run after it is dropped. A rollback touches
-  // only the rollout, never the rows' active replicas or traffic.
+  // only the canary, never the rows' active replicas or traffic.
   struct Row {
     std::string name;
     uint64_t interval = 0;
@@ -820,11 +780,8 @@ MaintenanceReport ShardRouter::MaintainReplication() {
       // Lifecycle backstop: a canary whose kill switch fired on a thread
       // that could not run the blocking teardown (async completions book
       // outcomes on executor threads, and TryAutoRollback yields when the
-      // control plane is busy) is finished below. "Killed" = live fraction
-      // reached 0 while the configured split was nonzero — a dark deploy
-      // (configured 0) is not a kill.
-      if (st.rollout != nullptr && st.rollout->initial_fraction_bp != 0 &&
-          st.rollout->split->Load().fraction_bp == 0) {
+      // control plane is busy) is finished below.
+      if (st.canary_killed()) {
         killed.push_back(name);
       }
       if (st.pending) {
@@ -838,7 +795,7 @@ MaintenanceReport ShardRouter::MaintainReplication() {
       row.name = name;
       row.interval = cum - st.traffic->last_scan_routed;
       st.traffic->last_scan_routed = cum;  // Guarded by control_mu_.
-      for (const ReplicaState& r : st.replicas) {
+      for (const ReplicaState& r : st.active.replicas) {
         row.active += r.active ? 1 : 0;
       }
       total += row.interval;
@@ -891,9 +848,74 @@ MaintenanceReport ShardRouter::MaintainReplication() {
 // ---------------------------------------------------------------------------
 // Request routing.
 
+std::optional<ShardRouter::RouteDecision> ShardRouter::Admit(
+    const VersionRouting& version, int64_t now_us) {
+  const size_t n = version.replicas.size();
+  size_t first = 0;
+  size_t second = 0;
+  if (n > 1) {
+    // Power-of-two-choices: sample two distinct replicas, prefer the one
+    // with the shorter live queue delay (balanced allocations: max load
+    // drops from ~log n/log log n to ~log log n versus random).
+    const uint64_t r = NextRand();
+    first = static_cast<size_t>(r >> 32) % n;
+    second = static_cast<size_t>(r & 0xffffffffULL) % (n - 1);
+    if (second >= first) {
+      ++second;
+    }
+    // relaxed: live queue-delay EWMAs are advisory p2c samples — any
+    // coherent value is acceptable; staleness costs pick quality only,
+    // never safety (the breaker gate below decides admissibility).
+    const int64_t delay_first =
+        version.replicas[first].queue_delay_us->load(
+            std::memory_order_relaxed);
+    const int64_t delay_second =
+        version.replicas[second].queue_delay_us->load(
+            std::memory_order_relaxed);
+    if (delay_second < delay_first) {
+      std::swap(first, second);
+    }
+  }
+  // Breaker-gate the chosen replica, then the runner-up, then sweep the
+  // rest — Allow() is called per attempted replica only (it claims
+  // half-open probe tokens; probing replicas we will not use would burn
+  // them).
+  for (size_t i = 0; i < n + 2; ++i) {
+    const size_t idx = i == 0 ? first : (i == 1 ? second : i - 2);
+    if ((i >= 2 && (idx == first || idx == second)) ||
+        (i == 1 && second == first)) {
+      continue;
+    }
+    const ReplicaRef& replica = version.replicas[idx];
+    if (!health_[replica.shard]->breaker.Allow(now_us)) {
+      continue;
+    }
+    // Gate entry INSIDE the read section: the snapshot holding this gate
+    // is what keeps it un-reclaimed until we are counted. A gate closes
+    // only after a snapshot without it has published and its grace
+    // passed, so for the active version entry cannot fail here (the check
+    // is defense in depth); a closed canary gate (rollout tearing down)
+    // sends the caller on to the active version.
+    if (!version.gate->Enter()) {
+      return std::nullopt;
+    }
+    replica.stats->routed.fetch_add(1, std::memory_order_relaxed);
+    RouteDecision decision;
+    decision.shard = replica.shard;
+    decision.plan_id = replica.plan_id;
+    decision.version = version.number;
+    decision.gate = version.gate;
+    decision.stats = version.stats;
+    decision.replica = replica.stats;
+    return decision;
+  }
+  return std::nullopt;
+}
+
 Result<ShardRouter::RouteDecision> ShardRouter::Route(
     const std::string& name) {
   size_t blocked_shard = 0;
+  uint64_t seq = 0;
   // A successful failover republishes the table, so the route is retried
   // against the fresh snapshot (the new primary enters its version gate
   // like any other route). Bounded: each extra pass requires a failover
@@ -902,106 +924,44 @@ Result<ShardRouter::RouteDecision> ShardRouter::Route(
     {
       // The common case runs entirely inside this read section: no mutex,
       // just the RCU enter/exit counters around a snapshot lookup, the
-      // canary split, the p2c pick, and the breaker gate.
+      // canary split, and Admit.
       auto guard = table_.Read();
       const PlanRouting* entry = guard->Find(name);
       if (entry == nullptr) {
         return Status::NotFound("plan '" + name + "'");
       }
       const PlanRouting& routing = *entry;
-      const uint64_t seq =
-          routing.traffic->routed.fetch_add(1, std::memory_order_relaxed);
+      if (attempt == 0) {
+        // One sequence number per request: a failed-over retry counts once
+        // in the hotness share and keeps its canary draw.
+        seq = routing.traffic->routed.fetch_add(1, std::memory_order_relaxed);
+      }
       const int64_t now_us = NowNs() / 1000;
-      // ---- Canary split. Deterministic in the count domain: request seq
-      // hashes against the live fraction, so a 5% canary sees 5% exactly,
+      // Canary split. Deterministic in the count domain: request seq hashes
+      // against the live fraction, so a 5% canary sees 5% exactly,
       // reproducibly. The split's target token must match the snapshot's
       // canary version — a reader can never send traffic to a canary whose
-      // fraction it observed without its identity.
-      if (routing.has_canary) {
+      // fraction it observed without its identity. A canary that does not
+      // admit falls through to the active version: the request is never
+      // lost.
+      if (routing.canary.has_value()) {
         const CanarySplit::Split split = routing.split->Load();
-        if (split.fraction_bp != 0 &&
-            split.target == routing.canary_version &&
-            CanarySplit::InCanary(seq, split.fraction_bp) &&
-            health_[routing.canary.shard]->breaker.Allow(now_us)) {
-          // Gate entry INSIDE the read section: the snapshot holding this
-          // gate is what keeps it un-reclaimed until we are counted. A
-          // closed gate (rollout tearing down) falls through to stable —
-          // the request is never lost.
-          if (routing.canary_gate->Enter()) {
-            routing.canary.stats->routed.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            routing.canary_stats->routed.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            RouteDecision decision;
-            decision.shard = routing.canary.shard;
-            decision.plan_id = routing.canary.plan_id;
-            decision.version = routing.canary_version;
-            decision.canary = true;
-            decision.gate = routing.canary_gate;
-            decision.stats = routing.canary_stats;
-            decision.baseline = routing.stats;
-            decision.split = routing.split;
-            return decision;
+        if (split.target == routing.canary->number &&
+            CanarySplit::InCanary(seq, split.fraction_bp)) {
+          if (std::optional<RouteDecision> decision =
+                  Admit(*routing.canary, now_us)) {
+            decision->baseline = routing.active.stats;
+            decision->split = routing.split;
+            return *decision;
           }
         }
       }
-      const size_t n = routing.replicas.size();
-      size_t first = 0;
-      size_t second = 0;
-      if (n > 1) {
-        // Power-of-two-choices: sample two distinct replicas, prefer the one
-        // with the shorter live queue delay (balanced allocations: max load
-        // drops from ~log n/log log n to ~log log n versus random).
-        const uint64_t r = NextRand();
-        first = static_cast<size_t>(r >> 32) % n;
-        second = static_cast<size_t>(r & 0xffffffffULL) % (n - 1);
-        if (second >= first) {
-          ++second;
-        }
-        // relaxed: live queue-delay EWMAs are advisory p2c samples — any
-        // coherent value is acceptable; staleness costs pick quality only,
-        // never safety (the breaker gate below decides admissibility).
-        const int64_t delay_first =
-            routing.replicas[first].queue_delay_us->load(
-                std::memory_order_relaxed);
-        const int64_t delay_second =
-            routing.replicas[second].queue_delay_us->load(
-                std::memory_order_relaxed);
-        if (delay_second < delay_first) {
-          std::swap(first, second);
-        }
+      if (std::optional<RouteDecision> decision =
+              Admit(routing.active, now_us)) {
+        return *decision;
       }
-      // Breaker-gate the chosen replica, then the runner-up, then sweep the
-      // rest — Allow() is called per attempted replica only (it claims
-      // half-open probe tokens; probing replicas we will not use would burn
-      // them).
-      for (size_t i = 0; i < n + 2; ++i) {
-        const size_t idx = i == 0 ? first : (i == 1 ? second : i - 2);
-        if ((i >= 2 && (idx == first || idx == second)) ||
-            (i == 1 && second == first)) {
-          continue;
-        }
-        const ReplicaRef& replica = routing.replicas[idx];
-        if (health_[replica.shard]->breaker.Allow(now_us)) {
-          // The active version's gate closes only after a snapshot without
-          // it has published and its grace passed, so inside this read
-          // section entry cannot fail; the check is defense in depth (a
-          // rejection falls to the blocked path like an open breaker).
-          if (!routing.gate->Enter()) {
-            break;
-          }
-          replica.stats->routed.fetch_add(1, std::memory_order_relaxed);
-          routing.stats->routed.fetch_add(1, std::memory_order_relaxed);
-          RouteDecision decision;
-          decision.shard = replica.shard;
-          decision.plan_id = replica.plan_id;
-          decision.version = routing.version;
-          decision.gate = routing.gate;
-          decision.stats = routing.stats;
-          return decision;
-        }
-      }
-      blocked_shard = routing.replicas[0].shard;  // Primary owns the slow path.
+      // The primary owns the slow path.
+      blocked_shard = routing.active.replicas[0].shard;
     }
     // Guard dropped before the control plane: a thread inside an RCU read
     // section must never publish (Failover swaps the table and would wait on
@@ -1028,28 +988,25 @@ Result<PlanVersionInfo> ShardRouter::VersionInfo(
     return Status::NotFound("plan '" + name + "'");
   }
   const PlanState& st = it->second;
+  const VersionHandles& active = *st.active.handles;
   PlanVersionInfo info;
-  info.active_version = st.active_version;
+  info.active_version = st.active.number;
   info.next_version = st.next_version;
-  if (st.vstats != nullptr) {
-    info.stable_latency_ewma_us = LoadEwma(st.vstats->latency_ewma_bits);
-  }
-  if (st.gate != nullptr) {
-    info.stable_inflight = st.gate->inflight();
-  }
-  if (st.rollout != nullptr) {
+  info.stable_latency_ewma_us = LoadEwma(active.stats.latency_ewma_bits);
+  info.stable_inflight = active.gate.inflight();
+  if (st.canary.has_value()) {
+    const VersionHandles& canary = *st.canary->handles;
     info.rollout_in_flight = true;
-    info.rollout_version = st.rollout->version;
-    info.canary_fraction_bp = st.rollout->split->Load().fraction_bp;
+    info.rollout_version = st.canary->number;
+    info.canary_fraction_bp = canary.split.Load().fraction_bp;
     // relaxed: point-in-time snapshot for tests/benches; no decision rides
-    // on cross-counter consistency.
-    info.canary_routed =
-        st.rollout->stats->routed.load(std::memory_order_relaxed);
-    info.canary_faults =
-        st.rollout->stats->faults.load(std::memory_order_relaxed);
-    info.canary_failure_ewma = LoadEwma(st.rollout->stats->failure_ewma_bits);
-    info.canary_latency_ewma_us =
-        LoadEwma(st.rollout->stats->latency_ewma_bits);
+    // on cross-counter consistency. A canary has one replica, so its
+    // routed count is the canary's.
+    info.canary_routed = st.canary->replicas.front().stats->routed.load(
+        std::memory_order_relaxed);
+    info.canary_faults = canary.stats.faults.load(std::memory_order_relaxed);
+    info.canary_failure_ewma = LoadEwma(canary.stats.failure_ewma_bits);
+    info.canary_latency_ewma_us = LoadEwma(canary.stats.latency_ewma_bits);
   }
   return info;
 }
@@ -1060,7 +1017,7 @@ Result<ShardPlacement> ShardRouter::Placement(const std::string& name) const {
   if (routing == nullptr) {
     return Status::NotFound("plan '" + name + "'");
   }
-  const ReplicaRef& primary = routing->replicas.front();
+  const ReplicaRef& primary = routing->active.replicas.front();
   return ShardPlacement{primary.shard, primary.plan_id};
 }
 
@@ -1072,8 +1029,8 @@ std::vector<ShardPlacement> ShardRouter::Replicas(
   if (routing == nullptr) {
     return replicas;
   }
-  replicas.reserve(routing->replicas.size());
-  for (const ReplicaRef& r : routing->replicas) {
+  replicas.reserve(routing->active.replicas.size());
+  for (const ReplicaRef& r : routing->active.replicas) {
     replicas.push_back(ShardPlacement{r.shard, r.plan_id});
   }
   return replicas;
@@ -1234,9 +1191,10 @@ ShardedMetrics ShardRouter::GetMetrics() const {
       if (st.pending) {
         continue;
       }
+      const Version& version = st.active;
       PlanReplicaMetrics plan;
       plan.name = name;
-      plan.replicas.reserve(st.replicas.size());
+      plan.replicas.reserve(version.replicas.size());
       size_t active = 0;
       const auto snapshot = [](const ReplicaState& r) {
         ReplicaMetrics m;
@@ -1248,14 +1206,14 @@ ShardedMetrics ShardRouter::GetMetrics() const {
             r.queue_delay_us->load(std::memory_order_relaxed);
         return m;
       };
-      plan.replicas.push_back(snapshot(st.replicas[st.primary]));
-      active += st.replicas[st.primary].active ? 1 : 0;
-      for (size_t i = 0; i < st.replicas.size(); ++i) {
-        if (i == st.primary) {
+      plan.replicas.push_back(snapshot(version.replicas[version.primary]));
+      active += version.replicas[version.primary].active ? 1 : 0;
+      for (size_t i = 0; i < version.replicas.size(); ++i) {
+        if (i == version.primary) {
           continue;
         }
-        plan.replicas.push_back(snapshot(st.replicas[i]));
-        active += st.replicas[i].active ? 1 : 0;
+        plan.replicas.push_back(snapshot(version.replicas[i]));
+        active += version.replicas[i].active ? 1 : 0;
       }
       if (active > 1) {
         ++metrics.replicated_plans;

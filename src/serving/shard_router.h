@@ -51,15 +51,22 @@
 //
 // The routing table is an immutable snapshot behind an RcuCell: the predict
 // path takes NO mutex — one RCU read (two counter RMWs + a pointer load)
-// covers the name lookup, the p2c pick, and the breaker gate. Writers
-// (Place / Replicate / Failover / maintenance) copy-update under mu_ and
-// swap the snapshot, with an epoch grace period before reclaiming the old
-// table. See src/common/rcu.h for the memory-order argument. An update
-// copies only what it changes (the path-copying discipline of RCU balanced
-// trees): each plan's routing entry is an immutable heap object shared by
-// every snapshot until that plan changes, and the name index is shared
-// until a new name is placed — so a publish builds ONE entry and copies a
-// pointer array, whatever the number of placed plans.
+// covers the name lookup, the canary split, the p2c pick, and the breaker
+// gate. Writers (Place / Deploy / Promote / Rollback / Replicate / Failover
+// / maintenance) copy-update under mu_ and swap the snapshot, with an epoch
+// grace period before reclaiming the old table. See src/common/rcu.h for
+// the memory-order argument. An update copies only what it changes (the
+// path-copying discipline of RCU balanced trees): each plan's routing
+// entry is an immutable heap object shared by every snapshot until that
+// plan changes, and the name index is shared until a new name is placed —
+// so a publish builds ONE entry and copies a pointer array, whatever the
+// number of placed plans.
+//
+// Each plan version is one record on each side: the control plane's
+// Version (spec, replicas, lifecycle handles) and the snapshot's
+// VersionRouting. A plan holds its active version and at most one canary
+// beside it; the route path admits a request to either through one Admit
+// step, and Promote is an exchange of the two records.
 //
 // GetMetrics() folds every shard's RuntimeMetrics into one cross-shard
 // snapshot (MergeRuntimeMetrics) while retaining the per-shard breakdown;
@@ -70,8 +77,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -382,13 +391,14 @@ class ShardRouter {
     std::atomic<uint64_t> failure_ewma_bits{0};
   };
 
-  // Per-replica routing counters. Heap-allocated, owned by the PlanState
-  // and never reclaimed while the router lives, so published snapshots can
-  // hold raw pointers across table swaps.
+  // Per-replica routing counters. Heap-allocated so published snapshots
+  // can hold raw pointers across table swaps; freed with their version only
+  // after its gate has drained.
   struct ReplicaStats {
     std::atomic<uint64_t> routed{0};
   };
-  // Per-logical-plan traffic, the hotness signal. Same lifetime rule.
+  // Per-logical-plan traffic, the hotness signal. Owned by the PlanState
+  // and never freed while the router lives.
   struct PlanTraffic {
     std::atomic<uint64_t> routed{0};
     // Maintenance bookkeeping (cumulative count at the previous scan).
@@ -396,10 +406,8 @@ class ShardRouter {
     uint64_t last_scan_routed = 0;
   };
 
-  // Per-version health/latency signal for the canary controller. Same
-  // lifetime rule (pool-owned, never freed while the router lives).
+  // Per-version health/latency signal for the canary controller.
   struct VersionStats {
-    std::atomic<uint64_t> routed{0};
     std::atomic<uint64_t> successes{0};
     std::atomic<uint64_t> faults{0};  // Errors + shard-attributed timeouts.
     // EWMAs, alpha = 1/16, stored as double bits advanced by CAS.
@@ -408,6 +416,15 @@ class ShardRouter {
     // Canary versions only: the share of slow requests (see
     // kRollbackLatencyX in shard_router.cc).
     std::atomic<uint64_t> slow_ewma_bits{0};
+  };
+  // One version's lifecycle objects, allocated together from lifecycle_ and
+  // never freed while the router lives (published snapshots and in-flight
+  // decisions hold raw pointers into them). The split is live only while
+  // the version is a canary.
+  struct VersionHandles {
+    VersionGate gate;
+    VersionStats stats;
+    CanarySplit split;
   };
 
   // One materialized registration of a plan on a shard. Control-plane
@@ -425,33 +442,31 @@ class ShardRouter {
     std::vector<uint64_t> checksums;
   };
 
-  // An in-flight canary rollout: one registration of the new version on the
-  // active primary's shard. gate/stats/split are lifecycle_-pool pointers.
-  struct Rollout {
-    uint64_t version = 0;
-    uint32_t initial_fraction_bp = 0;  // Configured split at Deploy time.
-    PipelineSpec spec;
-    ReplicaState replica;
-    VersionGate* gate = nullptr;
-    VersionStats* stats = nullptr;
-    CanarySplit* split = nullptr;
+  // One version of a plan. A canary has exactly one replica, on the shard
+  // where the active primary lived at Deploy time.
+  struct Version {
+    uint64_t number = 0;
+    PipelineSpec spec;  // Kept for replica/failover recompiles.
+    std::vector<ReplicaState> replicas;  // Every materialized registration.
+    size_t primary = 0;                  // Index into replicas.
+    VersionHandles* handles = nullptr;   // Pool-owned.
   };
 
   struct PlanState {
-    PipelineSpec spec;              // Kept for replica/failover recompiles.
     PlanRegistration registration;
-    std::vector<ReplicaState> replicas;  // Every materialized registration.
-    size_t primary = 0;             // Index into replicas.
-    bool pending = true;            // Claimed, compile still in flight.
+    bool pending = true;  // Claimed, compile still in flight.
     std::unique_ptr<PlanTraffic> traffic;
-    // Versioned lifecycle. The gate and stats belong to the ACTIVE version
-    // (replicas above are its materializations); a non-null rollout is the
-    // one in-flight canary of the next version.
-    uint64_t active_version = 1;
+    Version active;
+    std::optional<Version> canary;    // The one in-flight rollout, if any.
+    uint32_t canary_fraction_bp = 0;  // The canary's configured split.
     uint64_t next_version = 2;
-    VersionGate* gate = nullptr;     // Pool-owned.
-    VersionStats* vstats = nullptr;  // Pool-owned.
-    std::unique_ptr<Rollout> rollout;
+    // The data path's kill switch fired on the canary: its live split
+    // reached 0 while the configured one was nonzero (a dark deploy,
+    // configured 0, is not a kill).
+    bool canary_killed() const {
+      return canary.has_value() && canary_fraction_bp != 0 &&
+             canary->handles->split.Load().fraction_bp == 0;
+    }
   };
 
   // The immutable snapshot the predict path reads, swapped through table_.
@@ -463,20 +478,17 @@ class ShardRouter {
     const std::atomic<int64_t>* queue_delay_us = nullptr;
     ReplicaStats* stats = nullptr;
   };
-  struct PlanRouting {
+  struct VersionRouting {
+    uint64_t number = 0;
     std::vector<ReplicaRef> replicas;  // ACTIVE replicas, primary first.
-    PlanTraffic* traffic = nullptr;
-    // Active-version lifecycle handles (pool-owned, always valid).
-    uint64_t version = 0;
-    VersionGate* gate = nullptr;
+    VersionGate* gate = nullptr;       // Pool-owned, always valid.
     VersionStats* stats = nullptr;
-    // Canary (rollout in flight when has_canary).
-    bool has_canary = false;
-    uint64_t canary_version = 0;
-    ReplicaRef canary;
-    VersionGate* canary_gate = nullptr;
-    VersionStats* canary_stats = nullptr;
-    CanarySplit* split = nullptr;
+  };
+  struct PlanRouting {
+    PlanTraffic* traffic = nullptr;
+    VersionRouting active;
+    std::optional<VersionRouting> canary;  // Set while a rollout is in flight.
+    CanarySplit* split = nullptr;          // The canary's kill switch.
   };
   // Name -> slot in RoutingTable::routes. Slots are never reused (names
   // are never unplaced), so only the first publish of a name copies it.
@@ -500,16 +512,21 @@ class ShardRouter {
     size_t shard = 0;
     Runtime::PlanId plan_id = 0;
     uint64_t version = 0;
-    bool canary = false;
     VersionGate* gate = nullptr;
     VersionStats* stats = nullptr;
+    ReplicaStats* replica = nullptr;   // The chosen replica's counters.
     VersionStats* baseline = nullptr;  // Stable-version stats (canary only).
-    CanarySplit* split = nullptr;      // Kill switch (canary only).
+    CanarySplit* split = nullptr;      // Kill switch; non-null = canary.
   };
 
-  // The breaker gate + canary split + p2c pick + failover step shared by
-  // every predict entry point. Mutex-free in the common (routed) case.
+  // The canary split + Admit + failover step shared by every predict entry
+  // point. Mutex-free in the common (routed) case.
   Result<RouteDecision> Route(const std::string& name);
+  // Admits one request to `version` inside the caller's RCU read section:
+  // p2c pick over its replicas, breaker sweep, gate Enter, routed bump.
+  // Empty when every replica's breaker refuses or the gate is closed.
+  std::optional<RouteDecision> Admit(const VersionRouting& version,
+                                     int64_t now_us);
   // The body of the synchronous entry points (Predict, PredictBatch):
   // Route, the injected shard fault, `call(runtime, plan_id)` on the chosen
   // shard, RecordOutcome, FinishVersion, and TryAutoRollback when the
@@ -539,7 +556,7 @@ class ShardRouter {
   // materialized registration with its shard's Runtime, releases the
   // version's ObjectStore pins, and sweeps the affected segments. REQUIRES
   // control_mu_; must not hold mu_.
-  void ReclaimVersion(VersionGate* gate, std::vector<ReplicaState> replicas);
+  void ReclaimVersion(Version version);
   // Injected shard-unresponsive fault (chaos builds only): stalls, books a
   // failure, and yields the error the caller should return.
   Status InjectedShardFault(size_t shard);
@@ -551,6 +568,11 @@ class ShardRouter {
   // mu_, commits + publishes under it). Returns net change in active
   // replicas (negative = deactivated).
   Result<int> SetActiveReplicas(const std::string& name, size_t target);
+  // The healthy (breaker-closed) shards that host no registration of
+  // `version`, in ring order from `start`: where Failover and
+  // SetActiveReplicas may materialize a new replica.
+  std::vector<size_t> SpareShards(const Version& version, size_t start) const
+      REQUIRES_SHARED(mu_);
   // Rebuilds `name`'s routing entry from its (non-pending) PlanState and
   // swaps in a snapshot that differs from the current one in that slot
   // only, then reclaims the old table and the replaced entry after the RCU
@@ -558,26 +580,24 @@ class ShardRouter {
   // holding mu_ across the grace wait is safe because read sections never
   // acquire mu_.
   void PublishLocked(const std::string& name) REQUIRES(mu_);
+  // A version's routing entry: its ACTIVE replicas, primary first.
+  static VersionRouting RoutingFor(const Version& version);
 
   const ShardRouterOptions options_;
   std::unique_ptr<ObjectStore> global_store_;  // kGlobal scope only.
-  // Version-lifecycle objects (gates, per-version stats, canary splits) are
-  // allocated here and never freed while the router lives: published
+  // Version-lifecycle handles are allocated here, one VersionHandles per
+  // Place or Deploy, and never freed while the router lives: published
   // snapshots and in-flight decisions hold raw pointers across table swaps,
   // and async completions book into them on shard executors — the pool is
   // declared before shards_ so it outlives the executor join. Growth is one
-  // ~56-byte triple per Deploy; the bytes that matter (parameter blobs) are
-  // what ReclaimVersion sweeps.
+  // ~72-byte record per version; the bytes that matter (parameter blobs)
+  // are what ReclaimVersion sweeps. A deque never moves its elements.
   struct LifecyclePool {
     std::mutex mu;
-    std::vector<std::unique_ptr<VersionGate>> gates;
-    std::vector<std::unique_ptr<VersionStats>> stats;
-    std::vector<std::unique_ptr<CanarySplit>> splits;
+    std::deque<VersionHandles> versions;
   };
   LifecyclePool lifecycle_;
-  VersionGate* NewGate();
-  VersionStats* NewVersionStats();
-  CanarySplit* NewSplit();
+  VersionHandles* NewVersionHandles();
   // The one materialize path of Place, Deploy, Failover and
   // SetActiveReplicas: lowers and plans `spec` against `shard`'s segment,
   // registers the plan with that shard's Runtime, and returns the active

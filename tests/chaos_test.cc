@@ -9,6 +9,7 @@
 //                                under concurrent caller-assisted batches,
 //                                and as a canary's latency regression)
 //   serving.shard_unresponsive — a shard faults every request it is routed
+//                                (also under a canary deployed there)
 //   serialize.corrupt_record   — binary records arrive failing validation
 //   ops.slow_kernel            — plan execution stalls inside the operator
 //   oven.compile_fail          — a versioned deploy's compile blows up
@@ -449,10 +450,14 @@ void TestShardBreakerTripFailoverRecover() {
              static_cast<int>(StatusCode::kError));
   }
   CHECK(router.breaker(sick).state() == CircuitBreaker::State::kOpen);
+  (void)router.MaintainReplication();  // Opens a fresh hotness interval.
   // ...then the next request fails over and succeeds on a healthy shard.
   auto moved = router.Predict(mover, input);
   CHECK(moved.ok());
   CHECK(router.Placement(mover)->shard != sick);
+  // The failed-over request re-routed once, but it is one request: it
+  // counts once in its plan's hotness share.
+  CHECK_EQ(router.MaintainReplication().interval_requests, uint64_t{1});
   // The migration budget is spent: the stayer fails fast (no 100us stall,
   // no executor touched) with a retry hint, instead of failing over too.
   auto fast_fail = router.Predict(stayer, input);
@@ -588,6 +593,90 @@ void TestSlowKernelExpiresQuanta() {
             .ok());
   again.Await(1);
   CHECK(healthy_status.ok());
+}
+
+// serving.shard_unresponsive under a canary: the shard hosting both the
+// canary and the stable primary goes down. Once its breaker opens, the
+// canary's share of requests falls through to the stable version, which
+// fails over once; every later request scores as stable, the canary takes
+// no more traffic, and Rollback still returns the canary's bytes.
+void TestCanaryOnTrippedShard() {
+  fault::DisarmAll();
+  ShardRouterOptions sopts;
+  sopts.num_shards = 2;
+  sopts.runtime.num_executors = 1;
+  sopts.rollout.canary_fraction_bp = 5000;
+  sopts.breaker.failure_threshold = 3;
+  sopts.breaker.cooldown_us = 60'000'000;  // No half-open probe mid-test.
+  ShardRouter router(sopts);
+  auto sa = SmallSa(6);
+  for (const auto& spec : sa.pipelines()) {
+    CHECK(router.Place(spec).ok());
+  }
+  const PipelineSpec& target = sa.pipelines()[0];
+  const size_t sick = router.Placement(target.name)->shard;
+  // v2 takes the linear weights of a plan homed on the other shard, so its
+  // scores differ from v1's and its compile adds bytes to `sick`.
+  PipelineSpec v2 = target;
+  for (const auto& spec : sa.pipelines()) {
+    if (router.Placement(spec.name)->shard != sick) {
+      v2.nodes[4].params = spec.nodes[4].params;
+      break;
+    }
+  }
+  CHECK(v2.nodes[4].params != target.nodes[4].params);
+  Rng rng(67);
+  const std::string input = sa.SampleInput(rng);
+  auto stable = router.Predict(target.name, input);
+  CHECK(stable.ok());
+  const size_t sick_bytes = router.GetMetrics().shards[sick].store_bytes;
+  CHECK(router.Deploy(v2).ok());
+  CHECK(router.GetMetrics().shards[sick].store_bytes > sick_bytes);
+  for (int i = 0; i < 16; ++i) {
+    CHECK(router.Predict(target.name, input).ok());
+  }
+  CHECK(router.VersionInfo(target.name)->canary_routed > 0);
+
+  fault::Spec down;
+  down.latency_us = 100;
+  down.arg = static_cast<int64_t>(sick);
+  fault::Arm("serving.shard_unresponsive", down);
+  for (size_t i = 0; i < sopts.breaker.failure_threshold; ++i) {
+    auto r = router.Predict(target.name, input);
+    CHECK(!r.ok());
+    CHECK_EQ(static_cast<int>(r.status().code()),
+             static_cast<int>(StatusCode::kError));
+  }
+  CHECK(router.breaker(sick).state() == CircuitBreaker::State::kOpen);
+  const uint64_t canary_seen = router.VersionInfo(target.name)->canary_routed;
+
+  for (int i = 0; i < 200; ++i) {
+    auto r = router.Predict(target.name, input);
+    CHECK(r.ok());
+    CHECK_EQ(*r, *stable);
+  }
+  const auto info = router.VersionInfo(target.name);
+  CHECK(info->rollout_in_flight);
+  CHECK_EQ(info->canary_fraction_bp, uint32_t{5000});  // Never killed.
+  CHECK_EQ(info->canary_routed, canary_seen);
+  CHECK(router.Placement(target.name)->shard != sick);
+  const ShardedMetrics tripped = router.GetMetrics();
+  CHECK_EQ(tripped.shard_health[sick].failovers, uint64_t{1});
+  CHECK_EQ(fault::Fires("serving.shard_unresponsive"),
+           uint64_t{sopts.breaker.failure_threshold});
+
+  // The canary's registration lives on the tripped shard; its teardown
+  // needs no request to reach it.
+  CHECK(router.Rollback(target.name).ok());
+  const ShardedMetrics after = router.GetMetrics();
+  for (size_t shard = 0; shard < sopts.num_shards; ++shard) {
+    CHECK_EQ(after.shards[shard].store_bytes,
+             shard == sick ? sick_bytes : tripped.shards[shard].store_bytes);
+  }
+  auto served = router.Predict(target.name, input);
+  CHECK(served.ok());
+  CHECK_EQ(*served, *stable);
+  fault::DisarmAll();
 }
 
 // oven.compile_fail under a flash crowd: versioned deploys blow up in the
@@ -981,6 +1070,8 @@ int main() {
   std::printf("TestCorruptRecordRejectedWithoutTrip: PASS\n");
   TestSlowKernelExpiresQuanta();
   std::printf("TestSlowKernelExpiresQuanta: PASS\n");
+  TestCanaryOnTrippedShard();
+  std::printf("TestCanaryOnTrippedShard: PASS\n");
   TestCompileFailDeployKeepsServing();
   std::printf("TestCompileFailDeployKeepsServing: PASS\n");
   TestCanaryAutoRollbackOnFaults();
