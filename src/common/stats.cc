@@ -1,6 +1,7 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -63,6 +64,80 @@ std::vector<std::pair<double, double>> SampleStats::Cdf(size_t points) const {
     cdf.emplace_back(Percentile(frac * 100.0), frac);
   }
   return cdf;
+}
+
+Histogram& Histogram::operator=(const Histogram& other) {
+  for (size_t i = 0; i < kBuckets; ++i) {
+    buckets_[i].store(other.Count(i), std::memory_order_relaxed);
+  }
+  return *this;
+}
+
+void Histogram::Merge(const Histogram& other) {
+  for (size_t i = 0; i < kBuckets; ++i) {
+    buckets_[i].fetch_add(other.Count(i), std::memory_order_relaxed);
+  }
+}
+
+// An integer v < 8 is its own bucket. Above, with `shift` = bit_width(v) - 3,
+// v >> shift is in [4, 8): octave [2^k, 2^(k+1)) takes buckets (k - 2) * 4 +
+// [4, 8), so octave 3 starts at bucket 8 and octave 32 ends at bucket 127.
+size_t Histogram::BucketOf(double value) {
+  if (!(value >= 0.5)) {
+    return 0;  // Negatives and NaN too.
+  }
+  const auto v = static_cast<uint64_t>(std::min(value, 0x1p33) + 0.5);
+  const int shift = std::max(0, static_cast<int>(std::bit_width(v)) - 3);
+  return std::min<size_t>(kBuckets - 1, shift * 4 + (v >> shift));
+}
+
+double Histogram::Midpoint(size_t bucket) {
+  if (bucket < 8) {
+    return static_cast<double>(bucket);
+  }
+  const double width = std::ldexp(1.0, static_cast<int>(bucket / 4) - 1);
+  return static_cast<double>(bucket % 4 + 4) * width + (width - 1) / 2;
+}
+
+uint64_t Histogram::count() const {
+  uint64_t n = 0;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    n += Count(i);
+  }
+  return n;
+}
+
+double Histogram::Mean() const {
+  double sum = 0.0;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    sum += static_cast<double>(Count(i)) * Midpoint(i);
+  }
+  const uint64_t n = count();
+  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
+
+double Histogram::Percentile(double pct) const {
+  const uint64_t n = count();
+  if (n == 0) {
+    return 0.0;
+  }
+  pct = std::clamp(pct, 0.0, 100.0);
+  const auto rank = std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::ceil(pct / 100.0 * static_cast<double>(n))));
+  uint64_t seen = 0;
+  size_t i = 0;
+  while (i + 1 < kBuckets && (seen += Count(i)) < rank) {
+    ++i;
+  }
+  return Midpoint(i);
+}
+
+std::vector<double> Histogram::samples() const {
+  std::vector<double> out;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    out.insert(out.end(), Count(i), Midpoint(i));
+  }
+  return out;
 }
 
 std::string FormatDurationNs(double ns) {

@@ -1,10 +1,11 @@
-// SampleStats: an exact sample reservoir with percentile/CDF queries, plus
-// human-readable duration/byte formatting. All the figure harnesses funnel
-// their measurements through this type, so queries are exact (sorted sample
-// vector), not streaming sketches.
+// SampleStats: the figure harnesses' exact sample reservoir (sorted-vector
+// percentile/CDF queries). Histogram: the Runtime's fixed-size, thread-safe
+// per-plan metric. Plus human-readable duration/byte formatting.
 #ifndef PRETZEL_COMMON_STATS_H_
 #define PRETZEL_COMMON_STATS_H_
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -37,12 +38,6 @@ class SampleStats {
 
   const std::vector<double>& samples() const { return samples_; }
 
-  // Heap bytes the reservoir holds (capacity, not size; the sorted query
-  // cache included).
-  size_t HeldBytes() const {
-    return (samples_.capacity() + sorted_.capacity()) * sizeof(double);
-  }
-
  private:
   void EnsureSorted() const;
 
@@ -50,6 +45,49 @@ class SampleStats {
   double sum_ = 0.0;
   mutable std::vector<double> sorted_;  // Lazily (re)built query cache.
   mutable bool sorted_valid_ = false;
+};
+
+// A log-linear histogram of whole-unit values in 128 fixed buckets (1 KiB,
+// no heap). Record rounds a value to the nearest integer, negatives to 0.
+// Integers 0-7 have a bucket each and read back exactly; above, each octave
+// [2^k, 2^(k+1)) splits into 4 equal buckets that read back as the midpoint
+// of their integers, within kRelativeError of the rounded value. From 2^33
+// (about 8.6e9) up, values clamp into the top bucket. Record is one relaxed
+// fetch_add, safe from any thread, and counts are lifetime. A copy is a
+// relaxed snapshot: a Record racing it may or may not show.
+class Histogram {
+ public:
+  static constexpr size_t kBuckets = 128;
+  static constexpr double kRelativeError = 1.0 / 8;
+
+  Histogram() = default;
+  Histogram(const Histogram& other) { *this = other; }
+  Histogram& operator=(const Histogram& other);
+
+  void Record(double value) {
+    buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
+  }
+  // Adds `other`'s counts: the same as recording both inputs into one.
+  void Merge(const Histogram& other);
+
+  uint64_t count() const;
+  bool empty() const { return count() == 0; }
+  // Read bucket midpoints, 0 when empty; Percentile is nearest-rank, like
+  // SampleStats', with pct in [0, 100].
+  double Mean() const;
+  double Percentile(double pct) const;
+  // Each recorded value as its bucket midpoint, ascending. Kept only for the
+  // serving benchmark, which pools plans' values through SampleStats.
+  std::vector<double> samples() const;
+
+ private:
+  static size_t BucketOf(double value);
+  static double Midpoint(size_t bucket);
+  uint64_t Count(size_t bucket) const {
+    return buckets_[bucket].load(std::memory_order_relaxed);
+  }
+
+  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
 };
 
 // "412ns", "3.18us", "7.42ms", "1.25s".

@@ -69,15 +69,6 @@ class Waiter {
 
 }  // namespace
 
-// Per-plan metric reservoirs are windowed: SampleStats keeps exact samples,
-// so unbounded Add() on the dispatch path would grow forever. When a
-// shard's window fills, its stats restart; percentiles describe the most
-// recent window. The budget is split across a plan's shards, keeping total
-// retained samples near kMetricsWindow per plan — up to the 256-sample
-// per-shard floor, which preserves percentile fidelity for groups with
-// many executors at the cost of a proportionally larger total window.
-constexpr size_t kMetricsWindow = 4096;
-
 // Capacity of each group's runnable rotation ring; a plan occupies at most
 // one slot (its dispatch claim), so this bounds plans per group.
 constexpr size_t kRunnableRingCapacity = 8192;
@@ -95,19 +86,6 @@ constexpr int64_t kInlineMaxExecNs = 20'000;
 // work, so its own async submissions (say, a callback that resubmits)
 // enqueue instead of nesting another inline quantum on the stack.
 thread_local bool t_runtime_work = false;
-
-static void AddWindowed(SampleStats& stats, double value, size_t window) {
-  if (stats.count() >= window) {
-    stats = SampleStats();
-  }
-  stats.Add(value);
-}
-
-static void MergeStats(SampleStats& into, const SampleStats& from) {
-  for (const double sample : from.samples()) {
-    into.Add(sample);
-  }
-}
 
 // Per-plan estimates (alpha 1/8). Every dispatch folds its queue wait into
 // the plan's queue-delay EWMA — a ResourceExhausted rejection attaches that
@@ -140,19 +118,6 @@ static Status ExpiredStatus(const char* stage, DeadlineStage stage_tag,
   }
   return Status::DeadlineExceeded(std::move(msg)).WithDeadlineStage(stage_tag);
 }
-
-// One executor's slice of a plan's latency/batch reservoirs. Only its
-// owning executor writes it (one lock/unlock per dispatch, uncontended
-// unless a GetMetrics snapshot is copying this exact shard), so metric
-// recording never serializes executors against each other or against
-// snapshots. A plan's last shard is the caller shard: inline quanta record
-// there, so executor shards stay single-writer.
-struct Runtime::MetricShard {
-  Mutex mu;
-  SampleStats batch_records GUARDED_BY(mu);
-  SampleStats queue_wait_us GUARDED_BY(mu);
-  SampleStats single_latency_us GUARDED_BY(mu);
-};
 
 // One link of a plan's event queue: the events of one enqueue call, packed
 // into trailing storage (one allocation per call, exactly sized) and
@@ -197,7 +162,6 @@ struct Runtime::ExecGroup {
   explicit ExecGroup(size_t ring_capacity) : runnable_ring(ring_capacity) {}
 
   size_t num_executors = 1;
-  size_t spawned = 0;  // Shard indices handed to executors (startup only).
   std::atomic<size_t> plan_count{0};
   // The first executor's sub-plan cache (null when caching is off). Inline
   // work on this group's plans borrows it — it is mutex-guarded — so a
@@ -242,7 +206,6 @@ struct Runtime::PlanQueue {
   bool reserved = false;
   size_t max_batch = 1;
   int64_t max_delay_us = 0;
-  size_t shard_window = kMetricsWindow;
 
   // ---- Versioned lifecycle ----
   // Retire() publishes `retired`, then waits for scheduler occupancy and
@@ -336,8 +299,10 @@ struct Runtime::PlanQueue {
   std::atomic<uint64_t> expired_dequeue{0};
   std::atomic<uint64_t> expired_quantum{0};
   std::atomic<uint64_t> shed_deadline{0};
-  // One per group executor, then the caller shard (inline quanta).
-  std::vector<std::unique_ptr<MetricShard>> shards;
+  // PlanMetrics' histograms, recorded by every thread that dispatches.
+  Histogram batch_records;
+  Histogram queue_wait_us;
+  Histogram single_latency_us;
 };
 
 Runtime::Runtime(ObjectStore* store, const RuntimeOptions& options)
@@ -383,13 +348,11 @@ void Runtime::SpawnExecutor(ExecGroup* group) {
   }
   executor_pools_.push_back(std::make_unique<VectorPool>());
   VectorPool* pool = executor_pools_.back().get();
-  const size_t shard_idx = group->spawned++;
-  if (shard_idx == 0) {
-    group->inline_cache = cache;
+  if (group->inline_cache == nullptr) {
+    group->inline_cache = cache;  // The first cache spawned.
   }
-  threads_.emplace_back([this, group, cache, pool, shard_idx] {
-    ExecutorLoop(group, cache, pool, shard_idx);
-  });
+  threads_.emplace_back(
+      [this, group, cache, pool] { ExecutorLoop(group, cache, pool); });
 }
 
 Result<Runtime::PlanId> Runtime::Register(std::shared_ptr<ModelPlan> plan,
@@ -433,11 +396,6 @@ Result<Runtime::PlanId> Runtime::Register(std::shared_ptr<ModelPlan> plan,
     }
     pq->group = shared_group_.get();
   }
-  const size_t shard_count = std::max<size_t>(1, pq->group->num_executors);
-  pq->shard_window = std::max<size_t>(256, kMetricsWindow / shard_count);
-  for (size_t i = 0; i < shard_count + 1; ++i) {
-    pq->shards.push_back(std::make_unique<MetricShard>());
-  }
   plan_queues_.push_back(std::move(pq));
   return id;
 }
@@ -472,21 +430,8 @@ Status Runtime::Retire(PlanId id) {
   }
   // No admission can now succeed and no executor holds the plan: drop the
   // reference, so params the ObjectStore has Released can actually leave
-  // the heap. The PlanQueue shell stays (id/counter pointer stability), but
-  // with no writer left its metric reservoirs go too; counters stay. Every
-  // sample follows a dispatch count, so a plan that never dispatched (a
-  // canary rolled back before it served) has nothing to release.
+  // the heap. The PlanQueue shell stays (id/counter pointer stability).
   pq->plan.reset();
-  // relaxed: the drain's seq_cst loads already ordered every dispatch's
-  // increment before this point.
-  if (pq->dispatches.load(std::memory_order_relaxed) > 0) {
-    for (const auto& shard : pq->shards) {
-      MutexLock lock(shard->mu);
-      shard->batch_records = SampleStats();
-      shard->queue_wait_us = SampleStats();
-      shard->single_latency_us = SampleStats();
-    }
-  }
   return Status::OK();
 }
 
@@ -749,59 +694,37 @@ bool Runtime::TryRunInline(PlanQueue* pq, Event& event) {
     return false;
   }
   // The executor's quantum, on this thread: the same counters (so
-  // enqueued == accepted holds on both branches), batch 1 and queue wait 0
-  // into the caller shard, then the same hand-off before executing.
+  // enqueued == accepted holds on both branches), batch 1 and queue wait 0,
+  // then the same hand-off before executing.
   t_runtime_work = true;
   event.enqueue_ns = NowNs();
   pq->enqueued.fetch_add(1, std::memory_order_relaxed);
   pq->coalesced.fetch_add(1, std::memory_order_relaxed);
-  AccountCallerDispatch(pq, 1);
+  pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
+  AccountDispatch(pq, 1, 0);
   HandOff(pq);
   // Never nested on one thread (t_runtime_work), so one buffer per thread.
   thread_local std::vector<Event> batch;
   batch.push_back(std::move(event));
   std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
   ctx->subplan_cache = group->inline_cache;
-  ExecuteQuantum(pq, batch, *ctx, pq->shards.size() - 1);
+  ExecuteQuantum(pq, batch, *ctx);
   caller_contexts_.Release(std::move(ctx));
   batch.clear();
   t_runtime_work = false;
   return true;
 }
 
-void Runtime::AccountCallerDispatch(PlanQueue* pq, size_t records) {
-  pq->dispatches.fetch_add(1, std::memory_order_relaxed);
-  pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
-  UpdateEwma(pq->queue_delay_ewma_us, 0);
-  MetricShard& shard = *pq->shards.back();
-  MutexLock lock(shard.mu);
-  AddWindowed(shard.batch_records, static_cast<double>(records),
-              pq->shard_window);
-  AddWindowed(shard.queue_wait_us, 0.0, pq->shard_window);
-}
-
 bool Runtime::TakeChunk(const Event& event) {
   return event.job->claims.TryTake(event.begin / event.job->chunk);
 }
 
-void Runtime::AccountDispatch(PlanQueue* pq, const std::vector<Event>& batch,
-                              size_t shard_idx) {
-  const Event& first = batch.front();
-  size_t records = batch.size();
-  if (first.job != nullptr) {
-    records = first.end - first.begin;
-  } else {
-    pq->coalesced.fetch_add(batch.size(), std::memory_order_relaxed);
-  }
-  const int64_t wait_ns = NowNs() - first.enqueue_ns;
+void Runtime::AccountDispatch(PlanQueue* pq, size_t records,
+                              int64_t wait_ns) {
   pq->dispatches.fetch_add(1, std::memory_order_relaxed);
   UpdateEwma(pq->queue_delay_ewma_us, wait_ns / 1000);
-  MetricShard& shard = *pq->shards[shard_idx];
-  MutexLock lock(shard.mu);
-  AddWindowed(shard.batch_records, static_cast<double>(records),
-              pq->shard_window);
-  AddWindowed(shard.queue_wait_us, static_cast<double>(wait_ns) / 1e3,
-              pq->shard_window);
+  pq->batch_records.Record(static_cast<double>(records));
+  pq->queue_wait_us.Record(static_cast<double>(wait_ns) / 1e3);
 }
 
 // Sub-batch size: fill every executor that serves this plan, but never
@@ -860,7 +783,8 @@ Status Runtime::SubmitBatchJobAndWait(PlanQueue* pq,
       pq->stale_chunks.fetch_add(1, std::memory_order_seq_cst);
       const size_t begin = i * job->chunk;
       const size_t end = std::min(n, begin + job->chunk);
-      AccountCallerDispatch(pq, end - begin);
+      pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
+      AccountDispatch(pq, end - begin, 0);
       RunChunk(pq, *job, begin, end, /*enqueue_ns=*/0, *ctx);
     }
     caller_contexts_.Release(std::move(ctx));
@@ -971,26 +895,20 @@ Status Runtime::PredictBatchAsync(PlanId id, std::vector<std::string> inputs,
 void Runtime::Linger(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns) {
   const auto deadline = std::chrono::steady_clock::time_point(
       std::chrono::nanoseconds(oldest_ns + pq->max_delay_us * 1000));
+  // Shutdown, a full batch, batch work or another runnable plan ends the
+  // linger. relaxed: stop_ is monotonic, so a stale read costs one pass, and
+  // under a wait ticket PrepareWait's seq_cst fence pairs with the
+  // destructor's store+NotifyAll, so a missed flag still wakes the wait.
+  const auto end_linger = [&] {
+    return stop_.load(std::memory_order_relaxed) ||
+           pq->queued.load(std::memory_order_seq_cst) >= pq->max_batch ||
+           pq->chunk_count.load(std::memory_order_seq_cst) > 0 ||
+           group->runnable_count.load(std::memory_order_seq_cst) > 0;
+  };
   pq->lingering.store(true, std::memory_order_seq_cst);
-  for (;;) {
-    // relaxed: stop_ is a monotonic shutdown flag; a stale read only delays
-    // linger exit by one iteration, and the destructor's NotifyAll forces a
-    // re-check via the eventcount's seq_cst protocol.
-    if (stop_.load(std::memory_order_relaxed) ||
-        pq->queued.load(std::memory_order_seq_cst) >= pq->max_batch ||
-        pq->chunk_count.load(std::memory_order_seq_cst) > 0 ||
-        group->runnable_count.load(std::memory_order_seq_cst) > 0 ||
-        std::chrono::steady_clock::now() >= deadline) {
-      break;
-    }
+  while (!end_linger() && std::chrono::steady_clock::now() < deadline) {
     const uint64_t ticket = group->ec.PrepareWait();
-    // relaxed: under a wait ticket; PrepareWait's seq_cst fence pairs with
-    // the destructor's store(seq_cst)+NotifyAll, so a missed flag here still
-    // wakes through the eventcount (no lost-wakeup).
-    if (stop_.load(std::memory_order_relaxed) ||
-        pq->queued.load(std::memory_order_seq_cst) >= pq->max_batch ||
-        pq->chunk_count.load(std::memory_order_seq_cst) > 0 ||
-        group->runnable_count.load(std::memory_order_seq_cst) > 0) {
+    if (end_linger()) {
       group->ec.CancelWait();
       break;
     }
@@ -1002,7 +920,7 @@ void Runtime::Linger(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns) {
 }
 
 void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
-                           VectorPool* pool, size_t shard_idx) {
+                           VectorPool* pool) {
   // Executor-private pooled state: the paper's per-core ExecContext, with
   // this executor's own sub-plan materialization cache attached.
   t_runtime_work = true;
@@ -1070,8 +988,12 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
         pq->stale_chunks.fetch_sub(static_cast<int64_t>(stale),
                                    std::memory_order_seq_cst);
       }
-      if (!batch.empty()) {
-        AccountDispatch(pq, batch, shard_idx);
+      if (chunk_quantum) {
+        AccountDispatch(pq, batch[0].end - batch[0].begin,
+                        NowNs() - batch[0].enqueue_ns);
+      } else if (!batch.empty()) {
+        pq->coalesced.fetch_add(batch.size(), std::memory_order_relaxed);
+        AccountDispatch(pq, batch.size(), NowNs() - batch[0].enqueue_ns);
       }
     }
     HandOff(pq);
@@ -1085,7 +1007,7 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
       }
       continue;
     }
-    ExecuteQuantum(pq, batch, ctx, shard_idx);
+    ExecuteQuantum(pq, batch, ctx);
     pq->ReleaseLifecycle();
   }
 }
@@ -1137,10 +1059,10 @@ void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
   }
 }
 
-// Execute outside every scheduler structure; error counts are atomic and
-// the sampled latency lands in this executor's shard.
+// Execute outside every scheduler structure; error counts and the sampled
+// latency are relaxed atomics.
 void Runtime::ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
-                             ExecContext& ctx, size_t shard_idx) {
+                             ExecContext& ctx) {
   // Singles quanta time themselves from here, stall included, into the
   // exec-time EWMA.
   const int64_t start_ns = NowNs();
@@ -1201,13 +1123,8 @@ void Runtime::ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
   const int64_t end_ns = NowNs();
   UpdateEwma(pq->exec_ewma_ns,
              (end_ns - start_ns) / static_cast<int64_t>(batch.size()));
-  const double latency_us =
-      static_cast<double>(end_ns - batch.front().enqueue_ns) / 1e3;
-  {
-    MetricShard& shard = *pq->shards[shard_idx];
-    MutexLock lock(shard.mu);
-    AddWindowed(shard.single_latency_us, latency_us, pq->shard_window);
-  }
+  pq->single_latency_us.Record(
+      static_cast<double>(end_ns - batch.front().enqueue_ns) / 1e3);
   if (failed > 0) {
     pq->errors.fetch_add(failed, std::memory_order_relaxed);
   }
@@ -1220,60 +1137,41 @@ RuntimeMetrics Runtime::GetMetrics() const {
   RuntimeMetrics metrics;
   ReaderMutexLock lock(registry_mu_);
   metrics.plans.reserve(plan_queues_.size());
+  const auto load = [](const auto& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
   for (const auto& pq : plan_queues_) {
-    PlanMetrics pm;
+    PlanMetrics& pm = metrics.plans.emplace_back();
     pm.plan_id = pq->id;
     pm.plan_name = pq->plan_name;  // Retained copy: valid after Retire.
     pm.reserved = pq->reserved;
-    pm.retired = pq->retired.load(std::memory_order_relaxed);
-    pm.inline_predictions =
-        pq->inline_predictions.load(std::memory_order_relaxed);
-    pm.enqueued_events = pq->enqueued.load(std::memory_order_relaxed);
-    pm.rejected_events = pq->rejected.load(std::memory_order_relaxed);
-    pm.dispatches = pq->dispatches.load(std::memory_order_relaxed);
-    pm.caller_dispatches =
-        pq->caller_dispatches.load(std::memory_order_relaxed);
-    pm.coalesced_singles = pq->coalesced.load(std::memory_order_relaxed);
-    pm.errors = pq->errors.load(std::memory_order_relaxed);
-    pm.expired_admission =
-        pq->expired_admission.load(std::memory_order_relaxed);
-    pm.expired_dequeue = pq->expired_dequeue.load(std::memory_order_relaxed);
-    pm.expired_quantum = pq->expired_quantum.load(std::memory_order_relaxed);
-    pm.shed_deadline = pq->shed_deadline.load(std::memory_order_relaxed);
-    pm.queue_delay_ewma_us =
-        pq->queue_delay_ewma_us.load(std::memory_order_relaxed);
-    pm.queue_depth = pq->queued.load(std::memory_order_relaxed);
-    pm.queued_chunks = pq->chunk_count.load(std::memory_order_relaxed);
-    for (const auto& shard : pq->shards) {
-      SampleStats batch_records, queue_wait, single_latency;
-      {
-        // Brief per-shard copy: stalls at most the one executor that owns
-        // this shard, and only if it is dispatching this exact plan.
-        MutexLock slock(shard->mu);
-        batch_records = shard->batch_records;
-        queue_wait = shard->queue_wait_us;
-        single_latency = shard->single_latency_us;
-        pm.reservoir_bytes += shard->batch_records.HeldBytes() +
-                              shard->queue_wait_us.HeldBytes() +
-                              shard->single_latency_us.HeldBytes();
-      }
-      MergeStats(pm.batch_records, batch_records);
-      MergeStats(pm.queue_wait_us, queue_wait);
-      MergeStats(pm.single_latency_us, single_latency);
-    }
-    metrics.plans.push_back(std::move(pm));
+    pm.retired = load(pq->retired);
+    pm.inline_predictions = load(pq->inline_predictions);
+    pm.enqueued_events = load(pq->enqueued);
+    pm.rejected_events = load(pq->rejected);
+    pm.dispatches = load(pq->dispatches);
+    pm.caller_dispatches = load(pq->caller_dispatches);
+    pm.coalesced_singles = load(pq->coalesced);
+    pm.errors = load(pq->errors);
+    pm.expired_admission = load(pq->expired_admission);
+    pm.expired_dequeue = load(pq->expired_dequeue);
+    pm.expired_quantum = load(pq->expired_quantum);
+    pm.shed_deadline = load(pq->shed_deadline);
+    pm.queue_delay_ewma_us = load(pq->queue_delay_ewma_us);
+    pm.queue_depth = load(pq->queued);
+    pm.queued_chunks = load(pq->chunk_count);
+    pm.batch_records = pq->batch_records;
+    pm.queue_wait_us = pq->queue_wait_us;
+    pm.single_latency_us = pq->single_latency_us;
   }
-  const auto aggregate = [&metrics](const SubPlanCache& cache) {
-    const SubPlanCache::Stats s = cache.GetStats();
+  for (const auto& cache : executor_caches_) {
+    const SubPlanCache::Stats s = cache->GetStats();
     metrics.subplan_cache.lookups += s.lookups;
     metrics.subplan_cache.hits += s.hits;
     metrics.subplan_cache.insertions += s.insertions;
     metrics.subplan_cache.evictions += s.evictions;
-    metrics.subplan_cache_entries += cache.NumEntries();
-    metrics.subplan_cache_bytes += cache.SizeBytes();
-  };
-  for (const auto& cache : executor_caches_) {
-    aggregate(*cache);
+    metrics.subplan_cache_entries += cache->NumEntries();
+    metrics.subplan_cache_bytes += cache->SizeBytes();
   }
   for (const auto& pool : executor_pools_) {
     metrics.vector_pool += pool->GetStats();
@@ -1317,10 +1215,9 @@ static void MergePlanMetrics(PlanMetrics& into, const PlanMetrics& from) {
   into.expired_dequeue += from.expired_dequeue;
   into.expired_quantum += from.expired_quantum;
   into.shed_deadline += from.shed_deadline;
-  MergeStats(into.batch_records, from.batch_records);
-  MergeStats(into.queue_wait_us, from.queue_wait_us);
-  MergeStats(into.single_latency_us, from.single_latency_us);
-  into.reservoir_bytes += from.reservoir_bytes;
+  into.batch_records.Merge(from.batch_records);
+  into.queue_wait_us.Merge(from.queue_wait_us);
+  into.single_latency_us.Merge(from.single_latency_us);
 }
 
 void MergeRuntimeMetrics(RuntimeMetrics& into, const RuntimeMetrics& from) {

@@ -33,9 +33,9 @@
 //  - Executors park and linger on an EventCount: producers skip the kernel
 //    entirely while every executor is busy; mutex+condvar survive only on
 //    the park/unpark slow path.
-//  - Counters are relaxed atomics and the SampleStats reservoirs are
-//    sharded per executor, merged only at GetMetrics() time — metrics never
-//    ride the dispatch path and a snapshot never stalls dispatch.
+//  - Counters and the per-plan metric histograms (fixed bucket arrays) are
+//    relaxed atomics shared by every thread that dispatches the plan, so
+//    recording a dispatch takes no lock and a snapshot never stalls one.
 //
 // Reservations (Section 5.4.1): a registration may reserve cores. Reserved
 // plans get dedicated executors draining a dedicated group, and ALL their
@@ -178,19 +178,14 @@ struct PlanMetrics {
   // EWMA of enqueue->dispatch delay (the retry-after hint attached to this
   // plan's ResourceExhausted rejections).
   int64_t queue_delay_ewma_us = 0;
-  // The SampleStats below are windowed (each shard — one per executor plus
-  // one for caller-run quanta — restarts when its window fills;
-  // kMetricsWindow in runtime.cc divided across the group's executors), so
-  // long-running servers keep bounded memory and the percentiles describe
-  // recent traffic. Snapshots merge the shards.
-  SampleStats batch_records;        // Records per dispatch.
-  SampleStats queue_wait_us;        // Enqueue -> dispatch.
-  // Enqueue -> completion, sampled once per dispatch (the dispatched
-  // group's oldest single, i.e. its worst case).
-  SampleStats single_latency_us;
-  // Heap bytes the plan's shards hold for the three reservoirs above.
-  // Retire releases them (its counters stay), so a retired plan reads 0.
-  size_t reservoir_bytes = 0;
+  // Lifetime histograms (stats.h), readable after Retire: batch_records and
+  // queue_wait_us each count exactly `dispatches`. Whole units; integers
+  // below 8 read exactly, larger ones within Histogram::kRelativeError (1/8).
+  Histogram batch_records;        // Records per dispatch.
+  Histogram queue_wait_us;        // Enqueue -> dispatch.
+  // Enqueue -> completion, once per singles dispatch that ran (the
+  // dispatched group's oldest single, i.e. its worst case).
+  Histogram single_latency_us;
 };
 
 struct RuntimeMetrics {
@@ -207,7 +202,7 @@ struct RuntimeMetrics {
 // Merges `from` into `into`: cache/pool aggregates are summed, and plan
 // entries are folded BY NAME — two entries with the same plan_name (the
 // replicas a routing tier registers on several Runtimes) collapse into one
-// logical row with summed counters, merged reservoirs, and an
+// logical row with summed counters and histograms, and an
 // event-weighted queue-delay EWMA, so a replicated plan is never counted
 // as N plans. Names unique within the fold (the common case) degrade to a
 // plain append. plan_id keeps the first replica's shard-local id and is
@@ -321,7 +316,7 @@ class Runtime {
 
   // Snapshot of per-plan queue/batch/latency metrics, aggregate
   // sub-plan-cache effectiveness, and pool counters. Never blocks dispatch:
-  // counters are atomics and the stats shards are copied per-executor.
+  // counters and histogram buckets are relaxed atomics, copied as they read.
   RuntimeMetrics GetMetrics() const EXCLUDES(registry_mu_);
 
   size_t num_executors() const { return options_.num_executors; }
@@ -355,7 +350,6 @@ class Runtime {
   };
   struct ExecGroup;
   struct PlanQueue;
-  struct MetricShard;
   struct EventSegment;
 
   // Appends to threads_ / executor_caches_ / executor_pools_; callers hold
@@ -391,22 +385,18 @@ class Runtime {
   // queue wait or queue-delay sample (stale waits would inflate the
   // shedding estimate and a router's load signal).
   static bool TakeChunk(const Event& event);
-  // Dispatch accounting for a quantum an executor gathered and will run.
-  void AccountDispatch(PlanQueue* pq, const std::vector<Event>& batch,
-                       size_t shard_idx);
-  // Accounting for a quantum a submitting thread runs itself (an inline
-  // async single, or a chunk of its own synchronous batch): one dispatch
-  // and caller dispatch, `records` and a queue wait of 0 into the plan's
-  // caller shard, and 0 into the queue-delay EWMA.
-  void AccountCallerDispatch(PlanQueue* pq, size_t records);
+  // Accounting for one dispatch quantum, whoever runs it: `records` into
+  // batch_records, the wait into queue_wait_us and the queue-delay EWMA. A
+  // submitting thread running its own quantum (an inline async single, or a
+  // chunk of its synchronous batch) passes 0 and counts a caller dispatch.
+  static void AccountDispatch(PlanQueue* pq, size_t records, int64_t wait_ns);
   // One chunk, records [begin, end) of `job`: the between-quanta deadline
   // check, the kernels, error attribution and the countdown whose last
   // decrement fires the job callback. Executors and the job's caller share
   // it.
   void RunChunk(PlanQueue* pq, BatchJob& job, size_t begin, size_t end,
                 int64_t enqueue_ns, ExecContext& ctx);
-  void ExecutorLoop(ExecGroup* group, SubPlanCache* cache, VectorPool* pool,
-                    size_t shard_idx);
+  void ExecutorLoop(ExecGroup* group, SubPlanCache* cache, VectorPool* pool);
   // The inline-when-idle branch of PredictAsync: false (event untouched)
   // unless the rule holds, else runs the event's quantum on this thread.
   // The caller holds a lifecycle ref across the call.
@@ -434,10 +424,9 @@ class Runtime {
   static bool PopLive(PlanQueue* pq, Event* out, size_t* stale);
   void Linger(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns);
   // Executes one gathered quantum (outside all scheduler structures) and
-  // records error/latency accounting into shard `shard_idx` (an executor's,
-  // or the plan's caller shard for an inline quantum).
+  // records its errors and latency into the plan's counters.
   void ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
-                      ExecContext& ctx, size_t shard_idx);
+                      ExecContext& ctx);
 
   ObjectStore* store_;
   const RuntimeOptions options_;

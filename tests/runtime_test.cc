@@ -1,8 +1,9 @@
 // Runtime: registration (and what it allocates), inline predict, batch
 // fan-out ordering, async completion, error propagation, reservations, the
 // inline-when-idle rule for async singles, caller-assisted synchronous
-// batches, the batch check order, coalescing around a queued chunk, what
-// Retire releases, and bit-exact dense scores on every batch path.
+// batches, the batch check order, coalescing around a queued chunk, metric
+// histograms that count every dispatch across Retire, and bit-exact dense
+// scores on every batch path.
 #include "src/runtime/runtime.h"
 
 #include <algorithm>
@@ -863,12 +864,17 @@ void TestChunkAtCursorWaitsForNextQuantum() {
   CHECK_EQ(pm.coalesced_singles, uint64_t{5});
   CHECK_EQ(pm.queue_depth, size_t{0});
   CHECK_EQ(pm.queued_chunks, size_t{0});
-  CHECK(pm.batch_records.samples() == std::vector<double>({3, 1, 1, 2}));
+  // Batch sizes 1 twice, 2 once and 3 once: the four nearest ranks.
+  CHECK_EQ(pm.batch_records.count(), uint64_t{4});
+  CHECK_EQ(pm.batch_records.Percentile(25), 1.0);
+  CHECK_EQ(pm.batch_records.Percentile(50), 1.0);
+  CHECK_EQ(pm.batch_records.Percentile(75), 2.0);
+  CHECK_EQ(pm.batch_records.Percentile(100), 3.0);
 }
 
 // Registering a plan allocates its scheduler bookkeeping (queue head,
-// counters, metric shards, name) and no per-plan event storage: events live
-// only in the segments their enqueue calls allocate.
+// counters, metric histograms, name) and no per-plan event storage: events
+// live only in the segments their enqueue calls allocate.
 void TestRegisterAllocationBound() {
   Harness h(/*executors=*/1, /*pipelines=*/1);
   const auto& spec = h.workload.pipelines()[0];
@@ -888,37 +894,78 @@ void TestRegisterAllocationBound() {
             t_alloc_bytes);
 }
 
-// A retired plan's shell stays registered, so Retire releases its metric
-// reservoirs: after more than one window of singles (a reserved plan's
-// sync singles each dispatch once on its executor), the retired plan's
-// counters read as before and its reservoirs are empty and hold no bytes.
-void TestRetireReleasesReservoirs() {
-  Harness h(/*executors=*/1, /*pipelines=*/1, /*reserve_first=*/true);
-  const Runtime::PlanId id = h.ids[0];
-  constexpr uint64_t kSingles = 4096 + 512;  // One shard window is 4096.
-  for (uint64_t i = 0; i < kSingles; ++i) {
-    CHECK(h.runtime->Predict(id, h.input).ok());
+// The metric histograms are lifetime counts: over more than 4096 dispatches
+// of one plan (inline async singles, executor singles queued behind a held
+// executor, and the one-record chunks of a synchronous batch),
+// batch_records and queue_wait_us each count exactly `dispatches`,
+// single_latency_us every singles dispatch, and batch_records' bucket
+// midpoints sum to the records served within Histogram::kRelativeError.
+// Retire keeps all of it readable, unchanged.
+void TestHistogramsCountEveryDispatch() {
+  Harness h(/*executors=*/1, /*pipelines=*/2);
+  const Runtime::PlanId p = h.ids[1];
+  constexpr uint64_t kInlineSingles = 600;
+  constexpr uint64_t kQueuedSingles = 200;
+  constexpr uint64_t kChunks = 4000;  // One record each.
+  AwaitIdleGroup(*h.runtime, p, h.input);
+  const PlanMetrics idle = h.Metrics(p);
+  for (uint64_t i = 0; i < kInlineSingles; ++i) {
+    (void)SubmitRanInline(*h.runtime, p, h.input);
   }
-  const PlanMetrics before = h.Metrics(id);
-  CHECK_EQ(before.dispatches, kSingles);
-  CHECK(!before.batch_records.empty());
-  CHECK(before.batch_records.count() < kSingles);  // The window restarted.
-  CHECK(before.reservoir_bytes > 0);
+  std::vector<std::unique_ptr<Completion>> queued;
+  {
+    ExecutorHold hold(*h.runtime, {h.ids[0]});
+    for (uint64_t i = 0; i < kQueuedSingles; ++i) {
+      queued.push_back(std::make_unique<Completion>());
+      Completion* c = queued.back().get();
+      CHECK(h.runtime
+                ->PredictAsync(p, h.input,
+                               [c](Result<float> r) { c->Fire(r.ok()); })
+                .ok());
+    }
+  }
+  for (auto& c : queued) {
+    c->Await();
+    CHECK(c->ok);
+  }
+  const std::vector<std::string> inputs(kChunks, h.input);
+  CHECK(h.runtime->PredictBatch(p, inputs, /*max_batch=*/1).ok());
+  const PlanMetrics before = AwaitEmptyQueue(*h.runtime, p);
+  const uint64_t records = idle.dispatches + kInlineSingles + kQueuedSingles +
+                           kChunks;  // AwaitIdleGroup's singles ran alone.
+  CHECK(before.dispatches > 4096);
+  CHECK_EQ(before.errors, uint64_t{0});
+  CHECK_EQ(before.batch_records.count(), before.dispatches);
+  CHECK_EQ(before.queue_wait_us.count(), before.dispatches);
+  CHECK_EQ(before.single_latency_us.count(), before.dispatches - kChunks);
+  const double served = before.batch_records.Mean() *
+                        static_cast<double>(before.batch_records.count());
+  CHECK_MSG(std::fabs(served - static_cast<double>(records)) <=
+                Histogram::kRelativeError * static_cast<double>(records),
+            "batch records sum to %.1f, served %llu", served,
+            static_cast<unsigned long long>(records));
 
-  CHECK(h.runtime->Retire(id).ok());
-  const PlanMetrics after = h.Metrics(id);
+  CHECK(h.runtime->Retire(p).ok());
+  const PlanMetrics after = h.Metrics(p);
   CHECK(after.retired);
   CHECK_EQ(after.dispatches, before.dispatches);
+  CHECK_EQ(after.caller_dispatches, before.caller_dispatches);
   CHECK_EQ(after.enqueued_events, before.enqueued_events);
   CHECK_EQ(after.coalesced_singles, before.coalesced_singles);
   CHECK_EQ(after.inline_predictions, before.inline_predictions);
+  CHECK_EQ(after.rejected_events, before.rejected_events);
   CHECK_EQ(after.errors, before.errors);
-  CHECK(after.batch_records.empty());
-  CHECK(after.queue_wait_us.empty());
-  CHECK(after.single_latency_us.empty());
-  CHECK_EQ(after.reservoir_bytes, size_t{0});
-  std::printf("  retired plan reservoirs: %zu -> %zu bytes\n",
-              before.reservoir_bytes, after.reservoir_bytes);
+  CHECK_EQ(after.expired_admission + after.expired_dequeue +
+               after.expired_quantum + after.shed_deadline,
+           uint64_t{0});
+  CHECK_EQ(after.queue_delay_ewma_us, before.queue_delay_ewma_us);
+  CHECK_EQ(after.batch_records.count(), before.batch_records.count());
+  CHECK_EQ(after.queue_wait_us.count(), before.queue_wait_us.count());
+  CHECK_EQ(after.single_latency_us.count(), before.single_latency_us.count());
+  CHECK_EQ(after.batch_records.Mean(), before.batch_records.Mean());
+  std::printf("  %llu dispatches, %.1f of %llu records by histogram\n",
+              static_cast<unsigned long long>(after.dispatches), served,
+              static_cast<unsigned long long>(records));
 }
 
 // Every dense path scores with the per-record kernels: an AC synchronous
@@ -1162,7 +1209,7 @@ int main() {
   TestSyncBatchBesideSaturatedExecutor();
   TestChunkAtCursorWaitsForNextQuantum();
   TestRegisterAllocationBound();
-  TestRetireReleasesReservoirs();
+  TestHistogramsCountEveryDispatch();
   TestDenseBatchPathsMatchExecutePlan();
 
   std::printf("runtime_test: PASS\n");
