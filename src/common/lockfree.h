@@ -19,7 +19,7 @@
 //    busy; mutex+condvar survive only on the park/unpark slow path.
 //  - DispatchClaim: the at-most-one-owner flag on a queue's dispatch
 //    quantum, with the release-then-recheck hand-off every owner uses.
-//  - ChunkClaims: per-chunk take flags of one batch job, so the executors
+//  - ChunkCursor: the next untaken chunk of one batch job, so the executors
 //    and the job's blocked synchronous caller can all run its chunks while
 //    each chunk still runs exactly once.
 #ifndef PRETZEL_COMMON_LOCKFREE_H_
@@ -444,38 +444,26 @@ class DispatchClaim {
   PRETZEL_ATOMIC(bool) claimed_{false};
 };
 
-// Take flags for the chunks of one batch job. Every chunk is enqueued as an
-// event, and a synchronous caller that would otherwise sleep runs its own
-// job's chunks too: executors pop tickets FIFO (head first) and the caller
-// walks the job from the tail, so the two meet in the middle. Whoever wins
-// TryTake(i) runs chunk i; the other drops its ticket. Replacing the
-// exchange with a load-then-store (seeded mutation chunk_take_load_store)
-// lets both sides see the flag clear and run the chunk twice.
-class ChunkClaims {
+// The chunk cursor of one batch job. The job is one queued ticket, and
+// every taker (the executor holding the plan's dispatch claim, and the
+// job's blocked synchronous caller) claims the next untaken chunk with one
+// fetch_add, so each index goes to exactly one taker. Indices at or past
+// the job's chunk count mean every chunk is taken. Splitting the fetch_add
+// into a load then a store (seeded mutation chunk_cursor_load_store) lets
+// two takers read one index and run that chunk twice.
+class ChunkCursor {
  public:
-  ChunkClaims() = default;
-  explicit ChunkClaims(size_t n)
-      : size_(n), taken_(std::make_unique<PRETZEL_ATOMIC(bool)[]>(n)) {}
-
-  size_t size() const { return size_; }
-
-  // True for exactly one caller per chunk: the one that must run it.
-  bool TryTake(size_t i) {
-    if (PRETZEL_LF_MUTATION(chunk_take_load_store)) {
-      if (taken_[i].load(PRETZEL_MO(chunk_take_load, seq_cst))) {
-        return false;
-      }
-      taken_[i].store(true, PRETZEL_MO(chunk_take_store, seq_cst));
-      return true;
+  size_t Take() {
+    if (PRETZEL_LF_MUTATION(chunk_cursor_load_store)) {
+      const size_t i = next_.load(PRETZEL_MO(chunk_cursor_load, seq_cst));
+      next_.store(i + 1, PRETZEL_MO(chunk_cursor_store, seq_cst));
+      return i;
     }
-    // One atomic read-modify-write: of any number of takers exactly one
-    // reads the flag clear.
-    return !taken_[i].exchange(true, PRETZEL_MO(chunk_take_xchg, seq_cst));
+    return next_.fetch_add(1, PRETZEL_MO(chunk_cursor_add, seq_cst));
   }
 
  private:
-  size_t size_ = 0;
-  std::unique_ptr<PRETZEL_ATOMIC(bool)[]> taken_;
+  PRETZEL_ATOMIC(size_t) next_{0};
 };
 
 }  // namespace pretzel

@@ -12,23 +12,23 @@
 
 namespace pretzel {
 
-// One logical batch request. Whoever runs a chunk (an executor, or the
-// job's blocked synchronous caller) decrements `remaining`; the last one out
-// invokes the callback. Every record is a view of its wire bytes (text or
-// BinaryRecord): into `owned_inputs` for an async batch, into the blocked
-// synchronous caller's strings or wire buffer otherwise. Results are owned
-// (async) or written straight through the blocked caller's span.
+// One logical batch request, queued as one ticket. Whoever runs a chunk (an
+// executor, or the job's blocked synchronous caller) decrements `remaining`;
+// the last one out invokes the callback. Every record is a view of its wire
+// bytes (text or BinaryRecord): into `owned_inputs` for an async batch, into
+// the blocked synchronous caller's strings or wire buffer otherwise. Results
+// are owned (async) or written straight through the blocked caller's span.
 struct Runtime::BatchJob {
-  std::shared_ptr<ModelPlan> plan;
   std::vector<std::string> owned_inputs;
   std::vector<std::string_view> view_inputs;
   std::vector<float> owned_results;
   float* results = nullptr;
   // SubmitBatchJob's split: chunk i covers records [i * chunk, (i + 1) *
-  // chunk), and its take flag makes it run exactly once whether its
-  // executor ticket or the synchronous caller reaches it first.
+  // chunk), i < chunks. Every taker, executor or synchronous caller, takes
+  // its next index from `cursor`, so each chunk runs exactly once.
   size_t chunk = 1;
-  ChunkClaims claims;
+  size_t chunks = 0;
+  ChunkCursor cursor;
   std::atomic<size_t> remaining{0};
   BatchCallback callback;
   // Absolute expiry shared by every chunk; checked between quanta so a
@@ -119,37 +119,12 @@ static Status ExpiredStatus(const char* stage, DeadlineStage stage_tag,
   return Status::DeadlineExceeded(std::move(msg)).WithDeadlineStage(stage_tag);
 }
 
-// One link of a plan's event queue: the events of one enqueue call, packed
-// into trailing storage (one allocation per call, exactly sized) and
-// chained FIFO through the lock-free Vyukov MPSC queue. Producer-created,
-// destroyed by the quantum owner once its cursor has moved every event out.
-struct Runtime::EventSegment : MpscNode {
-  size_t count = 0;
-
-  Event* events() { return reinterpret_cast<Event*>(this + 1); }
-
-  // Moves events[0, n) out of `src` into the trailing storage.
-  static EventSegment* Create(Event* src, size_t n) {
-    static_assert(alignof(Event) <= alignof(EventSegment),
-                  "trailing Event storage would be misaligned");
-    void* mem = ::operator new(sizeof(EventSegment) + n * sizeof(Event));
-    auto* segment = new (mem) EventSegment();
-    segment->count = n;
-    for (size_t i = 0; i < n; ++i) {
-      new (&segment->events()[i]) Event(std::move(src[i]));
-    }
-    return segment;
-  }
-
-  // Destroys every slot (moved-from ones included; at shutdown undrained
-  // slots still hold events whose callbacks never ran).
-  static void Destroy(EventSegment* segment) {
-    for (size_t i = 0; i < segment->count; ++i) {
-      segment->events()[i].~Event();
-    }
-    segment->~EventSegment();
-    ::operator delete(segment);
-  }
+// One link of a plan's event queue: one enqueued event (a single, or a
+// batch job's ticket), chained FIFO through the lock-free Vyukov MPSC queue.
+// Producer-allocated, freed by the quantum owner once it takes the event.
+struct Runtime::EventNode : MpscNode {
+  explicit EventNode(Event e) : event(std::move(e)) {}
+  Event event;
 };
 
 // An executor group: the threads draining one set of plans (the shared pool,
@@ -183,20 +158,18 @@ struct Runtime::ExecGroup {
 // afterwards.
 //
 // Producers admit through the atomic `queued` counter, then push their
-// call's events as one EventSegment onto `segments`. The dispatch `claim`
+// event as one EventNode onto `chain`; a batch job is one ticket event
+// whose chunks its takers draw from the job's cursor. The dispatch `claim`
 // keeps the plan at most once in the group's runnable rotation; whoever
 // pops it from the rotation (or wins it inline) is the queue's single
-// consumer, reading through the `cur`/`cur_idx` cursor, until it
+// consumer, holding the oldest popped node in `head`, until it
 // re-publishes or releases the claim.
 struct Runtime::PlanQueue {
-  // Frees segments stranded at shutdown (their events' callbacks are never
-  // invoked).
+  // Frees events stranded at shutdown (their callbacks are never invoked).
   ~PlanQueue() {
-    if (cur != nullptr) {
-      EventSegment::Destroy(cur);
-    }
-    while (MpscNode* node = segments.TryPop()) {
-      EventSegment::Destroy(static_cast<EventSegment*>(node));
+    delete head;
+    while (MpscNode* node = chain.TryPop()) {
+      delete static_cast<EventNode*>(node);
     }
   }
 
@@ -238,34 +211,22 @@ struct Runtime::PlanQueue {
     lifecycle_refs.fetch_sub(1, std::memory_order_seq_cst);
   }
 
-  // The work the cap and the shedding estimate should see: `queued` less
-  // its stale chunk tickets, so a closed-loop synchronous batch caller that
-  // outruns the executors never has more than its own call's chunks
-  // counted. `stale_chunks` is loaded FIRST: an executor that drops stale
-  // tickets subtracts from `queued` before `stale_chunks`, so a drop landing
-  // between the two loads makes this under-count (admit early), never
-  // over-count (a false cap rejection). The `queued` it read goes to
-  // *queued_now (the cap's CAS expects it).
-  size_t LiveQueued(size_t* queued_now) const {
-    const auto stale = static_cast<size_t>(
-        std::max<int64_t>(0, stale_chunks.load(std::memory_order_seq_cst)));
-    *queued_now = queued.load(std::memory_order_seq_cst);
-    return *queued_now - std::min(*queued_now, stale);
-  }
-
   // ---- Event queue ----
-  // FIFO chain of EventSegments (wait-free producer push). cur/cur_idx are
-  // the consumer's private cursor: the segment it is reading and the index
-  // of its next event (ownership travels with the dispatch claim).
-  MpscIntrusiveQueue segments;
-  EventSegment* cur = nullptr;
-  size_t cur_idx = 0;
-  // Events admitted and not yet gathered into a dispatch quantum; doubles
-  // as the backpressure cap check and the queue_depth metric.
+  // FIFO chain of EventNodes (wait-free producer push). `head` is the
+  // consumer's private cursor: the node popped from the chain whose event
+  // is the plan's oldest (ownership travels with the dispatch claim).
+  MpscIntrusiveQueue chain;
+  EventNode* head = nullptr;
+  // Live work: queued singles plus batch chunks no one has taken yet,
+  // decremented by whoever takes one (an executor gathering its quantum, or
+  // a synchronous batch caller). The backpressure cap, the shedding
+  // estimate and the queue_depth metric all read it.
   std::atomic<size_t> queued{0};
-  // Chunk events among them; the adaptive linger must end as soon as batch
-  // work exists anywhere in the queue.
-  std::atomic<size_t> chunk_count{0};
+  // Batch tickets in the chain, exhausted ones included: a ticket leaves
+  // when an executor takes its last chunk or finds them all taken. While
+  // one remains the plan stays published (HandOff), and its batch work ends
+  // the adaptive linger.
+  std::atomic<size_t> batch_tickets{0};
   // Held while the plan is in the runnable rotation or owned by an executor
   // or inline caller.
   DispatchClaim claim;
@@ -282,12 +243,6 @@ struct Runtime::PlanQueue {
   // completion callback, ns); the inline rule compares it to
   // kInlineMaxExecNs.
   std::atomic<int64_t> exec_ewma_ns{0};
-  // Chunk tickets still queued whose chunk the job's synchronous caller
-  // ran: the caller adds one per chunk it takes, the executor that
-  // drops the ticket subtracts it AFTER its `queued` decrement (LiveQueued
-  // relies on that order). Between a caller's take and its add, the ticket
-  // still reads live. Signed — the caller's add may land after the drop.
-  std::atomic<int64_t> stale_chunks{0};
   std::atomic<uint64_t> inline_predictions{0};
   std::atomic<uint64_t> enqueued{0};
   std::atomic<uint64_t> rejected{0};
@@ -439,7 +394,8 @@ Status Runtime::Retire(PlanId id) {
 // Enqueue protocol. Cap check, timestamping, chunk accounting, runnable
 // publication, and the wakeup rule live here and only here.
 
-Status Runtime::AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n) {
+Status Runtime::AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n,
+                              bool shed) {
   if (deadline_ns <= 0) {
     return Status::OK();
   }
@@ -454,8 +410,7 @@ Status Runtime::AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n) {
   // open: shed everything -> nothing dispatches -> the EWMA never
   // refreshes -> shed forever, starving an idle plan (observed as goodput
   // collapse in bench_resilience's post-burst phase).
-  size_t queued_now = 0;
-  if (pq->LiveQueued(&queued_now) > 0) {
+  if (shed && pq->queued.load(std::memory_order_seq_cst) > 0) {
     const int64_t est_us =
         pq->queue_delay_ewma_us.load(std::memory_order_relaxed);
     const int64_t remaining_us = (deadline_ns - now) / 1000;
@@ -474,47 +429,36 @@ Status Runtime::AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n) {
   return Status::OK();
 }
 
-Status Runtime::EnqueueEvents(PlanQueue* pq, Event* events, size_t n) {
-  if (n == 0) {
-    return Status::OK();
-  }
+Status Runtime::EnqueueEvent(PlanQueue* pq, Event event) {
   ExecGroup* group = pq->group;
+  // A batch ticket admits its job's every chunk: the cap, `queued` and
+  // `enqueued` count chunks, not tickets.
+  const size_t n = event.job != nullptr ? event.job->chunks : 1;
   // Admission: an atomic counter enforces the cap. With a cap, admit by CAS
   // so a rejected submission never even transiently inflates `queued` (a
   // blind fetch_add+undo could make a concurrent fitting submission observe
-  // phantom occupancy and bounce). Stale chunk tickets do not count against
-  // the cap (LiveQueued).
+  // phantom occupancy and bounce).
   const size_t cap = options_.max_queued_events_per_plan;
   if (cap > 0) {
-    for (;;) {
-      size_t queued_now = 0;
-      if (pq->LiveQueued(&queued_now) + n > cap) {
+    size_t queued_now = pq->queued.load(std::memory_order_seq_cst);
+    do {
+      if (queued_now + n > cap) {
         pq->rejected.fetch_add(n, std::memory_order_relaxed);
         return Status::ResourceExhausted("plan " + std::to_string(pq->id) +
                                          " queue over " + std::to_string(cap) +
                                          " events")
             .WithRetryAfterUs(RetryAfterHintUs(pq->queue_delay_ewma_us));
       }
-      if (pq->queued.compare_exchange_weak(queued_now, queued_now + n,
-                                           std::memory_order_seq_cst)) {
-        break;
-      }
-    }
+    } while (!pq->queued.compare_exchange_weak(queued_now, queued_now + n,
+                                               std::memory_order_seq_cst));
   } else {
     pq->queued.fetch_add(n, std::memory_order_seq_cst);
   }
-  const int64_t now = NowNs();
-  size_t chunks = 0;
-  for (size_t i = 0; i < n; ++i) {
-    events[i].enqueue_ns = now;
-    if (events[i].job != nullptr) {
-      ++chunks;
-    }
+  event.enqueue_ns = NowNs();
+  if (event.job != nullptr) {
+    pq->batch_tickets.fetch_add(1, std::memory_order_seq_cst);
   }
-  if (chunks > 0) {
-    pq->chunk_count.fetch_add(chunks, std::memory_order_seq_cst);
-  }
-  pq->segments.Push(EventSegment::Create(events, n));
+  pq->chain.Push(new EventNode(std::move(event)));
   pq->enqueued.fetch_add(n, std::memory_order_relaxed);
   // Publish: first producer to find the plan unclaimed puts it in the
   // rotation; everyone else just wakes an executor.
@@ -551,10 +495,13 @@ bool Runtime::PopRunnable(ExecGroup* group, PlanQueue** pq) {
 // quantum: if events remain, the plan goes back in the rotation (the claim
 // travels with the ring slot) so a sibling can take its next quantum
 // meanwhile. Otherwise release the claim, whose re-check re-publishes work
-// a producer enqueued after the owner's last pop.
+// a producer enqueued after the owner's last pop. A batch ticket is pending
+// until an executor pops it, even once a synchronous caller has taken its
+// every chunk, so no ticket is stranded in an idle plan's chain.
 void Runtime::HandOff(PlanQueue* pq) {
   const auto pending = [pq] {
-    return pq->queued.load(std::memory_order_seq_cst) > 0;
+    return pq->queued.load(std::memory_order_seq_cst) > 0 ||
+           pq->batch_tickets.load(std::memory_order_seq_cst) > 0;
   };
   if (pending() || pq->claim.Release(pending)) {
     PushRunnable(pq->group, pq);
@@ -566,33 +513,45 @@ void Runtime::HandOff(PlanQueue* pq) {
 // exchange and its link store) reads as empty; ExecutorLoop's
 // admitted-but-unpublished handling covers it.
 Runtime::Event* Runtime::PeekEvent(PlanQueue* pq) {
-  if (pq->cur == nullptr) {
-    MpscNode* node = pq->segments.TryPop();
+  if (pq->head == nullptr) {
+    MpscNode* node = pq->chain.TryPop();
     if (node == nullptr) {
       return nullptr;
     }
-    pq->cur = static_cast<EventSegment*>(node);
-    pq->cur_idx = 0;
+    pq->head = static_cast<EventNode*>(node);
   }
-  return &pq->cur->events()[pq->cur_idx];
+  return &pq->head->event;
 }
 
 Runtime::Event Runtime::TakeEvent(PlanQueue* pq) {
-  Event event = std::move(pq->cur->events()[pq->cur_idx]);
-  if (++pq->cur_idx == pq->cur->count) {
-    EventSegment::Destroy(pq->cur);
-    pq->cur = nullptr;
-  }
+  Event event = std::move(pq->head->event);
+  delete pq->head;
+  pq->head = nullptr;
   return event;
 }
 
-bool Runtime::PopLive(PlanQueue* pq, Event* out, size_t* stale) {
-  while (PeekEvent(pq) != nullptr) {
-    *out = TakeEvent(pq);
-    if (out->job == nullptr || TakeChunk(*out)) {
+bool Runtime::PopLive(PlanQueue* pq, Event* out) {
+  while (Event* head = PeekEvent(pq)) {
+    if (head->job == nullptr) {
+      *out = TakeEvent(pq);
       return true;
     }
-    ++*stale;
+    const size_t i = head->job->cursor.Take();
+    const size_t chunks = head->job->chunks;
+    if (i + 1 < chunks) {
+      *out = *head;  // The ticket stays at the cursor for the next chunk.
+    } else {
+      // The job's last chunk, or none left: the ticket leaves the queue.
+      pq->batch_tickets.fetch_sub(1, std::memory_order_seq_cst);
+      *out = TakeEvent(pq);
+      if (i >= chunks) {
+        continue;
+      }
+    }
+    const BatchJob& job = *out->job;
+    out->begin = i * job.chunk;
+    out->end = std::min(job.view_inputs.size(), out->begin + job.chunk);
+    return true;
   }
   return false;
 }
@@ -622,13 +581,9 @@ Result<float> Runtime::Predict(PlanId id, std::string_view input,
   // Inline fast path: a synchronous single on an unreserved plan gains
   // nothing from a queue hop. No shed check either — there is no queue
   // delay to estimate — but already-expired work is still refused.
-  if (deadline_ns > 0) {
-    const int64_t now = NowNs();
-    if (now >= deadline_ns) {
-      pq->expired_admission.fetch_add(1, std::memory_order_relaxed);
-      return ExpiredStatus("at admission", DeadlineStage::kAdmission, now,
-                           deadline_ns, 0);
-    }
+  if (Status admit = AdmitDeadline(pq, deadline_ns, 1, /*shed=*/false);
+      !admit.ok()) {
+    return admit;
   }
   if (!pq->AdmitLifecycle()) {
     return Status::NotFound("plan " + std::to_string(id) + " retired");
@@ -671,7 +626,7 @@ Status Runtime::PredictAsync(PlanId id, std::string input,
   // racing Retire drains it like an executor's.
   Status submitted = TryRunInline(pq, event)
                          ? Status::OK()
-                         : EnqueueEvents(pq, &event, 1);
+                         : EnqueueEvent(pq, std::move(event));
   pq->ReleaseLifecycle();
   return submitted;
 }
@@ -715,10 +670,6 @@ bool Runtime::TryRunInline(PlanQueue* pq, Event& event) {
   return true;
 }
 
-bool Runtime::TakeChunk(const Event& event) {
-  return event.job->claims.TryTake(event.begin / event.job->chunk);
-}
-
 void Runtime::AccountDispatch(PlanQueue* pq, size_t records,
                               int64_t wait_ns) {
   pq->dispatches.fetch_add(1, std::memory_order_relaxed);
@@ -739,24 +690,16 @@ Status Runtime::SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
     chunk = std::min(chunk, max_batch);
   }
   chunk = std::max<size_t>(1, chunk);
-  const size_t chunks = (n + chunk - 1) / chunk;
   job->chunk = chunk;
-  job->claims = ChunkClaims(chunks);
-  std::vector<Event> events;
-  events.reserve(chunks);
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    Event event;
-    event.job = job;
-    event.begin = begin;
-    event.end = std::min(n, begin + chunk);
-    events.push_back(std::move(event));
-  }
-  return EnqueueEvents(pq, events.data(), events.size());
+  job->chunks = (n + chunk - 1) / chunk;
+  Event ticket;
+  ticket.job = std::move(job);
+  return EnqueueEvent(pq, std::move(ticket));
 }
 
 // The synchronous borrowed-input protocol: submit, run the job's own chunks
-// from the tail while executors take them from the head, then block until
-// the last chunk's callback fires. Blocking is what makes borrowing safe —
+// from its cursor beside the executors, then block until the last chunk's
+// callback fires. Blocking is what makes borrowing safe —
 // the caller's inputs and output span outlive every executor touch.
 Status Runtime::SubmitBatchJobAndWait(PlanQueue* pq,
                                       std::shared_ptr<BatchJob> job,
@@ -771,16 +714,15 @@ Status Runtime::SubmitBatchJobAndWait(PlanQueue* pq,
   }
   // The caller is blocked anyway and runs only its own job's chunks, so it
   // never jumps ahead of other work; reserved plans keep all their work on
-  // their dedicated executors. Every chunk stays enqueued, so an executor
-  // that pops one the caller took drops it (TakeChunk); until then the
-  // ticket counts in `stale_chunks`, not against the cap. When the caller
-  // finishes the last chunk, the wait below returns at once.
+  // their dedicated executors. A chunk taken here leaves `queued` at once;
+  // the job's ticket stays queued until an executor pops it. When the
+  // caller finishes the last chunk, the wait below returns at once.
   if (!pq->reserved) {
     const size_t n = job->view_inputs.size();
     std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
     ctx->subplan_cache = pq->group->inline_cache;
-    for (size_t i = job->claims.size(); i-- > 0 && job->claims.TryTake(i);) {
-      pq->stale_chunks.fetch_add(1, std::memory_order_seq_cst);
+    for (size_t i; (i = job->cursor.Take()) < job->chunks;) {
+      pq->queued.fetch_sub(1, std::memory_order_seq_cst);
       const size_t begin = i * job->chunk;
       const size_t end = std::min(n, begin + job->chunk);
       pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
@@ -820,7 +762,6 @@ Status Runtime::SubmitBatch(PlanId id, std::span<float> out, size_t max_batch,
   if (!pq->AdmitLifecycle()) {
     return Status::NotFound("plan " + std::to_string(id) + " retired");
   }
-  job->plan = pq->plan;
   if (wait) {
     // Borrowed results: this caller blocks until the last chunk completes,
     // so chunks write scores straight through its span.
@@ -902,7 +843,7 @@ void Runtime::Linger(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns) {
   const auto end_linger = [&] {
     return stop_.load(std::memory_order_relaxed) ||
            pq->queued.load(std::memory_order_seq_cst) >= pq->max_batch ||
-           pq->chunk_count.load(std::memory_order_seq_cst) > 0 ||
+           pq->batch_tickets.load(std::memory_order_seq_cst) > 0 ||
            group->runnable_count.load(std::memory_order_seq_cst) > 0;
   };
   pq->lingering.store(true, std::memory_order_seq_cst);
@@ -946,21 +887,21 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
     // We hold the plan's dispatch quantum: single consumer of its queue.
     batch.clear();
     Event first;
-    size_t stale = 0;
-    bool have = PopLive(pq, &first, &stale);
+    const bool have = PopLive(pq, &first);
     // Adaptive linger: if only a thin run of singles is waiting and no
     // other plan has work, wait out the plan's max-delay budget for more
     // arrivals to coalesce. Never delays when the system has other work.
     if (have && first.job == nullptr && pq->max_delay_us > 0 &&
         pq->max_batch > 1 &&
-        pq->chunk_count.load(std::memory_order_seq_cst) == 0 &&
+        pq->batch_tickets.load(std::memory_order_seq_cst) == 0 &&
         group->runnable_count.load(std::memory_order_seq_cst) == 0 &&
         pq->queued.load(std::memory_order_seq_cst) < pq->max_batch) {
       Linger(group, pq, first.enqueue_ns);
     }
     // Gather one dispatch quantum: a single batch chunk, or a coalesced run
-    // of up to max_batch queued singles (a chunk met mid-run stays at the
-    // cursor for the plan's next quantum, still counted in `queued`).
+    // of up to max_batch queued singles (a ticket met mid-run stays at the
+    // cursor for the plan's next quantum, its chunks still counted in
+    // `queued`).
     bool chunk_quantum = false;
     if (have) {
       chunk_quantum = first.job != nullptr;
@@ -973,36 +914,28 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
         batch.push_back(TakeEvent(pq));
       }
     }
-    const bool popped = stale > 0 || !batch.empty();
-    if (popped) {
+    if (!batch.empty()) {
       // Quantum lifecycle ref, taken BEFORE the queued decrement below:
       // Retire's drain checks occupancy first and refs second, so gathered
       // events are never in neither count.
       pq->lifecycle_refs.fetch_add(1, std::memory_order_seq_cst);
-      const size_t chunks = stale + (chunk_quantum ? 1 : 0);
-      if (chunks > 0) {
-        pq->chunk_count.fetch_sub(chunks, std::memory_order_seq_cst);
-      }
-      pq->queued.fetch_sub(batch.size() + stale, std::memory_order_seq_cst);
-      if (stale > 0) {
-        pq->stale_chunks.fetch_sub(static_cast<int64_t>(stale),
-                                   std::memory_order_seq_cst);
-      }
+      pq->queued.fetch_sub(batch.size(), std::memory_order_seq_cst);
       if (chunk_quantum) {
         AccountDispatch(pq, batch[0].end - batch[0].begin,
                         NowNs() - batch[0].enqueue_ns);
-      } else if (!batch.empty()) {
+      } else {
         pq->coalesced.fetch_add(batch.size(), std::memory_order_relaxed);
         AccountDispatch(pq, batch.size(), NowNs() - batch[0].enqueue_ns);
       }
     }
     HandOff(pq);
     if (batch.empty()) {
-      if (popped) {
-        pq->ReleaseLifecycle();  // Only stale tickets: nothing to run.
-      } else {
-        // Admitted-but-unpublished producer race; the plan was re-published
-        // above if its events are still pending.
+      // Nothing to run: the turn popped only exhausted tickets, or a
+      // producer sits between its admission and its push (work admitted,
+      // chain read empty), and the plan was re-published above. Only the
+      // race needs the yield; after exhausted tickets the executor moves
+      // straight on.
+      if (pq->queued.load(std::memory_order_seq_cst) > 0) {
         std::this_thread::yield();
       }
       continue;
@@ -1013,8 +946,9 @@ void Runtime::ExecutorLoop(ExecGroup* group, SubPlanCache* cache,
 }
 
 // One chunk of a batch job, run by an executor (its quantum) or by the job's
-// blocked synchronous caller. `enqueue_ns` (0 for the caller) attributes a
-// deadline drop's queue wait.
+// blocked synchronous caller; either holds a lifecycle ref across it (the
+// quantum's, or the caller's admission ref), so `pq->plan` stays set.
+// `enqueue_ns` (0 for the caller) attributes a deadline drop's queue wait.
 void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
                        size_t end, int64_t enqueue_ns, ExecContext& ctx) {
   const size_t count = end - begin;
@@ -1034,7 +968,7 @@ void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
     pq->expired_quantum.fetch_add(count, std::memory_order_relaxed);
   } else {
     const size_t failed = ExecutePlanBatch(
-        *job.plan, job.view_inputs.data() + begin, count, out, ctx,
+        *pq->plan, job.view_inputs.data() + begin, count, out, ctx,
         &chunk_error);
     if (failed > 0) {
       pq->errors.fetch_add(failed, std::memory_order_relaxed);
@@ -1159,7 +1093,7 @@ RuntimeMetrics Runtime::GetMetrics() const {
     pm.shed_deadline = load(pq->shed_deadline);
     pm.queue_delay_ewma_us = load(pq->queue_delay_ewma_us);
     pm.queue_depth = load(pq->queued);
-    pm.queued_chunks = load(pq->chunk_count);
+    pm.batch_tickets = load(pq->batch_tickets);
     pm.batch_records = pq->batch_records;
     pm.queue_wait_us = pq->queue_wait_us;
     pm.single_latency_us = pq->single_latency_us;
@@ -1203,7 +1137,7 @@ static void MergePlanMetrics(PlanMetrics& into, const PlanMetrics& from) {
   // A logical plan is retired only once every replica is.
   into.retired = into.retired && from.retired;
   into.queue_depth += from.queue_depth;
-  into.queued_chunks += from.queued_chunks;
+  into.batch_tickets += from.batch_tickets;
   into.inline_predictions += from.inline_predictions;
   into.enqueued_events += from.enqueued_events;
   into.rejected_events += from.rejected_events;

@@ -11,10 +11,10 @@
 // and one batch sequence (SubmitBatch) every batch entry point shares.
 //
 // Scheduling model (Section 5.4): every queued request — async single,
-// reserved-plan single, batch chunk — becomes an event on its plan's
-// queue. Executors drain plans round-robin, one dispatch quantum per turn,
-// so a 10k-record batch cannot head-of-line-block a 1-record request on
-// another plan. An adaptive
+// reserved-plan single, batch job — becomes an event on its plan's queue,
+// and a batch job runs one chunk per quantum. Executors drain plans
+// round-robin, one dispatch quantum per turn, so a 10k-record batch cannot
+// head-of-line-block a 1-record request on another plan. An adaptive
 // batcher coalesces queued single predictions for the same plan into
 // sub-batches bounded by a per-plan max_batch / max-delay policy, amortizing
 // queue and wakeup costs under load while leaving idle-system latency
@@ -22,8 +22,8 @@
 //
 // Hot-path concurrency: no enqueue, dispatch, or buffer acquire takes a
 // mutex in the common case.
-//  - Each plan's events ride one lock-free FIFO: every enqueue call packs
-//    its events into one exactly-sized segment and pushes it onto a Vyukov
+//  - Each plan's events ride one lock-free FIFO: every enqueued event (a
+//    single, or a batch job's one ticket) is one node pushed onto a Vyukov
 //    intrusive MPSC chain (wait-free push; producers = caller/FrontEnd
 //    threads, consumer = the executor holding the plan's dispatch quantum,
 //    reading through a private cursor). The ResourceExhausted cap is
@@ -54,16 +54,18 @@
 // recursing). The caller then runs the executor's dispatch quantum itself,
 // with the same admission, lifecycle and accounting; no executor wakes.
 //
-// Caller-assisted batches: a batch is split into chunks and every chunk is
-// enqueued as an event. A synchronous batch caller on an unreserved plan,
-// blocked anyway, then runs its own job's chunks from the tail while
-// executors pop them from the head; a per-chunk take flag (ChunkClaims,
-// lockfree.h) makes each chunk run exactly once. An executor that pops a
-// chunk the caller already ran drops that ticket, and every stale ticket
-// behind it, in the same quantum without recording a dispatch; until then
-// stale tickets do not count against the queue cap. The caller only ever
-// runs its own job, so it never jumps ahead of another plan's work. Async
-// batches and reserved plans leave all chunks to the executors.
+// Caller-assisted batches: a batch is split into chunks and enqueued as one
+// ticket, whose chunks every taker draws from the job's one cursor
+// (ChunkCursor, lockfree.h), so each chunk runs exactly once. A synchronous
+// batch caller on an unreserved plan, blocked anyway, takes chunks from that
+// cursor beside the executor holding the plan's dispatch claim, which takes
+// one chunk per quantum and leaves the ticket at its queue cursor until the
+// job's last chunk is taken. A ticket whose chunks the caller took is popped
+// on the next executor turn, without recording a dispatch. A chunk leaves
+// the queue's live count when it is taken, whoever takes it, so the cap and
+// the shedding estimate see untaken work only. The caller only ever runs
+// its own job, so it never jumps ahead of another plan's work. Async batches
+// and reserved plans leave all chunks to the executors.
 //
 // The Runtime owns one SubPlanCache and one VectorPool per executor (plus a
 // pool for the inline path, whose work shares the sub-plan cache of the
@@ -108,8 +110,8 @@ struct RuntimeOptions {
   // cache's mutex, held for one probe plus a hit's id copy.
   size_t subplan_cache_bytes = 8ull << 20;
   // Per-plan cap on queued events (backpressure); 0 = unbounded. Enqueues
-  // that would exceed it fail fast with ResourceExhausted. Chunk tickets
-  // whose chunk a synchronous batch caller already ran do not count.
+  // that would exceed it fail fast with ResourceExhausted. A batch counts
+  // its chunks, each until someone takes it.
   size_t max_queued_events_per_plan = 0;
   // Coalescing policy for plans whose registration does not override it:
   // up to default_max_batch queued singles dispatch as one sub-batch; an
@@ -141,11 +143,12 @@ struct PlanMetrics {
   std::string plan_name;
   bool reserved = false;
   bool retired = false;  // Retire() completed; the plan no longer admits.
-  // Events queued right now, including chunk tickets whose chunk the
-  // job's synchronous caller already ran, until an executor drops them
-  // (those do not count against max_queued_events_per_plan).
+  // Live work queued right now: singles plus batch chunks no one has taken
+  // yet (what max_queued_events_per_plan counts).
   size_t queue_depth = 0;
-  size_t queued_chunks = 0;  // Batch chunk tickets among queue_depth.
+  // Batch job tickets in the queue, including those whose chunks were all
+  // taken (by the job's synchronous caller) until an executor pops them.
+  size_t batch_tickets = 0;
   // Synchronous singles on an unreserved plan, run on the caller's thread;
   // they bypass the scheduler, so the enqueue/dispatch counters below
   // never include them.
@@ -153,12 +156,12 @@ struct PlanMetrics {
   // Scheduler events admitted: batch chunks and async/reserved singles,
   // including the async singles that ran inline (counted as if enqueued
   // and dispatched at once, so enqueued == accepted holds either way).
-  // Every chunk is enqueued, including those its synchronous caller ran.
+  // A batch counts every chunk, including those its synchronous caller ran.
   uint64_t enqueued_events = 0;
   uint64_t rejected_events = 0;     // Backpressure drops.
   // Dispatch quanta run, by an executor or a submitting thread. A batch
-  // chunk counts once, whoever ran it; a ticket dropped because the
-  // job's caller already ran its chunk does not count.
+  // chunk counts once, whoever ran it; popping a ticket whose chunks were
+  // all taken does not count.
   uint64_t dispatches = 0;
   // The subset of `dispatches` a submitting thread ran itself, queue wait
   // 0: an inline async single, or a chunk of its own synchronous batch.
@@ -289,10 +292,10 @@ class Runtime {
   Status PredictAsync(PlanId id, std::string input, SingleCallback callback,
                       int64_t deadline_ns = 0);
 
-  // Splits `inputs` into sub-batches of at most `max_batch` records and
-  // enqueues each; the executors take them from the head while this caller
-  // runs them from the tail (unreserved plans; see "Caller-assisted
-  // batches" above). Chunks write scores straight through the caller's
+  // Splits `inputs` into sub-batches of at most `max_batch` records,
+  // enqueued as one job; the executors and this caller take them from the
+  // job's one cursor (unreserved plans; see "Caller-assisted batches"
+  // above). Chunks write scores straight through the caller's
   // span (out.size() >= inputs.size()) and read the caller's strings in
   // place — the caller blocks until completion, so both stay valid.
   Status PredictBatch(PlanId id, const std::vector<std::string>& inputs,
@@ -336,8 +339,8 @@ class Runtime {
 
  private:
   struct BatchJob;
-  // One schedulable unit: either a single prediction (job == nullptr) or a
-  // sub-range of a BatchJob.
+  // One schedulable unit: a single prediction (job == nullptr), a BatchJob's
+  // queued ticket, or one chunk taken from it (records [begin, end)).
   struct Event {
     std::shared_ptr<BatchJob> job;
     size_t begin = 0;
@@ -350,7 +353,7 @@ class Runtime {
   };
   struct ExecGroup;
   struct PlanQueue;
-  struct EventSegment;
+  struct EventNode;
 
   // Appends to threads_ / executor_caches_ / executor_pools_; callers hold
   // the registry lock exclusively (constructor and Register).
@@ -359,8 +362,10 @@ class Runtime {
   // already-expired work (DeadlineExceeded, expired_admission) and, while
   // the plan has events queued, sheds work whose remaining budget is below
   // the queue-delay estimate (ResourceExhausted + hint, shed_deadline). `n`
-  // is the record count the counters move by.
-  Status AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n);
+  // is the record count the counters move by. The synchronous inline single
+  // passes shed = false: it never waits in the queue.
+  Status AdmitDeadline(PlanQueue* pq, int64_t deadline_ns, size_t n,
+                       bool shed = true);
   // The batch sequence every batch entry point runs: plan lookup, then
   // `frame(job)` fills the job's record views (and an async batch's
   // callback) or refuses the request, then the checks in the order the
@@ -369,22 +374,14 @@ class Runtime {
   template <typename Frame>
   Status SubmitBatch(PlanId id, std::span<float> out, size_t max_batch,
                      int64_t deadline_ns, Frame frame);
-  // Chunks a prepared BatchJob into per-quantum events and enqueues them.
+  // Splits a prepared BatchJob into per-quantum chunks and enqueues its
+  // ticket.
   Status SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
                         size_t max_batch);
-  // Submits a borrowed-input job, runs its chunks from the tail on this
-  // thread (unreserved plans), and blocks until its callback fires.
+  // Submits a borrowed-input job, takes its chunks from the job's cursor on
+  // this thread (unreserved plans), and blocks until its callback fires.
   Status SubmitBatchJobAndWait(PlanQueue* pq, std::shared_ptr<BatchJob> job,
                                size_t max_batch);
-  // The one place an executor decides a popped chunk ticket: true takes
-  // the chunk (the executor must run it); false means the job's synchronous
-  // caller already ran it, and the ticket is stale. The executor drops
-  // every stale ticket at the head of the queue in the same quantum, so
-  // stale tickets never cost a rotation turn, and records nothing for them
-  // beyond its queue occupancy and lifecycle ref — no dispatch, batch size,
-  // queue wait or queue-delay sample (stale waits would inflate the
-  // shedding estimate and a router's load signal).
-  static bool TakeChunk(const Event& event);
   // Accounting for one dispatch quantum, whoever runs it: `records` into
   // batch_records, the wait into queue_wait_us and the queue-delay EWMA. A
   // submitting thread running its own quantum (an inline async single, or a
@@ -405,7 +402,7 @@ class Runtime {
 
   // The one enqueue protocol (cap check, stamping, publication, wakeups);
   // all entry points delegate to it.
-  Status EnqueueEvents(PlanQueue* pq, Event* events, size_t n);
+  Status EnqueueEvent(PlanQueue* pq, Event event);
 
   static void PushRunnable(ExecGroup* group, PlanQueue* pq);
   static bool PopRunnable(ExecGroup* group, PlanQueue** pq);
@@ -415,13 +412,15 @@ class Runtime {
   // The event at the cursor (the plan's oldest queued event), or null when
   // the queue reads empty. Quantum-owner only.
   static Event* PeekEvent(PlanQueue* pq);
-  // Moves the event PeekEvent just returned out and advances the cursor,
-  // freeing a segment once it is drained. Quantum-owner only.
+  // Moves the event PeekEvent just returned out and frees its node.
+  // Quantum-owner only.
   static Event TakeEvent(PlanQueue* pq);
-  // Takes events, dropping stale chunk tickets (TakeChunk) on the way and
-  // counting them in `*stale`; a chunk it returns is taken. Quantum-owner
-  // only.
-  static bool PopLive(PlanQueue* pq, Event* out, size_t* stale);
+  // The first event of the next quantum: a single, or the next chunk taken
+  // from the batch ticket at the cursor (which stays queued until its last
+  // chunk is taken). Tickets whose chunks were all taken are popped on the
+  // way, recording nothing: no dispatch, batch size, queue wait or
+  // queue-delay sample. Quantum-owner only.
+  static bool PopLive(PlanQueue* pq, Event* out);
   void Linger(ExecGroup* group, PlanQueue* pq, int64_t oldest_ns);
   // Executes one gathered quantum (outside all scheduler structures) and
   // records its errors and latency into the plan's counters.

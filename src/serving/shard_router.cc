@@ -49,6 +49,21 @@ void UpdateEwma(std::atomic<uint64_t>& bits, double sample) {
                              std::memory_order_relaxed);
 }
 
+// The shard-fault taxonomy, shared by the breaker's verdict (RecordOutcome)
+// and a version's (FinishVersion): a deadline that expired inside the shard
+// — its queues or execution burned the budget (kQueue / kExecution;
+// untagged kUnspecified counts conservatively) — or an execution error.
+// Backpressure (ResourceExhausted), caller errors (NotFound /
+// InvalidArgument) and admission-time expiry (the request arrived already
+// dead; the shard did no work) say nothing about the shard or the version:
+// counting them would let an overload or a flood of doomed clients trip the
+// breaker and amplify the very outage it guards against.
+bool IsShardFault(const Status& status) {
+  return (status.IsDeadlineExceeded() &&
+          status.deadline_stage() != DeadlineStage::kAdmission) ||
+         status.code() == StatusCode::kError;
+}
+
 // Per-thread xorshift for the p2c sample — routing needs cheap, not
 // cryptographic, and a shared RNG would put a contended line on every
 // predict.
@@ -445,11 +460,7 @@ void ShardRouter::ReclaimVersion(Version version) {
 
 bool ShardRouter::FinishVersion(const RouteDecision& decision,
                                 const Status& status, int64_t start_ns) {
-  // Mirror RecordOutcome's verdict taxonomy: backpressure, caller errors,
-  // and admission-expired requests say nothing about the version either.
-  const bool fault = (status.IsDeadlineExceeded() &&
-                      status.deadline_stage() != DeadlineStage::kAdmission) ||
-                     status.code() == StatusCode::kError;
+  const bool fault = IsShardFault(status);
   VersionStats& stats = *decision.stats;
   if (status.ok()) {
     stats.successes.fetch_add(1, std::memory_order_relaxed);
@@ -498,27 +509,16 @@ bool ShardRouter::FinishVersion(const RouteDecision& decision,
 
 void ShardRouter::RecordOutcome(size_t shard, const Status& status) {
   ShardHealth& health = *health_[shard];
-  bool fault = false;
+  const bool fault = IsShardFault(status);
   if (status.ok()) {
     health.successes.fetch_add(1, std::memory_order_relaxed);
-  } else if (status.IsDeadlineExceeded() &&
-             status.deadline_stage() != DeadlineStage::kAdmission) {
-    // Expired inside the shard — its queues or execution burned the budget
-    // (kQueue / kExecution; untagged kUnspecified counts conservatively).
-    health.timeouts.fetch_add(1, std::memory_order_relaxed);
-    fault = true;
-  } else if (status.code() == StatusCode::kError) {
-    health.errors.fetch_add(1, std::memory_order_relaxed);
-    fault = true;
+  } else if (fault) {
+    (status.IsDeadlineExceeded() ? health.timeouts : health.errors)
+        .fetch_add(1, std::memory_order_relaxed);
   } else {
-    // Backpressure (ResourceExhausted), caller errors (NotFound /
-    // InvalidArgument), and admission-time deadline expiry (the request
-    // arrived already dead — the budget was burned upstream, the shard did
-    // no work) say nothing about the shard's health: counting them would
-    // let an overload or a flood of doomed clients trip the breaker and
-    // amplify the very outage it guards against. A verdictless outcome
-    // still owes the breaker its probe token back, or half-open wedges
-    // with every token burned and no verdict ever coming.
+    // No verdict (IsShardFault). A verdictless outcome still owes the
+    // breaker its probe token back, or half-open wedges with every token
+    // burned and no verdict ever coming.
     health.breaker.OnProbeAbandoned(NowNs() / 1000);
     return;
   }

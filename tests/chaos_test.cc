@@ -163,7 +163,7 @@ void TestDeterministicDecisions() {
 
 // The one event queue, with no fault armed: both executors held while
 // Zipf-skewed async singles arrive, so every request queues as its own
-// segment behind the others. Each must complete exactly once with the
+// node behind the others. Each must complete exactly once with the
 // correct score, and plain predictions score the same afterwards.
 void TestHeldQueueExactlyOnce() {
   fault::DisarmAll();
@@ -329,12 +329,13 @@ void TestExecutorStallBoundedInFlight() {
 }
 
 // runtime.executor_stall under concurrent synchronous batches: executors
-// stall mid-quantum while three callers each run their own batches' chunks
-// from the tail, under a queue cap. Every batch completes exactly once with
-// exact scores — each of its chunks ran once, whoever took it (dispatches
-// == chunks submitted once the stale tickets drain). Live work stays
-// bounded by the callers' 12 chunks in flight, under the cap of 16, so no
-// batch is rejected however many stale tickets the stalls leave queued.
+// stall mid-quantum while three callers each take their own batches' chunks
+// from the job's cursor beside them, under a queue cap. Every batch
+// completes exactly once with exact scores — each of its chunks ran once,
+// whoever took it (dispatches == chunks submitted, and no ticket is left
+// once the executors pop the exhausted ones). Live work is the callers'
+// untaken chunks, at most 12 in flight, under the cap of 16, so no batch is
+// rejected however many exhausted tickets the stalls leave queued.
 void TestExecutorStallUnderSyncBatches() {
   fault::DisarmAll();
   RuntimeOptions ropts;
@@ -391,11 +392,14 @@ void TestExecutorStallUnderSyncBatches() {
 
   fault::DisarmAll();
   PlanMetrics pm = MetricsFor(*h.runtime, id);
-  for (int spin = 0; pm.queue_depth > 0 && spin < 20'000; ++spin) {
+  for (int spin = 0;
+       (pm.queue_depth > 0 || pm.batch_tickets > 0) && spin < 20'000;
+       ++spin) {
     SleepUs(100);
     pm = MetricsFor(*h.runtime, id);
   }
   CHECK_EQ(pm.queue_depth, size_t{0});
+  CHECK_EQ(pm.batch_tickets, size_t{0});
   CHECK_EQ(pm.enqueued_events, kChunks * accepted.load());
   CHECK_EQ(pm.rejected_events, uint64_t{0});
   CHECK_EQ(pm.dispatches, kChunks * accepted.load());

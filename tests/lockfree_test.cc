@@ -166,7 +166,7 @@ void TestIndexStackAbaChurn() {
 // Intrusive MPSC chain (each plan's event queue): N producers push
 // recycled nodes through the queue, one consumer pops. Exactly-once
 // delivery, per-producer FIFO, and clean drain — under node-recycling
-// pressure, since the allocator hands freed segments back quickly. A transient
+// pressure, since the allocator hands freed nodes back quickly. A transient
 // nullptr from TryPop while producers are mid-push is part of the contract
 // and must never lose a node.
 void TestMpscIntrusiveQueueExactlyOnceFifo() {

@@ -1,5 +1,5 @@
 // Deterministic model-check suite for src/common/lockfree.h (including the
-// Runtime's dispatch-claim hand-off and batch chunk claims), the lock-free
+// Runtime's dispatch-claim hand-off and batch chunk cursor), the lock-free
 // circuit breaker in src/serving/health.h, the RCU snapshot cell in
 // src/common/rcu.h, and the versioned-lifecycle primitives in
 // src/serving/lifecycle_gate.h.
@@ -401,24 +401,27 @@ void DispatchClaimScenario() {
             "claim: held without a rotation entry, or published unclaimed");
 }
 
-// ChunkClaims: one batch job of 3 chunks whose every chunk is both an
-// executor's ticket and a chunk its blocked synchronous caller may run. The
-// executor takes its tickets head-first; the caller walks tail-first until
-// it loses a chunk. Whoever takes a chunk runs it and counts down
-// `remaining`, whose last decrement fires the job callback. Each chunk must
-// run exactly once, and the callback fire exactly once. Mutation
-// chunk_take_load_store replaces the exchange with a load-then-store: both
-// sides can then see a flag clear and run one chunk twice.
-void ChunkClaimScenario() {
-  constexpr int kChunks = 3;
+// ChunkCursor: one batch job of 3 chunks, queued as one ticket. The
+// executor holding the plan's dispatch claim takes a chunk from the job's
+// cursor per turn and pops the ticket once it takes the last chunk or finds
+// none left; the job's blocked synchronous caller takes chunks from the same
+// cursor until it finds none left. Whoever takes a chunk runs it and counts
+// down `remaining`, whose last decrement fires the job callback. Each chunk
+// must run exactly once, the callback fire exactly once, and the ticket be
+// popped exactly once. Mutation chunk_cursor_load_store splits the
+// fetch_add into a load then a store: both takers can then read one index
+// and run that chunk twice.
+void ChunkCursorScenario() {
+  constexpr size_t kChunks = 3;
   struct State {
-    ChunkClaims claims{kChunks};
+    ChunkCursor cursor;
     mc::Atomic<int> remaining{kChunks};
     std::array<mc::Atomic<int>, kChunks> runs;
     mc::Atomic<int> callbacks{0};
+    mc::Atomic<int> pops{0};
   };
   auto st = std::make_shared<State>();
-  const auto run = [](State& s, int i) {
+  const auto run = [](State& s, size_t i) {
     s.runs[i].fetch_add(1, mc::kSeqCst);
     if (s.remaining.fetch_sub(1, mc::kSeqCst) == 1) {
       s.callbacks.fetch_add(1, mc::kSeqCst);
@@ -426,25 +429,32 @@ void ChunkClaimScenario() {
   };
   mc::Go({
       [st, run] {
-        for (int i = 0; i < kChunks; ++i) {
-          if (st->claims.TryTake(i)) {
+        for (bool queued = true; queued;) {
+          const size_t i = st->cursor.Take();
+          if (i + 1 >= kChunks) {
+            st->pops.fetch_add(1, mc::kSeqCst);
+            queued = false;
+          }
+          if (i < kChunks) {
             run(*st, i);
           }
         }
       },
       [st, run] {
-        for (int i = kChunks; i-- > 0 && st->claims.TryTake(i);) {
+        for (size_t i; (i = st->cursor.Take()) < kChunks;) {
           run(*st, i);
         }
       },
   });
   if (mc::Pruned() || mc::Failed()) return;
-  for (int i = 0; i < kChunks; ++i) {
+  for (size_t i = 0; i < kChunks; ++i) {
     mc::Check(st->runs[i].load(mc::kSeqCst) == 1,
-              "chunk claims: a chunk ran twice or never");
+              "chunk cursor: a chunk ran twice or never");
   }
   mc::Check(st->callbacks.load(mc::kSeqCst) == 1,
-            "chunk claims: the job callback did not fire exactly once");
+            "chunk cursor: the job callback did not fire exactly once");
+  mc::Check(st->pops.load(mc::kSeqCst) == 1,
+            "chunk cursor: the ticket was not popped exactly once");
 }
 
 // CircuitBreaker trip visibility: the reopen deadline is stored relaxed and
@@ -724,7 +734,7 @@ const CleanCase kClean[] = {
     {"mpsc_queue", MpscScenario, 1200},
     {"event_count", EventCountScenario, 2000},
     {"dispatch_claim", DispatchClaimScenario, 2000},
-    {"chunk_claims", ChunkClaimScenario, 2000},
+    {"chunk_cursor", ChunkCursorScenario, 2000},
     {"breaker_trip_visibility", BreakerTripVisibilityScenario, 1500},
     {"breaker_probe_lifecycle", BreakerProbeLifecycleScenario, 20},
     {"breaker_reopen_refresh", BreakerReopenRefreshScenario, 20},
@@ -756,8 +766,8 @@ const MutationCase kMutations[] = {
     {"ec_notify_skip_mutex", EventCountScenario},
     // DispatchClaim (structural: drops the post-release re-check).
     {"claim_skip_recheck", DispatchClaimScenario},
-    // ChunkClaims (structural: the take exchange becomes load-then-store).
-    {"chunk_take_load_store", ChunkClaimScenario},
+    // ChunkCursor (structural: the take fetch_add becomes load-then-store).
+    {"chunk_cursor_load_store", ChunkCursorScenario},
     // CircuitBreaker (src/serving/health.h).
     {"brk_trip_cas", BreakerTripVisibilityScenario},
     {"brk_halfopen_keep_tokens", BreakerProbeLifecycleScenario},

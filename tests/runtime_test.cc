@@ -360,11 +360,12 @@ std::string SlowRecord(const std::string& input, int salt) {
   return slow;
 }
 
-// Waits for `id`'s queued events — stale chunk tickets included — to drain.
+// Waits for `id`'s queue to drain: no live work, and no batch ticket left,
+// exhausted ones included.
 PlanMetrics AwaitEmptyQueue(const Runtime& runtime, Runtime::PlanId id) {
   for (int spin = 0; spin < 20'000; ++spin) {
     PlanMetrics pm = MetricsOf(runtime, id);
-    if (pm.queue_depth == 0) {
+    if (pm.queue_depth == 0 && pm.batch_tickets == 0) {
       return pm;
     }
     SleepUs(100);
@@ -374,12 +375,12 @@ PlanMetrics AwaitEmptyQueue(const Runtime& runtime, Runtime::PlanId id) {
 }
 
 // With the group's only executor held, a synchronous batch of 4 chunks
-// completes on the calling thread: every chunk is still enqueued, the
-// caller runs all 4, and the scores are bit-equal to the same batch through
-// PredictBatchAsync, over every AC pipeline shape built here and all three
-// synchronous entry points (span, vector-returning, binary wire). Once the
-// hold lifts, the stale tickets drain with nothing recorded, and the async
-// batch's chunks all run on the executor.
+// completes on the calling thread: its one ticket is enqueued (every chunk
+// counted), the caller runs all 4, and the scores are bit-equal to the same
+// batch through PredictBatchAsync, over every AC pipeline shape built here
+// and all three synchronous entry points (span, vector-returning, binary
+// wire). Once the hold lifts, the exhausted tickets are popped with nothing
+// recorded, and the async batch's chunks all run on the executor.
 void TestHeldExecutorCallerRunsSyncBatch() {
   AcWorkloadOptions aopts;
   aopts.num_pipelines = 4;
@@ -440,8 +441,10 @@ void TestHeldExecutorCallerRunsSyncBatch() {
       CHECK_EQ(after.dispatches, before.dispatches + kSyncCalls * kChunks);
       CHECK_EQ(after.batch_records.count(),
                before.batch_records.count() + kSyncCalls * kChunks);
-      // Every ticket still waits for the held executor.
-      CHECK_EQ(after.queue_depth, static_cast<size_t>(kSyncCalls * kChunks));
+      // No live work is left; each call's ticket still waits for the held
+      // executor to pop it.
+      CHECK_EQ(after.queue_depth, size_t{0});
+      CHECK_EQ(after.batch_tickets, static_cast<size_t>(kSyncCalls));
       CHECK_EQ(after.errors, uint64_t{0});
       sync_scores.push_back(std::move(out));
       vector_scores.push_back(std::move(*returned));
@@ -449,7 +452,7 @@ void TestHeldExecutorCallerRunsSyncBatch() {
       held.push_back(after);
     }
   }
-  // Stale tickets: queue occupancy settles, and nothing else moves — no
+  // Exhausted tickets: the tickets leave, and nothing else moves — no
   // dispatch, no batch-size or queue-wait sample, no queue-delay sample.
   for (size_t k = 0; k < tested.size(); ++k) {
     const PlanMetrics drained = AwaitEmptyQueue(runtime, tested[k]);
@@ -595,9 +598,9 @@ void TestReservedSyncBatchStaysOnExecutors() {
 }
 
 // A deadline that dies while the caller is mid-batch. With the executor
-// held, the caller takes the slow tail chunk first; the budget expires
+// held, the caller takes chunk 0, the slow one, first; the budget expires
 // inside it, and the three chunks left are dropped between quanta. Every
-// record completes exactly once: the tail keeps its score, the rest score
+// record completes exactly once: the first keeps its score, the rest score
 // 0.0f, the batch is DeadlineExceeded, and expired_quantum counts exactly
 // the dropped records.
 void TestDeadlineExpiresMidCallerBatch() {
@@ -608,8 +611,8 @@ void TestDeadlineExpiresMidCallerBatch() {
   const int64_t t0 = NowNs();
   CHECK(h.runtime->Predict(id, SlowRecord(h.input, 0)).ok());
   const int64_t slow_ns = NowNs() - t0;
-  const std::vector<std::string> inputs = {h.input, h.input, h.input,
-                                           SlowRecord(h.input, 1)};
+  const std::vector<std::string> inputs = {SlowRecord(h.input, 1), h.input,
+                                           h.input, h.input};
   std::vector<float> out(inputs.size(), -1.0f);
   const PlanMetrics before = h.Metrics(id);
   Status status;
@@ -622,10 +625,10 @@ void TestDeadlineExpiresMidCallerBatch() {
   const PlanMetrics after = h.Metrics(id);
   CHECK_EQ(after.caller_dispatches - before.caller_dispatches, uint64_t{4});
   CHECK_EQ(after.expired_quantum - before.expired_quantum, uint64_t{3});
-  auto tail = h.runtime->Predict(id, inputs[3]);
-  CHECK(tail.ok());
-  CHECK_BITS(out[3], *tail);
-  for (size_t i = 0; i < 3; ++i) {
+  auto slow = h.runtime->Predict(id, inputs[0]);
+  CHECK(slow.ok());
+  CHECK_BITS(out[0], *slow);
+  for (size_t i = 1; i < inputs.size(); ++i) {
     CHECK_BITS(out[i], 0.0f);
   }
   AwaitEmptyQueue(*h.runtime, id);
@@ -644,13 +647,13 @@ void TestRetireWaitsForHelpingCaller() {
   std::thread caller([&] {
     status = h.runtime->PredictBatch(id, inputs, /*max_batch=*/1, out);
   });
-  // The executor takes chunk 0 from the head; the caller takes chunk 1.
+  // The executor and the caller each take one chunk from the job's cursor.
   int spin = 0;
   while (h.Metrics(id).caller_dispatches == 0 && ++spin < 100'000) {
     SleepUs(10);
   }
   CHECK_MSG(h.Metrics(id).caller_dispatches >= 1,
-            "the caller never took its tail chunk");
+            "the caller never took a chunk");
   CHECK(h.runtime->Retire(id).ok());
   for (const float score : out) {
     CHECK(!std::isnan(score));
@@ -685,31 +688,32 @@ void TestSyncBatchFromExecutorThread() {
   CHECK_EQ(h.Metrics(h.ids[1]).caller_dispatches, uint64_t{4});
 }
 
-// Stale chunk tickets cost no rotation turn: an executor that pops one
-// drops every stale ticket behind it in the same quantum. With the only
-// executor held, a closed-loop synchronous client runs 10 batches of 4
-// chunks itself, leaving 40 stale tickets on plan P; an async batch of 4
-// chunks on plan A queues behind them. When the hold lifts, P's first turn
-// drops all 40, so by the time A's batch completes P's queue is empty (one
-// ticket per turn would leave ~36).
-void TestStaleTicketsDrainInOneTurn() {
+// Exhausted batch tickets cost no rotation turn: an executor that finds
+// one pops every exhausted ticket behind it in the same quantum. With the
+// only executor held, a closed-loop synchronous client runs 10 batches of 4
+// chunks itself, leaving 10 exhausted tickets (and no live work) on plan
+// P; an async batch of 4 chunks on plan A queues behind them. When the hold
+// lifts, P's first turn pops all 10, so by the time A's batch completes P
+// has no ticket left (one ticket per turn would leave ~6).
+void TestExhaustedTicketsPopInOneTurn() {
   Harness h(/*executors=*/1, /*pipelines=*/3);
   const Runtime::PlanId p = h.ids[1];
   const Runtime::PlanId a = h.ids[2];
   const std::vector<std::string> inputs(4, h.input);
   Completion c;
-  size_t p_depth_at_a = 0;
+  size_t p_tickets_at_a = 0;
   {
     ExecutorHold hold(*h.runtime, {h.ids[0]});
     for (int call = 0; call < 10; ++call) {
       CHECK(h.runtime->PredictBatch(p, inputs, /*max_batch=*/1).ok());
     }
-    CHECK_EQ(h.Metrics(p).queue_depth, size_t{40});
+    CHECK_EQ(h.Metrics(p).queue_depth, size_t{0});
+    CHECK_EQ(h.Metrics(p).batch_tickets, size_t{10});
     CHECK(h.runtime
               ->PredictBatchAsync(
                   a, inputs,
                   [&](Status status, std::span<const float>) {
-                    p_depth_at_a = h.Metrics(p).queue_depth;
+                    p_tickets_at_a = h.Metrics(p).batch_tickets;
                     c.Fire(status.ok());
                   },
                   /*max_batch=*/1)
@@ -717,19 +721,19 @@ void TestStaleTicketsDrainInOneTurn() {
   }
   c.Await();
   CHECK(c.ok);
-  CHECK_MSG(p_depth_at_a == 0,
-            "%zu stale tickets still queued when A's batch completed",
-            p_depth_at_a);
+  CHECK_MSG(p_tickets_at_a == 0,
+            "%zu exhausted tickets still queued when A's batch completed",
+            p_tickets_at_a);
   const PlanMetrics pm = h.Metrics(p);
   CHECK_EQ(pm.dispatches, uint64_t{40});
   CHECK_EQ(pm.caller_dispatches, uint64_t{40});
 }
 
-// The cap counts live work only: stale chunk tickets do not count against
-// it, so a closed-loop synchronous client that outruns a held executor is
-// never rejected. Cap 8, 4 chunks per call: counting stale tickets would
-// reject the third call.
-void TestCapIgnoresStaleTickets() {
+// The cap counts live work only: a chunk leaves the count when it is taken,
+// so a closed-loop synchronous client that outruns a held executor is
+// never rejected. Cap 8, 4 chunks per call: counting the exhausted tickets'
+// chunks would reject the third call.
+void TestCapCountsUntakenChunks() {
   RuntimeOptions ropts;
   ropts.max_queued_events_per_plan = 8;
   Harness h(/*executors=*/1, /*pipelines=*/2, /*reserve_first=*/false, ropts);
@@ -744,7 +748,8 @@ void TestCapIgnoresStaleTickets() {
     }
     const PlanMetrics pm = h.Metrics(p);
     CHECK_EQ(pm.rejected_events, uint64_t{0});
-    CHECK_EQ(pm.queue_depth, size_t{40});  // The tickets are still there.
+    CHECK_EQ(pm.queue_depth, size_t{0});
+    CHECK_EQ(pm.batch_tickets, size_t{10});  // The tickets are still there.
   }
   AwaitEmptyQueue(*h.runtime, p);
 }
@@ -753,10 +758,10 @@ void TestCapIgnoresStaleTickets() {
 // (chunks of 16 records) while a closed-loop synchronous client on plan P
 // runs its own 1-record chunks.
 // Under a cap of 2x its chunks per call, P is never rejected and every
-// score is exact. (P's queue depth is not bounded here: while the executor
-// is descheduled the client keeps running its own chunks, so the stale
-// backlog tracks the host's scheduling; TestStaleTicketsDrainInOneTurn
-// pins that an executor turn clears it.)
+// score is exact. (P's ticket count is not bounded here: while the executor
+// is descheduled the client keeps running its own chunks, so the exhausted
+// tickets track the host's scheduling; TestExhaustedTicketsPopInOneTurn pins
+// that an executor turn clears them.)
 void TestSyncBatchBesideSaturatedExecutor() {
   constexpr size_t kChunks = 4;
   RuntimeOptions ropts;
@@ -847,8 +852,8 @@ void TestChunkAtCursorWaitsForNextQuantum() {
     single();
     single();
     const PlanMetrics queued = h.Metrics(p);
-    CHECK_EQ(queued.queue_depth, size_t{7});
-    CHECK_EQ(queued.queued_chunks, size_t{2});
+    CHECK_EQ(queued.queue_depth, size_t{7});  // 5 singles + 2 chunks.
+    CHECK_EQ(queued.batch_tickets, size_t{1});
   }
   batch.Await();
   CHECK(batch.ok);
@@ -863,7 +868,7 @@ void TestChunkAtCursorWaitsForNextQuantum() {
   CHECK_EQ(pm.dispatches, uint64_t{4});
   CHECK_EQ(pm.coalesced_singles, uint64_t{5});
   CHECK_EQ(pm.queue_depth, size_t{0});
-  CHECK_EQ(pm.queued_chunks, size_t{0});
+  CHECK_EQ(pm.batch_tickets, size_t{0});
   // Batch sizes 1 twice, 2 once and 3 once: the four nearest ranks.
   CHECK_EQ(pm.batch_records.count(), uint64_t{4});
   CHECK_EQ(pm.batch_records.Percentile(25), 1.0);
@@ -874,7 +879,7 @@ void TestChunkAtCursorWaitsForNextQuantum() {
 
 // Registering a plan allocates its scheduler bookkeeping (queue head,
 // counters, metric histograms, name) and no per-plan event storage: events
-// live only in the segments their enqueue calls allocate.
+// live only in the nodes their enqueues allocate.
 void TestRegisterAllocationBound() {
   Harness h(/*executors=*/1, /*pipelines=*/1);
   const auto& spec = h.workload.pipelines()[0];
@@ -1204,8 +1209,8 @@ int main() {
   TestDeadlineExpiresMidCallerBatch();
   TestRetireWaitsForHelpingCaller();
   TestSyncBatchFromExecutorThread();
-  TestStaleTicketsDrainInOneTurn();
-  TestCapIgnoresStaleTickets();
+  TestExhaustedTicketsPopInOneTurn();
+  TestCapCountsUntakenChunks();
   TestSyncBatchBesideSaturatedExecutor();
   TestChunkAtCursorWaitsForNextQuantum();
   TestRegisterAllocationBound();

@@ -286,10 +286,10 @@ void TestRuntimeBackpressure() {
   CHECK(m.plans[ids[0]].queue_delay_ewma_us >= 0);
 }
 
-// Deep backlog through the plan's event queue, a chain of per-call
-// segments (Vyukov intrusive MPSC): every callback still fires exactly
-// once, in order per producer. Run under TSan in CI.
-void TestSegmentedSpillDeepBacklog() {
+// Deep backlog through the plan's event queue, a chain of per-event nodes
+// (Vyukov intrusive MPSC): every callback still fires exactly once, in
+// order per producer. Run under TSan in CI.
+void TestEventChainDeepBacklog() {
   auto sa = SmallSa(2);
   ObjectStore store;
   FlourContext flour(&store);
@@ -462,7 +462,7 @@ int main() {
   TestNoHeadOfLineBlocking();
   TestReservedIsolationUnderSaturation();
   TestRuntimeBackpressure();
-  TestSegmentedSpillDeepBacklog();
+  TestEventChainDeepBacklog();
   TestFrontEndBackpressure();
   TestRegisterWhilePredicting();
   std::printf("scheduler_test: PASS\n");
