@@ -19,9 +19,16 @@
 //    busy; mutex+condvar survive only on the park/unpark slow path.
 //  - DispatchClaim: the at-most-one-owner flag on a queue's dispatch
 //    quantum, with the release-then-recheck hand-off every owner uses.
+//  - HandOffPending: the work a dispatch-claim owner must keep published,
+//    exhausted batch tickets included.
 //  - ChunkCursor: the next untaken chunk of one batch job, so the executors
 //    and the job's blocked synchronous caller can all run its chunks while
 //    each chunk still runs exactly once.
+//  - NameIndex: an insert-only open-addressing name -> slot map whose cells
+//    every routing snapshot shares. One serialized writer publishes each
+//    immutable entry with one release store; readers probe with acquire
+//    loads and no lock. It is ShardRouter's routing-table name index, so a
+//    new plan costs one insert, not a copy of every name placed before it.
 #ifndef PRETZEL_COMMON_LOCKFREE_H_
 #define PRETZEL_COMMON_LOCKFREE_H_
 
@@ -30,8 +37,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -444,6 +454,22 @@ class DispatchClaim {
   PRETZEL_ATOMIC(bool) claimed_{false};
 };
 
+// What the owner of a plan's dispatch claim must keep published when it
+// hands off: live work (`queued`: queued singles and untaken batch chunks)
+// or a batch ticket still in the chain (`tickets`). A blocked synchronous
+// caller can take a job's last chunks between an executor's take and its
+// hand-off; the exhausted ticket then stays in the chain until an executor
+// turn pops it, so it must keep the plan published. Dropping the ticket term
+// (seeded mutation handoff_skip_tickets) releases the claim over it and
+// strands the ticket in an unpublished plan, where Retire's drain waits for
+// it forever.
+template <typename Counter>
+bool HandOffPending(const Counter& queued, const Counter& tickets) {
+  return queued.load(PRETZEL_MO(handoff_queued_load, seq_cst)) > 0 ||
+         (!PRETZEL_LF_MUTATION(handoff_skip_tickets) &&
+          tickets.load(PRETZEL_MO(handoff_tickets_load, seq_cst)) > 0);
+}
+
 // The chunk cursor of one batch job. The job is one queued ticket, and
 // every taker (the executor holding the plan's dispatch claim, and the
 // job's blocked synchronous caller) claims the next untaken chunk with one
@@ -464,6 +490,126 @@ class ChunkCursor {
 
  private:
   PRETZEL_ATOMIC(size_t) next_{0};
+};
+
+// Insert-only name -> slot index shared by every snapshot that reads it.
+// Entries are immutable `{hash, name, slot}` records in writer-owned stable
+// storage; a cell holds null or one entry, and a filled cell never changes.
+// The writer (externally serialized) builds an entry, then publishes it with
+// one release store into an empty cell; readers probe with acquire loads and
+// take no lock. A reader can therefore find an entry inserted after the
+// snapshot it holds was published: callers pair the index with a snapshot
+// size and treat a slot at or past it as absent.
+//
+// Linear probing over a power-of-two cell array kept at most half full, so
+// every probe chain ends at an empty cell. At that load the insert first
+// builds a doubled copy of the cells and returns the old ones: they stay
+// valid for readers of older snapshots, and the caller frees them once no
+// reader can hold such a snapshot (after its next RCU grace period). Total
+// growth work is O(names). Keys are mixed with the SplitMix64 finalizer, so
+// sequential names (`sa_0`, `sa_1`, ...) under a weak hash do not cluster.
+class NameIndex {
+ public:
+  static constexpr size_t kNotFound = ~size_t{0};
+
+  struct Entry {
+    // The fields are assigned in the body so that under the model checker
+    // they are race-tracked writes (a modeled variable's construction is
+    // not).
+    Entry(uint64_t h, std::string_view n, size_t s) : name(n) {
+      hash = h;
+      slot = s;
+    }
+    PRETZEL_MC_VAR(uint64_t) hash;  // Mixed.
+    const std::string name;
+    PRETZEL_MC_VAR(size_t) slot;
+  };
+
+  class Cells {
+   public:
+    explicit Cells(size_t capacity)
+        : mask_(capacity - 1),
+          cells_(std::make_unique<PRETZEL_ATOMIC(const Entry*)[]>(capacity)) {}
+
+    // The slot of `name` (`key` is its unmixed hash), or kNotFound. Any
+    // thread, no lock.
+    size_t Find(std::string_view name, uint64_t key) const {
+      const uint64_t hash = Mix(key);
+      for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+        // acquire: pairs with Insert's release store, so the entry's fields
+        // read below are the ones the writer built.
+        const Entry* e = cells_[i].load(PRETZEL_MO(name_index_probe, acquire));
+        if (e == nullptr) {
+          return kNotFound;
+        }
+        if (e->hash == hash && e->name == name) {
+          return e->slot;
+        }
+      }
+    }
+
+   private:
+    friend class NameIndex;
+    size_t capacity() const { return mask_ + 1; }
+    // Writer only: the cell `hash` probes to first that is empty.
+    PRETZEL_ATOMIC(const Entry*)& EmptyCell(uint64_t hash) {
+      size_t i = hash & mask_;
+      // relaxed: only the writer stores cells, so it reads its own stores.
+      while (cells_[i].load(PRETZEL_MO(name_index_writer_probe, relaxed)) !=
+             nullptr) {
+        i = (i + 1) & mask_;
+      }
+      return cells_[i];
+    }
+
+    size_t mask_;
+    std::unique_ptr<PRETZEL_ATOMIC(const Entry*)[]> cells_;
+  };
+
+  // `capacity` is the initial cell count, a power of two.
+  explicit NameIndex(size_t capacity = 16)
+      : cells_(std::make_unique<Cells>(capacity)) {}
+
+  NameIndex(const NameIndex&) = delete;
+  NameIndex& operator=(const NameIndex&) = delete;
+
+  // The cells a snapshot published now must carry.
+  const Cells* cells() const { return cells_.get(); }
+
+  // Writer only. Maps `name` (absent; `key` is its unmixed hash) to `slot`.
+  // Returns the cells this insert replaced when it grew them, else null;
+  // the caller frees them once no reader can hold a snapshot carrying them.
+  std::unique_ptr<Cells> Insert(std::string_view name, uint64_t key,
+                                size_t slot) {
+    std::unique_ptr<Cells> retired;
+    if ((entries_.size() + 1) * 2 > cells_->capacity()) {
+      auto grown = std::make_unique<Cells>(cells_->capacity() * 2);
+      for (const Entry& e : entries_) {
+        // relaxed: the grown cells are unpublished; the snapshot that first
+        // carries them publishes these stores.
+        grown->EmptyCell(e.hash).store(
+            &e, PRETZEL_MO(name_index_grow_store, relaxed));
+      }
+      retired = std::exchange(cells_, std::move(grown));
+    }
+    const Entry& e = entries_.emplace_back(Mix(key), name, slot);
+    // release: publishes the entry's fields to readers' probe acquire.
+    cells_->EmptyCell(e.hash).store(&e,
+                                    PRETZEL_MO(name_index_publish, release));
+    return retired;
+  }
+
+ private:
+  static uint64_t Mix(uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+
+  std::deque<Entry> entries_;  // Stable addresses; never shrinks.
+  std::unique_ptr<Cells> cells_;
 };
 
 }  // namespace pretzel

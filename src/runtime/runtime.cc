@@ -497,11 +497,11 @@ bool Runtime::PopRunnable(ExecGroup* group, PlanQueue** pq) {
 // meanwhile. Otherwise release the claim, whose re-check re-publishes work
 // a producer enqueued after the owner's last pop. A batch ticket is pending
 // until an executor pops it, even once a synchronous caller has taken its
-// every chunk, so no ticket is stranded in an idle plan's chain.
+// every chunk, so no ticket is stranded in an idle plan's chain
+// (HandOffPending).
 void Runtime::HandOff(PlanQueue* pq) {
   const auto pending = [pq] {
-    return pq->queued.load(std::memory_order_seq_cst) > 0 ||
-           pq->batch_tickets.load(std::memory_order_seq_cst) > 0;
+    return HandOffPending(pq->queued, pq->batch_tickets);
   };
   if (pending() || pq->claim.Release(pending)) {
     PushRunnable(pq->group, pq);

@@ -108,7 +108,7 @@ ShardRouter::ShardRouter(const ShardRouterOptions& options)
         o.num_shards = std::max<size_t>(1, o.num_shards);
         return o;
       }()),
-      table_(new RoutingTable{std::make_shared<const RouteIndex>(), {}}) {
+      table_(new RoutingTable{index_.cells(), {}}) {
   if (options_.intern_scope == ShardRouterOptions::InternScope::kGlobal) {
     global_store_ = std::make_unique<ObjectStore>(options_.store);
   }
@@ -190,20 +190,19 @@ void ShardRouter::PublishLocked(const std::string& name) {
     routing->split = &st.canary->handles->split;
   }
   ++routing_entries_built_;
-  // Only a name's first publish (its Place) changes the index; every later
-  // snapshot shares it.
-  size_t slot = routes_.size();
-  if (auto it = index_->find(name); it != index_->end()) {
-    slot = it->second;
-  } else {
-    auto index = std::make_shared<RouteIndex>(*index_);
-    index->emplace(name, slot);
-    index_ = std::move(index);
+  // Only a name's first publish (its Place) inserts into the index, with
+  // one store into cells every snapshot shares; no publish copies it.
+  const uint64_t key = HashName(name);
+  size_t slot = index_.cells()->Find(name, key);
+  std::unique_ptr<NameIndex::Cells> retired_cells;
+  if (slot == NameIndex::kNotFound) {
+    slot = routes_.size();
+    retired_cells = index_.Insert(name, key, slot);
     routes_.emplace_back();
   }
   std::unique_ptr<const PlanRouting> replaced =
       std::exchange(routes_[slot], std::move(routing));
-  auto* table = new RoutingTable{index_, {}};
+  auto* table = new RoutingTable{index_.cells(), {}};
   table->routes.reserve(routes_.size());
   for (const auto& entry : routes_) {
     table->routes.push_back(entry.get());
@@ -212,7 +211,8 @@ void ShardRouter::PublishLocked(const std::string& name) {
   // The grace wait cannot deadlock against readers: route-path read
   // sections never acquire mu_ (or any lock), so holding mu_ here is safe.
   // After it no reader holds the old table, so none can reach `replaced`
-  // (reachable only through snapshots older than this one).
+  // or cells an insert just outgrew (reachable only through snapshots
+  // older than this one).
   delete table_.Exchange(table);
 }
 

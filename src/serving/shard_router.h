@@ -58,9 +58,12 @@
 // the memory-order argument. An update copies only what it changes (the
 // path-copying discipline of RCU balanced trees): each plan's routing
 // entry is an immutable heap object shared by every snapshot until that
-// plan changes, and the name index is shared until a new name is placed —
-// so a publish builds ONE entry and copies a pointer array, whatever the
-// number of placed plans.
+// plan changes, and every snapshot shares one insert-only name index
+// (NameIndex, src/common/lockfree.h) that a new name enters with one
+// release store — no publish copies the index. A publish builds ONE entry
+// and copies a pointer array, whatever the number of placed plans; the
+// index's cells are copied only when they double, O(names) over a
+// router's life.
 //
 // Each plan version is one record on each side: the control plane's
 // Version (spec, replicas, lifecycle handles) and the snapshot's
@@ -87,6 +90,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/lockfree.h"
 #include "src/common/mutex.h"
 #include "src/common/rcu.h"
 #include "src/common/status.h"
@@ -471,7 +475,7 @@ class ShardRouter {
 
   // The immutable snapshot the predict path reads, swapped through table_.
   // A publish builds one PlanRouting (the plan it changed) and shares every
-  // other entry, and the name index, with the previous snapshot.
+  // other entry, and the name index's cells, with the previous snapshot.
   struct ReplicaRef {
     size_t shard = 0;
     Runtime::PlanId plan_id = 0;
@@ -490,18 +494,21 @@ class ShardRouter {
     std::optional<VersionRouting> canary;  // Set while a rollout is in flight.
     CanarySplit* split = nullptr;          // The canary's kill switch.
   };
-  // Name -> slot in RoutingTable::routes. Slots are never reused (names
-  // are never unplaced), so only the first publish of a name copies it.
-  using RouteIndex = std::unordered_map<std::string, size_t>;
   struct RoutingTable {
-    std::shared_ptr<const RouteIndex> index;
+    // Name -> slot in `routes`: the cells of index_, shared with every
+    // snapshot published since they last grew. Slots are never reused
+    // (names are never unplaced). A name placed after this snapshot can
+    // already be in the cells; its slot is then past `routes`, so it reads
+    // as absent here exactly as if it were not yet inserted. Cells a growth
+    // replaced are freed after the next publish's grace wait.
+    const NameIndex::Cells* index = nullptr;
     // Indexed by slot. Entries are owned by routes_ (the writer's mirror);
     // one replaced by a publish is freed after that publish's grace wait.
     std::vector<const PlanRouting*> routes;
     // The entry for `name`, or null when it is not routable.
     const PlanRouting* Find(const std::string& name) const {
-      auto it = index->find(name);
-      return it == index->end() ? nullptr : routes[it->second];
+      const size_t slot = index->Find(name, HashName(name));
+      return slot < routes.size() ? routes[slot] : nullptr;
     }
   };
 
@@ -626,10 +633,9 @@ class ShardRouter {
   // step runs with it dropped.
   mutable SharedMutex mu_;
   std::unordered_map<std::string, PlanState> plans_ GUARDED_BY(mu_);
-  // The writer's mirror of the published snapshot: its index, and the
-  // owners of its entries (same slots).
-  std::shared_ptr<const RouteIndex> index_ GUARDED_BY(mu_) =
-      std::make_shared<const RouteIndex>();
+  // The writer's side of the published snapshot: the name index its cells
+  // come from, and the owners of its entries (same slots).
+  NameIndex index_ GUARDED_BY(mu_);
   std::vector<std::unique_ptr<const PlanRouting>> routes_ GUARDED_BY(mu_);
   uint64_t routing_publishes_ GUARDED_BY(mu_) = 0;
   uint64_t routing_entries_built_ GUARDED_BY(mu_) = 0;

@@ -1,5 +1,6 @@
 // Deterministic model-check suite for src/common/lockfree.h (including the
-// Runtime's dispatch-claim hand-off and batch chunk cursor), the lock-free
+// Runtime's dispatch-claim hand-off with its exhausted-ticket term, the
+// batch chunk cursor, and the routing table's name index), the lock-free
 // circuit breaker in src/serving/health.h, the RCU snapshot cell in
 // src/common/rcu.h, and the versioned-lifecycle primitives in
 // src/serving/lifecycle_gate.h.
@@ -32,6 +33,7 @@
 
 #include <array>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -457,6 +459,133 @@ void ChunkCursorScenario() {
             "chunk cursor: the ticket was not popped exactly once");
 }
 
+// HandOff with an exhausted ticket: a batch job of 2 chunks is one queued
+// ticket, and an executor holds the plan's claim (the plan is in the
+// rotation). Each executor turn takes one chunk from the job's cursor,
+// pops the ticket once it takes the last chunk or finds none left, and
+// then hands off (HandOffPending, as Runtime::HandOff does); the job's
+// blocked synchronous caller takes chunks from the same cursor meanwhile.
+// When the caller takes the last chunk between the executor's take and its
+// hand-off, `queued` is 0 but the exhausted ticket is still in the chain:
+// the plan must stay published so an executor turn pops it. Mutation
+// handoff_skip_tickets drops the ticket term from the pending check; the
+// executor then releases the claim over the ticket and strands it.
+void TicketHandOffScenario() {
+  constexpr size_t kChunks = 2;
+  struct State {
+    ChunkCursor cursor;
+    DispatchClaim claim;
+    mc::Atomic<size_t> queued{kChunks};  // Untaken chunks.
+    mc::Atomic<size_t> tickets{1};
+    mc::Atomic<int> runnable{1};  // Rotation entries for the plan.
+  };
+  auto st = std::make_shared<State>();
+  if (!st->claim.TryAcquire()) return;  // The enqueue published the plan.
+  mc::Go({
+      [st] {
+        for (int turn = 0; turn < 3; ++turn) {
+          int r = st->runnable.load(mc::kSeqCst);
+          if (r == 0 ||
+              !st->runnable.compare_exchange_strong(r, r - 1, mc::kSeqCst)) {
+            continue;
+          }
+          const size_t i = st->cursor.Take();
+          if (i + 1 >= kChunks) {
+            st->tickets.fetch_sub(1, mc::kSeqCst);
+          }
+          if (i < kChunks) {
+            st->queued.fetch_sub(1, mc::kSeqCst);
+          }
+          const auto pending = [&st] {
+            return HandOffPending(st->queued, st->tickets);
+          };
+          if (pending() || st->claim.Release(pending)) {
+            st->runnable.fetch_add(1, mc::kSeqCst);
+          }
+        }
+      },
+      [st] {
+        while (st->cursor.Take() < kChunks) {
+          st->queued.fetch_sub(1, mc::kSeqCst);
+        }
+      },
+  });
+  if (mc::Pruned() || mc::Failed()) return;
+  const size_t tickets = st->tickets.load(mc::kSeqCst);
+  const int runnable = st->runnable.load(mc::kSeqCst);
+  mc::Check(st->queued.load(mc::kSeqCst) == 0,
+            "ticket hand-off: a chunk was never taken");
+  mc::Check(tickets == 0 || runnable == 1,
+            "ticket hand-off: exhausted ticket stranded in an unpublished "
+            "plan");
+  mc::Check(st->claim.held() == (runnable == 1),
+            "ticket hand-off: held without a rotation entry, or published "
+            "unclaimed");
+}
+
+// NameIndex (lockfree.h), ShardRouter's routing-table name index. A writer
+// inserts three names into a 4-cell index (the third insert doubles the
+// cells) and publishes a snapshot {cells, size} after each insert, as
+// PublishLocked does; older cells are freed only after the scenario, as the
+// router frees them after the next publish's grace wait. A reader loads a
+// snapshot twice and looks up an inserted name, a later one and an absent
+// one. A name is routable in a snapshot only when its slot is inside the
+// snapshot's size; it must be found then, and never with a wrong slot. The
+// entries' hash and slot are race-tracked: a reader that reaches an entry
+// without a happens-before edge to its construction has seen a half-built
+// entry. Mutation name_index_publish weakens the cell's publication store
+// to relaxed, so a reader probing the shared cells can meet an entry whose
+// fields it does not yet see.
+void NameIndexScenario() {
+  struct Snapshot {
+    const NameIndex::Cells* cells;
+    size_t size;
+  };
+  static const char* const kNames[] = {"sa_0", "sa_1", "sa_2"};
+  struct State {
+    NameIndex index{4};
+    std::vector<std::unique_ptr<NameIndex::Cells>> retired;
+    std::deque<Snapshot> snapshots;  // Stable addresses.
+    mc::Atomic<const Snapshot*> published{nullptr};
+  };
+  auto st = std::make_shared<State>();
+  st->published.store(&st->snapshots.emplace_back(
+                          Snapshot{st->index.cells(), 0}),
+                      mc::kSeqCst);
+  const auto key = [](const char* name) {
+    return static_cast<uint64_t>(name[3]) * 0x100000001b3ULL;
+  };
+  mc::Go({
+      [st, key] {
+        for (size_t slot = 0; slot < 3; ++slot) {
+          if (auto old = st->index.Insert(kNames[slot], key(kNames[slot]),
+                                          slot)) {
+            st->retired.push_back(std::move(old));
+          }
+          st->published.store(&st->snapshots.emplace_back(
+                                  Snapshot{st->index.cells(), slot + 1}),
+                              mc::kSeqCst);
+        }
+      },
+      [st, key] {
+        for (int pass = 0; pass < 2; ++pass) {
+          const Snapshot* snap = st->published.load(mc::kSeqCst);
+          for (size_t want = 0; want < 3; ++want) {
+            const size_t slot =
+                snap->cells->Find(kNames[want], key(kNames[want]));
+            mc::Check(slot == NameIndex::kNotFound || slot == want,
+                      "name index: a name found with another's slot");
+            mc::Check(want >= snap->size || slot == want,
+                      "name index: a name in the snapshot was not found");
+          }
+          mc::Check(snap->cells->Find("absent", key("sa_9")) ==
+                        NameIndex::kNotFound,
+                    "name index: an absent name was found");
+        }
+      },
+  });
+}
+
 // CircuitBreaker trip visibility: the reopen deadline is stored relaxed and
 // published by the trip CAS's release. A reader that observes state=open must
 // therefore see the fresh deadline; weakening the trip CAS (mutation
@@ -735,6 +864,8 @@ const CleanCase kClean[] = {
     {"event_count", EventCountScenario, 2000},
     {"dispatch_claim", DispatchClaimScenario, 2000},
     {"chunk_cursor", ChunkCursorScenario, 2000},
+    {"ticket_hand_off", TicketHandOffScenario, 2000},
+    {"name_index", NameIndexScenario, 2000},
     {"breaker_trip_visibility", BreakerTripVisibilityScenario, 1500},
     {"breaker_probe_lifecycle", BreakerProbeLifecycleScenario, 20},
     {"breaker_reopen_refresh", BreakerReopenRefreshScenario, 20},
@@ -768,6 +899,10 @@ const MutationCase kMutations[] = {
     {"claim_skip_recheck", DispatchClaimScenario},
     // ChunkCursor (structural: the take fetch_add becomes load-then-store).
     {"chunk_cursor_load_store", ChunkCursorScenario},
+    // HandOffPending (structural: drops the exhausted-ticket term).
+    {"handoff_skip_tickets", TicketHandOffScenario},
+    // NameIndex: the cell publication store weakened to relaxed.
+    {"name_index_publish", NameIndexScenario},
     // CircuitBreaker (src/serving/health.h).
     {"brk_trip_cas", BreakerTripVisibilityScenario},
     {"brk_halfopen_keep_tokens", BreakerProbeLifecycleScenario},

@@ -7,8 +7,10 @@
 // versioned lifecycle: Deploy/Promote/Rollback with O(changed-params) swaps
 // and post-retire byte reclamation, plus route-under-churn with version
 // swaps and replication flapping racing live predicts, one-entry routing
-// publication, and unchanged plans' shared routing entries surviving
-// another plan's churn (ASan+TSan in CI).
+// publication, unchanged plans' shared routing entries surviving
+// another plan's churn, Place's allocations not growing with the number of
+// plans placed, and lock-free name lookups racing thousands of Places
+// across the name index's growths (ASan+TSan in CI).
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
@@ -26,6 +28,7 @@
 #include "src/serving/sharded_backend.h"
 #include "src/workload/load_gen.h"
 #include "src/workload/sa_workload.h"
+#include "tests/counting_alloc.h"
 #include "tests/executor_hold.h"
 #include "tests/test_util.h"
 
@@ -1096,6 +1099,116 @@ void TestSharedEntriesSurviveOtherPlanChurn() {
   CHECK(router.Promote(churned.name).ok());
   CHECK_EQ(router.GetMetrics().store_bytes, baseline_bytes);
 }
+
+// `count` copies of one small SA pipeline named sa_0, sa_1, ...: every
+// Place then compiles the same program, so Places differ only in the
+// router's own bookkeeping.
+std::vector<PipelineSpec> RenamedCopies(size_t count) {
+  auto sa = SmallSa(1);
+  std::vector<PipelineSpec> specs(count, sa.pipelines()[0]);
+  for (size_t i = 0; i < count; ++i) {
+    specs[i].name = "sa_" + std::to_string(i);
+  }
+  return specs;
+}
+
+// Placing a plan costs the same whatever the number of plans already
+// placed: the allocation calls of Places 1,001-1,100 stay within a few
+// growth events (the name index's cells, routes_, the runtime's plan table,
+// entry-storage blocks, plans_ rehashes) of those of Places 101-200. A
+// publish that copied the name index would allocate one node per placed
+// name, ~90,000 more calls in the later window.
+void TestPlaceCostFlatInPlanCount() {
+  constexpr size_t kPlans = 1100;
+  const std::vector<PipelineSpec> specs = RenamedCopies(kPlans);
+  ShardRouterOptions sopts;
+  sopts.num_shards = 1;
+  sopts.runtime.num_executors = 1;
+  ShardRouter router(sopts);
+  size_t early_calls = 0;
+  size_t late_calls = 0;
+  for (size_t i = 0; i < kPlans; ++i) {
+    const bool early = i >= 100 && i < 200;
+    const bool late = i >= 1000;
+    t_alloc_calls = 0;
+    t_count_allocs = early || late;
+    const bool placed = router.Place(specs[i]).ok();
+    t_count_allocs = false;
+    CHECK(placed);
+    if (early) {
+      early_calls += t_alloc_calls;
+    } else if (late) {
+      late_calls += t_alloc_calls;
+    }
+  }
+  std::printf("Places 101-200: %zu allocation calls; 1,001-1,100: %zu\n",
+              early_calls, late_calls);
+  CHECK_MSG(late_calls <= early_calls + 32,
+            "Places 1,001-1,100 made %zu allocation calls, 101-200 made %zu",
+            late_calls, early_calls);
+  CHECK(router.Placement(specs[kPlans - 1].name).ok());
+}
+
+// Lock-free lookups race Places across the name index's growths: one
+// writer places 2,000 names (the cells double 8 times) while readers look
+// up names already placed and the next few about to be. A name whose Place
+// has returned is found every time, on the shard it hashes to; one whose
+// Place has not started reads NotFound.
+void TestLookupsRacePlacesAcrossGrowth() {
+  constexpr size_t kPlans = 2000;
+  constexpr int kReaders = 3;
+  const std::vector<PipelineSpec> specs = RenamedCopies(kPlans);
+  ShardRouterOptions sopts;
+  sopts.num_shards = 2;
+  sopts.runtime.num_executors = 1;
+  ShardRouter router(sopts);
+  std::atomic<size_t> started{0};  // Places begun.
+  std::atomic<size_t> placed{0};   // Places returned.
+  std::atomic<uint64_t> found_early{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t rng = 0x9E3779B97F4A7C15ULL * (t + 1);
+      for (size_t done = 0; done < kPlans;) {
+        done = placed.load(std::memory_order_acquire);
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        if (done > 0) {
+          const std::string& name = specs[rng % done].name;
+          auto got = router.Placement(name);
+          CHECK_MSG(got.ok(), "placed '%s' read %s", name.c_str(),
+                    got.status().ToString().c_str());
+          CHECK_EQ(got->shard, router.ShardFor(name));
+        }
+        for (size_t k = done; k < std::min(done + 3, kPlans); ++k) {
+          auto got = router.Placement(specs[k].name);
+          if (got.ok()) {
+            CHECK_MSG(k < started.load(std::memory_order_acquire),
+                      "'%s' found before its Place began",
+                      specs[k].name.c_str());
+            found_early.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            CHECK(got.status().code() == StatusCode::kNotFound);
+          }
+        }
+      }
+    });
+  }
+  for (size_t i = 0; i < kPlans; ++i) {
+    started.store(i + 1, std::memory_order_release);
+    CHECK(router.Place(specs[i]).ok());
+    placed.store(i + 1, std::memory_order_release);
+  }
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  for (const PipelineSpec& spec : specs) {
+    CHECK(router.Placement(spec.name).ok());
+  }
+  std::printf("lookups racing Places: %llu names found before Place returned\n",
+              static_cast<unsigned long long>(found_early.load()));
+}
 }  // namespace
 
 int main() {
@@ -1114,6 +1227,8 @@ int main() {
   TestRouteUnderVersionChurn();
   TestPublishBuildsOneEntry();
   TestSharedEntriesSurviveOtherPlanChurn();
+  TestPlaceCostFlatInPlanCount();
+  TestLookupsRacePlacesAcrossGrowth();
   std::printf("shard_router_test: PASS\n");
   return 0;
 }
