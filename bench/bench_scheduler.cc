@@ -158,7 +158,7 @@ double DrainThroughput(Runtime& runtime, const std::vector<Runtime::PlanId>& ids
   }
   for (const LoadEvent& event : schedule) {
     const size_t m = event.model_index;
-    Status s = runtime.PredictAsync(ids[m], inputs[m], [&](Result<float> r) {
+    Status s = runtime.PredictAsync(ids[m], inputs[m], [&](Result<float> r, int64_t) {
       if (!r.ok()) {
         std::abort();
       }

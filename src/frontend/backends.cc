@@ -36,8 +36,10 @@ void PretzelBackend::PredictAsync(const std::string& name,
     return;
   }
   // The one owned copy of the record: it moves into the Runtime's event.
-  Status submitted =
-      runtime_->PredictAsync(*id, std::string(input), callback, deadline_ns);
+  Status submitted = runtime_->PredictAsync(
+      *id, std::string(input),
+      [callback](Result<float> r, int64_t) { callback(std::move(r)); },
+      deadline_ns);
   if (!submitted.ok()) {
     callback(submitted);
   }

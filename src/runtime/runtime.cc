@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "src/common/clock.h"
@@ -23,13 +24,16 @@ struct Runtime::BatchJob {
   std::vector<std::string_view> view_inputs;
   std::vector<float> owned_results;
   float* results = nullptr;
-  // SubmitBatchJob's split: chunk i covers records [i * chunk, (i + 1) *
+  // SubmitBatch's split: chunk i covers records [i * chunk, (i + 1) *
   // chunk), i < chunks. Every taker, executor or synchronous caller, takes
   // its next index from `cursor`, so each chunk runs exactly once.
   size_t chunk = 1;
   size_t chunks = 0;
   ChunkCursor cursor;
   std::atomic<size_t> remaining{0};
+  // Sum of the chunks' ExecutePlanBatch times (ns): the batch's service
+  // time, complete once `remaining` reaches 0.
+  std::atomic<int64_t> exec_ns{0};
   BatchCallback callback;
   // Absolute expiry shared by every chunk; checked between quanta so a
   // deadline that dies mid-batch stops burning executors on the remainder.
@@ -45,16 +49,15 @@ struct Runtime::BatchJob {
 // return before the completing thread is done with it.
 namespace {
 
-template <typename T>
 class Waiter {
  public:
-  void Set(T value) {
+  void Set(Status value) {
     std::lock_guard<std::mutex> lock(mu_);
     value_ = std::move(value);
     done_ = true;
     cv_.notify_one();
   }
-  T Wait() {
+  Status Wait() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return done_; });
     return std::move(value_);
@@ -64,7 +67,7 @@ class Waiter {
   std::mutex mu_;
   std::condition_variable cv_;
   bool done_ = false;
-  T value_ = Status::Error("pending");
+  Status value_ = Status::Error("pending");
 };
 
 }  // namespace
@@ -559,42 +562,106 @@ bool Runtime::PopLive(PlanQueue* pq, Event* out) {
 // ---------------------------------------------------------------------------
 // Public prediction entry points.
 
-Result<float> Runtime::Predict(PlanId id, std::string_view input,
-                               int64_t deadline_ns) {
+template <typename Work>
+void Runtime::OnCallerContext(PlanQueue* pq, Work work) {
+  std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
+  ctx->subplan_cache = pq->group->inline_cache;
+  work(*ctx);
+  caller_contexts_.Release(std::move(ctx));
+}
+
+Status Runtime::Submit(PlanId id, Request request) {
   PlanQueue* pq = GetQueue(id);
   if (pq == nullptr) {
     return Status::NotFound("plan " + std::to_string(id));
   }
-  if (pq->reserved) {
-    // Ride the dedicated queue so sync traffic is served by (and accounted
-    // against) the reserved executors, not the caller thread.
-    Waiter<Result<float>> waiter;
-    Status submitted = PredictAsync(
-        id, std::string(input),
-        [&waiter](Result<float> r) { waiter.Set(std::move(r)); },
-        deadline_ns);
-    if (!submitted.ok()) {
-      return submitted;
-    }
-    return waiter.Wait();
+  if (request.done == nullptr) {
+    return Status::InvalidArgument("null callback");
   }
-  // Inline fast path: a synchronous single on an unreserved plan gains
-  // nothing from a queue hop. No shed check either — there is no queue
-  // delay to estimate — but already-expired work is still refused.
-  if (Status admit = AdmitDeadline(pq, deadline_ns, 1, /*shed=*/false);
+  // A synchronous single on an unreserved plan runs right here. No shed
+  // check for it — it never waits in a queue, so there is no queue delay to
+  // estimate — but already-expired work is still refused.
+  const bool here = request.wait && !pq->reserved;
+  if (Status admit = AdmitDeadline(pq, request.deadline_ns, 1, !here);
       !admit.ok()) {
     return admit;
   }
   if (!pq->AdmitLifecycle()) {
     return Status::NotFound("plan " + std::to_string(id) + " retired");
   }
-  pq->inline_predictions.fetch_add(1, std::memory_order_relaxed);
-  std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
-  ctx->subplan_cache = pq->group->inline_cache;
-  Result<float> result = ExecutePlan(*pq->plan, input, *ctx);
-  caller_contexts_.Release(std::move(ctx));
+  // A reserved plan's synchronous single: its completion, on a dedicated
+  // executor, also releases this thread.
+  std::optional<Waiter> served;
+  if (request.wait && !here) {
+    served.emplace();
+    request.done = [&served, done = std::move(request.done)](
+                       Result<float> result, int64_t exec_ns) {
+      done(std::move(result), exec_ns);
+      served->Set(Status::OK());
+    };
+  }
+  Event event;
+  static_cast<Request&>(event) = std::move(request);
+  // The lifecycle ref covers any execution on this thread, so a racing
+  // Retire drains it like an executor's.
+  Status submitted;
+  if (here) {
+    pq->inline_predictions.fetch_add(1, std::memory_order_relaxed);
+    OnCallerContext(pq, [&](ExecContext& ctx) {
+      RunSingle(pq, event, ctx, NowNs());
+    });
+  } else if (t_runtime_work || pq->reserved ||
+             // Inline when idle. Every executor parked: running here only
+             // replaces a wake-up and never jumps ahead of work an awake
+             // executor would reach. Nothing queued: no admitted event is
+             // waiting on this plan. Both are heuristics choosing between
+             // two correct paths — the claim exchange is what arbitrates.
+             // relaxed: a stale `queued` or exec EWMA only picks the other
+             // path.
+             pq->group->ec.waiters() < pq->group->num_executors ||
+             pq->queued.load(std::memory_order_relaxed) > 0 ||
+             // relaxed: as above.
+             pq->exec_ewma_ns.load(std::memory_order_relaxed) >
+                 kInlineMaxExecNs ||
+             !pq->claim.TryAcquire()) {
+    submitted = EnqueueEvent(pq, std::move(event));
+  } else {
+    // The executor's quantum, on this thread: the same counters (so
+    // enqueued == accepted holds on both branches), batch 1 and queue wait
+    // 0, then the same hand-off before executing.
+    t_runtime_work = true;
+    event.enqueue_ns = NowNs();
+    pq->enqueued.fetch_add(1, std::memory_order_relaxed);
+    pq->coalesced.fetch_add(1, std::memory_order_relaxed);
+    pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
+    AccountDispatch(pq, 1, 0);
+    HandOff(pq);
+    // Never nested on one thread (t_runtime_work), so one buffer per thread.
+    thread_local std::vector<Event> batch;
+    batch.push_back(std::move(event));
+    OnCallerContext(pq,
+                    [&](ExecContext& ctx) { ExecuteQuantum(pq, batch, ctx); });
+    batch.clear();
+    t_runtime_work = false;
+  }
   pq->ReleaseLifecycle();
-  return result;
+  if (served.has_value() && submitted.ok()) {
+    served->Wait();
+  }
+  return submitted;
+}
+
+Result<float> Runtime::Predict(PlanId id, std::string_view input,
+                               int64_t deadline_ns) {
+  Result<float> result = Status::Error("pending");
+  Status submitted = Submit(
+      id, {.input = input,
+           .deadline_ns = deadline_ns,
+           .done = [&result](Result<float> r, int64_t) {
+             result = std::move(r);
+           },
+           .wait = true});
+  return submitted.ok() ? result : submitted;
 }
 
 Result<float> Runtime::PredictBinary(PlanId id,
@@ -605,69 +672,9 @@ Result<float> Runtime::PredictBinary(PlanId id,
 
 Status Runtime::PredictAsync(PlanId id, std::string input,
                              SingleCallback callback, int64_t deadline_ns) {
-  PlanQueue* pq = GetQueue(id);
-  if (pq == nullptr) {
-    return Status::NotFound("plan " + std::to_string(id));
-  }
-  if (callback == nullptr) {
-    return Status::InvalidArgument("null callback");
-  }
-  if (Status admit = AdmitDeadline(pq, deadline_ns, 1); !admit.ok()) {
-    return admit;
-  }
-  Event event;
-  event.input = std::move(input);
-  event.done = std::move(callback);
-  event.deadline_ns = deadline_ns;
-  if (!pq->AdmitLifecycle()) {
-    return Status::NotFound("plan " + std::to_string(id) + " retired");
-  }
-  // The lifecycle ref covers an inline quantum's whole execution, so a
-  // racing Retire drains it like an executor's.
-  Status submitted = TryRunInline(pq, event)
-                         ? Status::OK()
-                         : EnqueueEvent(pq, std::move(event));
-  pq->ReleaseLifecycle();
-  return submitted;
-}
-
-bool Runtime::TryRunInline(PlanQueue* pq, Event& event) {
-  if (t_runtime_work || pq->reserved) {
-    return false;
-  }
-  ExecGroup* group = pq->group;
-  // Every executor parked: running here only replaces a wake-up and never
-  // jumps ahead of work an awake executor would reach. Nothing queued: no
-  // admitted event is waiting on this plan. Both are heuristics choosing
-  // between two correct paths — the claim exchange is what arbitrates.
-  // relaxed: a stale `queued` or exec EWMA only picks the other path.
-  if (group->ec.waiters() < group->num_executors ||
-      pq->queued.load(std::memory_order_relaxed) > 0 ||
-      // relaxed: as above.
-      pq->exec_ewma_ns.load(std::memory_order_relaxed) > kInlineMaxExecNs ||
-      !pq->claim.TryAcquire()) {
-    return false;
-  }
-  // The executor's quantum, on this thread: the same counters (so
-  // enqueued == accepted holds on both branches), batch 1 and queue wait 0,
-  // then the same hand-off before executing.
-  t_runtime_work = true;
-  event.enqueue_ns = NowNs();
-  pq->enqueued.fetch_add(1, std::memory_order_relaxed);
-  pq->coalesced.fetch_add(1, std::memory_order_relaxed);
-  pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
-  AccountDispatch(pq, 1, 0);
-  HandOff(pq);
-  // Never nested on one thread (t_runtime_work), so one buffer per thread.
-  thread_local std::vector<Event> batch;
-  batch.push_back(std::move(event));
-  std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
-  ctx->subplan_cache = group->inline_cache;
-  ExecuteQuantum(pq, batch, *ctx);
-  caller_contexts_.Release(std::move(ctx));
-  batch.clear();
-  t_runtime_work = false;
-  return true;
+  return Submit(id, {.owned = std::move(input),
+                     .deadline_ns = deadline_ns,
+                     .done = std::move(callback)});
 }
 
 void Runtime::AccountDispatch(PlanQueue* pq, size_t records,
@@ -678,65 +685,10 @@ void Runtime::AccountDispatch(PlanQueue* pq, size_t records,
   pq->queue_wait_us.Record(static_cast<double>(wait_ns) / 1e3);
 }
 
-// Sub-batch size: fill every executor that serves this plan, but never
-// exceed max_batch. Each chunk is one scheduling quantum, so other plans
-// interleave between chunks instead of waiting out the whole batch.
-Status Runtime::SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
-                               size_t max_batch) {
-  const size_t parallelism = std::max<size_t>(1, pq->group->num_executors);
-  const size_t n = job->view_inputs.size();
-  size_t chunk = (n + parallelism - 1) / parallelism;
-  if (max_batch > 0) {
-    chunk = std::min(chunk, max_batch);
-  }
-  chunk = std::max<size_t>(1, chunk);
-  job->chunk = chunk;
-  job->chunks = (n + chunk - 1) / chunk;
-  Event ticket;
-  ticket.job = std::move(job);
-  return EnqueueEvent(pq, std::move(ticket));
-}
-
-// The synchronous borrowed-input protocol: submit, run the job's own chunks
-// from its cursor beside the executors, then block until the last chunk's
-// callback fires. Blocking is what makes borrowing safe —
-// the caller's inputs and output span outlive every executor touch.
-Status Runtime::SubmitBatchJobAndWait(PlanQueue* pq,
-                                      std::shared_ptr<BatchJob> job,
-                                      size_t max_batch) {
-  Waiter<Status> waiter;
-  job->callback = [&waiter](Status s, std::span<const float>) {
-    waiter.Set(std::move(s));
-  };
-  Status submit = SubmitBatchJob(pq, job, max_batch);
-  if (!submit.ok()) {
-    return submit;
-  }
-  // The caller is blocked anyway and runs only its own job's chunks, so it
-  // never jumps ahead of other work; reserved plans keep all their work on
-  // their dedicated executors. A chunk taken here leaves `queued` at once;
-  // the job's ticket stays queued until an executor pops it. When the
-  // caller finishes the last chunk, the wait below returns at once.
-  if (!pq->reserved) {
-    const size_t n = job->view_inputs.size();
-    std::unique_ptr<ExecContext> ctx = caller_contexts_.Acquire();
-    ctx->subplan_cache = pq->group->inline_cache;
-    for (size_t i; (i = job->cursor.Take()) < job->chunks;) {
-      pq->queued.fetch_sub(1, std::memory_order_seq_cst);
-      const size_t begin = i * job->chunk;
-      const size_t end = std::min(n, begin + job->chunk);
-      pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
-      AccountDispatch(pq, end - begin, 0);
-      RunChunk(pq, *job, begin, end, /*enqueue_ns=*/0, *ctx);
-    }
-    caller_contexts_.Release(std::move(ctx));
-  }
-  return waiter.Wait();
-}
-
 template <typename Frame>
 Status Runtime::SubmitBatch(PlanId id, std::span<float> out, size_t max_batch,
-                            int64_t deadline_ns, Frame frame) {
+                            int64_t deadline_ns, Frame frame,
+                            int64_t* exec_ns) {
   PlanQueue* pq = GetQueue(id);
   if (pq == nullptr) {
     return Status::NotFound("plan " + std::to_string(id));
@@ -762,30 +714,75 @@ Status Runtime::SubmitBatch(PlanId id, std::span<float> out, size_t max_batch,
   if (!pq->AdmitLifecycle()) {
     return Status::NotFound("plan " + std::to_string(id) + " retired");
   }
+  // The synchronous borrowed-input protocol: submit, run the job's own
+  // chunks from its cursor beside the executors, then block until the last
+  // chunk's callback fires. Blocking is what makes borrowing safe — the
+  // caller's inputs and output span outlive every executor touch — so
+  // chunks write scores straight through its span.
+  Waiter waiter;
   if (wait) {
-    // Borrowed results: this caller blocks until the last chunk completes,
-    // so chunks write scores straight through its span.
     job->results = out.data();
+    job->callback = [&waiter](Status s, std::span<const float>) {
+      waiter.Set(std::move(s));
+    };
   } else {
     job->owned_results.assign(n, 0.0f);
     job->results = job->owned_results.data();
   }
   job->remaining.store(n);
   job->deadline_ns = deadline_ns;
-  Status submitted = wait ? SubmitBatchJobAndWait(pq, std::move(job), max_batch)
-                          : SubmitBatchJob(pq, std::move(job), max_batch);
+  // Sub-batch size: fill every executor that serves this plan, but never
+  // exceed max_batch. Each chunk is one scheduling quantum, so other plans
+  // interleave between chunks instead of waiting out the whole batch.
+  const size_t parallelism = std::max<size_t>(1, pq->group->num_executors);
+  job->chunk = (n + parallelism - 1) / parallelism;
+  if (max_batch > 0) {
+    job->chunk = std::min(job->chunk, max_batch);
+  }
+  job->chunks = (n + job->chunk - 1) / job->chunk;
+  Event ticket;
+  ticket.job = job;
+  Status submitted = EnqueueEvent(pq, std::move(ticket));
+  if (wait && submitted.ok()) {
+    // The caller is blocked anyway and runs only its own job's chunks, so
+    // it never jumps ahead of other work; reserved plans keep all their
+    // work on their dedicated executors. A chunk taken here leaves `queued`
+    // at once; the job's ticket stays queued until an executor pops it.
+    // When the caller finishes the last chunk, the wait returns at once.
+    if (!pq->reserved) {
+      OnCallerContext(pq, [&](ExecContext& ctx) {
+        for (size_t i; (i = job->cursor.Take()) < job->chunks;) {
+          pq->queued.fetch_sub(1, std::memory_order_seq_cst);
+          const size_t begin = i * job->chunk;
+          const size_t end = std::min(n, begin + job->chunk);
+          pq->caller_dispatches.fetch_add(1, std::memory_order_relaxed);
+          AccountDispatch(pq, end - begin, 0);
+          RunChunk(pq, *job, begin, end, /*enqueue_ns=*/0, ctx);
+        }
+      });
+    }
+    submitted = waiter.Wait();
+    if (exec_ns != nullptr) {
+      // The last chunk's countdown ordered every chunk's time before the
+      // callback this wait returned from.
+      *exec_ns = job->exec_ns.load(std::memory_order_relaxed);
+    }
+  }
   pq->ReleaseLifecycle();
   return submitted;
 }
 
 Status Runtime::PredictBatch(PlanId id, const std::vector<std::string>& inputs,
                              size_t max_batch, std::span<float> out,
-                             int64_t deadline_ns) {
+                             int64_t deadline_ns, int64_t* exec_ns) {
   // Views of the caller's strings: no copy, and they outlive the call.
-  return SubmitBatch(id, out, max_batch, deadline_ns, [&inputs](BatchJob& job) {
-    job.view_inputs.assign(inputs.begin(), inputs.end());
-    return Status::OK();
-  });
+  return SubmitBatch(
+      id, out, max_batch, deadline_ns,
+      [&inputs](BatchJob& job) {
+        job.view_inputs.assign(inputs.begin(), inputs.end());
+        return Status::OK();
+      },
+      exec_ns);
 }
 
 Result<std::vector<float>> Runtime::PredictBatch(
@@ -954,7 +951,7 @@ void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
   const size_t count = end - begin;
   float* out = job.results + begin;
   Status chunk_error;
-  const int64_t now = job.deadline_ns > 0 ? NowNs() : 0;
+  const int64_t now = NowNs();
   if (job.deadline_ns > 0 && now >= job.deadline_ns) {
     // Between-quanta deadline check: chunks of an expired batch complete
     // immediately (score 0.0f, batch status DeadlineExceeded) instead of
@@ -970,6 +967,7 @@ void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
     const size_t failed = ExecutePlanBatch(
         *pq->plan, job.view_inputs.data() + begin, count, out, ctx,
         &chunk_error);
+    job.exec_ns.fetch_add(NowNs() - now, std::memory_order_relaxed);
     if (failed > 0) {
       pq->errors.fetch_add(failed, std::memory_order_relaxed);
     }
@@ -993,12 +991,24 @@ void Runtime::RunChunk(PlanQueue* pq, BatchJob& job, size_t begin,
   }
 }
 
+void Runtime::RunSingle(PlanQueue* pq, Event& event, ExecContext& ctx,
+                        int64_t start_ns) {
+  Result<float> result = ExecutePlan(*pq->plan, event.bytes(), ctx);
+  if (!result.ok()) {
+    // Counted before completing: a caller woken by the completion must
+    // already see it in GetMetrics.
+    pq->errors.fetch_add(1, std::memory_order_relaxed);
+  }
+  event.done(std::move(result), NowNs() - start_ns);
+}
+
 // Execute outside every scheduler structure; error counts and the sampled
 // latency are relaxed atomics.
 void Runtime::ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
                              ExecContext& ctx) {
   // Singles quanta time themselves from here, stall included, into the
-  // exec-time EWMA.
+  // exec-time EWMA; the quantum's first single starts its service clock
+  // here too, so an executor stall is part of its exec_ns.
   const int64_t start_ns = NowNs();
   // Chaos site: an executor pinned mid-quantum (GC pause, page fault storm,
   // noisy neighbor). Injected before the deadline checks so stalled quanta
@@ -1010,58 +1020,42 @@ void Runtime::ExecuteQuantum(PlanQueue* pq, std::vector<Event>& batch,
     return;
   }
   // Dequeue-time deadline check: singles that expired while queued complete
-  // with DeadlineExceeded (queue-wait attribution) without executing, and
-  // the survivors are compacted in place so coalescing proceeds over live
-  // work only.
-  {
-    size_t live = 0;
-    int64_t now = 0;  // Lazy: most quanta carry no deadlines at all.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Event& event = batch[i];
-      if (event.deadline_ns > 0) {
-        if (now == 0) {
-          now = NowNs();
-        }
-        if (now >= event.deadline_ns) {
-          // Count before completing: a caller woken by this callback must
-          // already see the expiry in GetMetrics.
-          pq->expired_dequeue.fetch_add(1, std::memory_order_relaxed);
-          event.done(ExpiredStatus("at dispatch", DeadlineStage::kQueue, now,
-                                   event.deadline_ns, event.enqueue_ns));
-          continue;
-        }
-      }
-      if (live != i) {
-        batch[live] = std::move(event);
-      }
-      ++live;
-    }
-    if (live < batch.size()) {
-      batch.resize(live);
-    }
-    if (batch.empty()) {
-      return;
-    }
-  }
-  size_t failed = 0;
+  // with DeadlineExceeded (queue-wait attribution) without executing. Each
+  // later single's service clock starts after the previous single's
+  // completion, so no callback of an executed single counts toward
+  // another's exec_ns.
+  int64_t now = 0;  // Lazy: most quanta carry no deadlines at all.
+  int64_t end_ns = start_ns;
+  const Event* oldest = nullptr;
+  size_t ran = 0;
   for (Event& event : batch) {
-    Result<float> r = ExecutePlan(*pq->plan, event.input, ctx);
-    if (!r.ok()) {
-      ++failed;
+    if (event.deadline_ns > 0) {
+      now = now != 0 ? now : NowNs();
+      if (now >= event.deadline_ns) {
+        // Count before completing: a caller woken by this callback must
+        // already see the expiry in GetMetrics.
+        pq->expired_dequeue.fetch_add(1, std::memory_order_relaxed);
+        event.done(ExpiredStatus("at dispatch", DeadlineStage::kQueue, now,
+                                 event.deadline_ns, event.enqueue_ns),
+                   0);
+        continue;
+      }
     }
-    event.done(std::move(r));
+    oldest = ran == 0 ? &event : oldest;
+    RunSingle(pq, event, ctx, end_ns);
+    ++ran;
+    end_ns = NowNs();
   }
-  // Sampled latency: one observation per dispatch, for the oldest event in
-  // the group (the group's worst case) — keeps the per-event hot path free
-  // of clock reads and stats writes.
-  const int64_t end_ns = NowNs();
+  if (ran == 0) {
+    return;
+  }
+  // Sampled latency: one observation per dispatch, for the oldest single
+  // that ran (the group's worst case) — keeps the per-event hot path free
+  // of stats writes.
   UpdateEwma(pq->exec_ewma_ns,
-             (end_ns - start_ns) / static_cast<int64_t>(batch.size()));
+             (end_ns - start_ns) / static_cast<int64_t>(ran));
   pq->single_latency_us.Record(
-      static_cast<double>(end_ns - batch.front().enqueue_ns) / 1e3);
-  if (failed > 0) {
-    pq->errors.fetch_add(failed, std::memory_order_relaxed);
-  }
+      static_cast<double>(end_ns - oldest->enqueue_ns) / 1e3);
 }
 
 // ---------------------------------------------------------------------------

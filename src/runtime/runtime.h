@@ -7,8 +7,17 @@
 // (src/common/serialize.h) that ExecutePlan tells apart; binary records take
 // the zero-parse path, an aligned dense payload aliasing straight into the
 // kernels. The binary entry points only re-type their bytes (WireView), and
-// each request kind has one body: the synchronous single, the async single,
-// and one batch sequence (SubmitBatch) every batch entry point shares.
+// each request kind has one body: every single, synchronous or async, is a
+// Request handed to Submit, and one batch sequence (SubmitBatch) serves
+// every batch entry point.
+//
+// One completion: a single finishes by calling its Request's `done` with
+// the result and its service time, `exec_ns` (ExecutePlan start to end on
+// whichever thread ran it, excluding queue wait and every completion; the
+// first single a dispatch quantum runs also carries the quantum's
+// runtime.executor_stall), whether it ran inline, on a reserved queue or on
+// an executor; the sync entry points read both from it. A batch's service
+// time is the sum of its chunks' ExecutePlanBatch times, whoever ran them.
 //
 // Scheduling model (Section 5.4): every queued request — async single,
 // reserved-plan single, batch job — becomes an event on its plan's queue,
@@ -167,7 +176,7 @@ struct PlanMetrics {
   // 0: an inline async single, or a chunk of its own synchronous batch.
   uint64_t caller_dispatches = 0;
   uint64_t coalesced_singles = 0;   // Singles dispatched via coalescing.
-  uint64_t errors = 0;              // Failed records/singles.
+  uint64_t errors = 0;              // Failed records/singles, inline ones too.
   // Deadline accounting (requests that carried one). Work is dropped the
   // moment expiry is detectable: at admission, when a queued single reaches
   // its dispatch, and between a batch job's chunk quanta. Expired work is
@@ -217,7 +226,26 @@ class Runtime {
  public:
   using PlanId = size_t;
   using BatchCallback = std::function<void(Status, std::span<const float>)>;
-  using SingleCallback = std::function<void(Result<float>)>;
+  // A single's one completion: its result and its service time, `exec_ns`
+  // (0 when it never executed: expired at dispatch).
+  using SingleCallback = std::function<void(Result<float>, int64_t exec_ns)>;
+
+  // One single prediction: what every single entry point hands to Submit.
+  struct Request {
+    // The record's wire bytes, borrowed until `done` has run (a `wait`
+    // request's caller blocks). An async request owns its bytes in `owned`.
+    std::string_view input{};
+    std::string owned{};
+    int64_t deadline_ns = 0;
+    SingleCallback done{};
+    // Synchronous: an unreserved plan runs it on this thread (a queue hop
+    // buys it nothing); a reserved plan's dedicated queue carries it and
+    // Submit blocks until `done` has run, so latency isolation holds for
+    // sync traffic too. Async: see PredictAsync.
+    bool wait = false;
+
+    std::string_view bytes() const { return wait ? input : owned; }
+  };
 
   Runtime(ObjectStore* store, const RuntimeOptions& options);
   // NO_THREAD_SAFETY_ANALYSIS: the destructor is single-threaded by
@@ -264,10 +292,15 @@ class Runtime {
   // callback fires once with no scores); an output span narrower than the
   // batch (InvalidArgument); then the deadline and lifecycle gates.
 
-  // Synchronous single prediction. Unreserved plans execute inline on the
-  // caller's thread; reserved plans ride their dedicated queue (as an
-  // async single this call waits for) so latency isolation holds for sync
-  // traffic too. The input bytes are borrowed for the call.
+  // The one body of every single: `request.done` runs exactly once per OK
+  // return — on this thread before Submit returns (a `wait` request, or an
+  // async one run inline), or on an executor — and never on an error
+  // return. Checks unknown plan (NotFound), a null `done`
+  // (InvalidArgument), then the deadline and lifecycle gates.
+  Status Submit(PlanId id, Request request);
+
+  // Synchronous single prediction: a `wait` Request whose completion hands
+  // this call its result. The input bytes are borrowed for the call.
   Result<float> Predict(PlanId id, std::string_view input,
                         int64_t deadline_ns = 0);
 
@@ -283,12 +316,13 @@ class Runtime {
                        size_t max_batch, std::span<float> out,
                        int64_t deadline_ns = 0);
 
-  // Asynchronous single prediction: an event on the plan's queue, eligible
-  // for coalescing with other queued singles of the same plan — or, when
-  // the plan's group is idle (see "Inline when idle" above), one quantum
-  // run right here. `callback` fires exactly once per OK return: from an
-  // executor thread, or from this thread before PredictAsync returns. It
-  // must not block, nor take a lock the caller holds across this call.
+  // Asynchronous single prediction, an owned-bytes Request: an event on the
+  // plan's queue, eligible for coalescing with other queued singles of the
+  // same plan — or, when the plan's group is idle (see "Inline when idle"
+  // above), one quantum run right here. `callback` fires exactly once per
+  // OK return: from an executor thread, or from this thread before
+  // PredictAsync returns. It must not block, nor take a lock the caller
+  // holds across this call.
   Status PredictAsync(PlanId id, std::string input, SingleCallback callback,
                       int64_t deadline_ns = 0);
 
@@ -297,10 +331,11 @@ class Runtime {
   // job's one cursor (unreserved plans; see "Caller-assisted batches"
   // above). Chunks write scores straight through the caller's
   // span (out.size() >= inputs.size()) and read the caller's strings in
-  // place — the caller blocks until completion, so both stay valid.
+  // place — the caller blocks until completion, so both stay valid. A
+  // non-null `exec_ns` receives the batch's service time once it completed.
   Status PredictBatch(PlanId id, const std::vector<std::string>& inputs,
                       size_t max_batch, std::span<float> out,
-                      int64_t deadline_ns = 0);
+                      int64_t deadline_ns = 0, int64_t* exec_ns = nullptr);
 
   // The span overload, returning the scores in input order.
   Result<std::vector<float>> PredictBatch(PlanId id,
@@ -339,17 +374,14 @@ class Runtime {
 
  private:
   struct BatchJob;
-  // One schedulable unit: a single prediction (job == nullptr), a BatchJob's
-  // queued ticket, or one chunk taken from it (records [begin, end)).
-  struct Event {
+  // One schedulable unit: a single prediction (its Request; job ==
+  // nullptr), a BatchJob's queued ticket, or one chunk taken from it
+  // (records [begin, end); chunks carry the job's deadline).
+  struct Event : Request {
     std::shared_ptr<BatchJob> job;
     size_t begin = 0;
     size_t end = 0;
-    std::string input;
-    SingleCallback done;
     int64_t enqueue_ns = 0;
-    // Absolute expiry (singles; chunks carry the job's). 0 = none.
-    int64_t deadline_ns = 0;
   };
   struct ExecGroup;
   struct PlanQueue;
@@ -369,35 +401,38 @@ class Runtime {
   // The batch sequence every batch entry point runs: plan lookup, then
   // `frame(job)` fills the job's record views (and an async batch's
   // callback) or refuses the request, then the checks in the order the
-  // entry-point comment above gives, and SubmitBatchJob (async: the job
-  // has a callback) or SubmitBatchJobAndWait (sync: scores into `out`).
+  // entry-point comment above gives, then the split into per-quantum
+  // chunks and the job's one ticket enqueued. An async job has its
+  // callback; a sync one (scores into `out`) has this caller take its
+  // chunks from the job's cursor (unreserved plans), block until the last
+  // completes, and report the service time into a non-null `exec_ns`.
   template <typename Frame>
   Status SubmitBatch(PlanId id, std::span<float> out, size_t max_batch,
-                     int64_t deadline_ns, Frame frame);
-  // Splits a prepared BatchJob into per-quantum chunks and enqueues its
-  // ticket.
-  Status SubmitBatchJob(PlanQueue* pq, std::shared_ptr<BatchJob> job,
-                        size_t max_batch);
-  // Submits a borrowed-input job, takes its chunks from the job's cursor on
-  // this thread (unreserved plans), and blocks until its callback fires.
-  Status SubmitBatchJobAndWait(PlanQueue* pq, std::shared_ptr<BatchJob> job,
-                               size_t max_batch);
+                     int64_t deadline_ns, Frame frame,
+                     int64_t* exec_ns = nullptr);
   // Accounting for one dispatch quantum, whoever runs it: `records` into
   // batch_records, the wait into queue_wait_us and the queue-delay EWMA. A
   // submitting thread running its own quantum (an inline async single, or a
   // chunk of its synchronous batch) passes 0 and counts a caller dispatch.
   static void AccountDispatch(PlanQueue* pq, size_t records, int64_t wait_ns);
   // One chunk, records [begin, end) of `job`: the between-quanta deadline
-  // check, the kernels, error attribution and the countdown whose last
-  // decrement fires the job callback. Executors and the job's caller share
-  // it.
+  // check, the kernels and their time into the job's service time, error
+  // attribution and the countdown whose last decrement fires the job
+  // callback. Executors and the job's caller share it.
   void RunChunk(PlanQueue* pq, BatchJob& job, size_t begin, size_t end,
                 int64_t enqueue_ns, ExecContext& ctx);
+  // Executes one single, counts a failure into `errors`, and runs its
+  // completion with the service time from `start_ns` to the end of
+  // ExecutePlan.
+  void RunSingle(PlanQueue* pq, Event& event, ExecContext& ctx,
+                 int64_t start_ns);
+  // Runs `work(ctx)` on a pooled caller context bound to the sub-plan cache
+  // of the group the calling thread bypasses: every plan work a submitting
+  // thread runs (a sync single, an inline async quantum, its own batch
+  // chunks) goes through here.
+  template <typename Work>
+  void OnCallerContext(PlanQueue* pq, Work work);
   void ExecutorLoop(ExecGroup* group, SubPlanCache* cache, VectorPool* pool);
-  // The inline-when-idle branch of PredictAsync: false (event untouched)
-  // unless the rule holds, else runs the event's quantum on this thread.
-  // The caller holds a lifecycle ref across the call.
-  bool TryRunInline(PlanQueue* pq, Event& event);
   PlanQueue* GetQueue(PlanId id) const EXCLUDES(registry_mu_);
 
   // The one enqueue protocol (cap check, stamping, publication, wakeups);

@@ -95,7 +95,7 @@ class CircuitBreaker {
   }
 
   // An admitted request ended without a shard-health verdict (backpressure,
-  // caller error, arrived-already-expired — RecordOutcome's neutral
+  // caller error, arrived-already-expired — FinishVersion's neutral
   // statuses). The outcome says nothing about the shard, but if the request
   // was holding a half-open probe token the token MUST come back: probes
   // that end verdictless would otherwise burn the whole quota, after which

@@ -25,11 +25,14 @@ constexpr double kCoolShareThreshold = 0.04;
 static_assert(kCoolShareThreshold < kHotShareThreshold);
 // Canary auto-rollback verdict. A canary failure EWMA at or above
 // kRollbackFailureEwma fires it. So does a slow share at or above
-// kCanarySlowShare: a canary request slower than kRollbackLatencyX times
-// the stable version's latency EWMA is slow, and the share is an EWMA over
-// that per-request indicator, like the failure verdict's. A sustained
-// regression trips it within a dozen requests; a few preempted requests do
-// not. The latency half is inert until the stable EWMA is nonzero.
+// kCanarySlowShare: a canary request whose service time (its exec_ns, the
+// Runtime's ExecutePlan time: no queue wait, no hand-off) exceeds
+// kRollbackLatencyX times the stable version's service-time EWMA is slow,
+// and the share is an EWMA over that per-request indicator, like the
+// failure verdict's. A sustained regression trips it within a dozen
+// requests; a few preempted requests do not, and neither does a starved
+// shard, whose queueing says nothing about the version. The service-time
+// half is inert until the stable EWMA is nonzero.
 constexpr double kRollbackFailureEwma = 0.5;
 constexpr double kRollbackLatencyX = 8.0;
 constexpr double kCanarySlowShare = 0.5;
@@ -49,9 +52,9 @@ void UpdateEwma(std::atomic<uint64_t>& bits, double sample) {
                              std::memory_order_relaxed);
 }
 
-// The shard-fault taxonomy, shared by the breaker's verdict (RecordOutcome)
-// and a version's (FinishVersion): a deadline that expired inside the shard
-// — its queues or execution burned the budget (kQueue / kExecution;
+// The shard-fault taxonomy, shared by the breaker's verdict and a
+// version's (both booked in FinishVersion): a deadline that expired inside
+// the shard — its queues or execution burned the budget (kQueue / kExecution;
 // untagged kUnspecified counts conservatively) — or an execution error.
 // Backpressure (ResourceExhausted), caller errors (NotFound /
 // InvalidArgument) and admission-time expiry (the request arrived already
@@ -419,17 +422,6 @@ Status ShardRouter::RollbackLocked(const std::string& name,
   return Status::OK();
 }
 
-void ShardRouter::TryAutoRollback(const std::string& name, uint64_t version) {
-  std::unique_lock<std::mutex> control(control_mu_, std::try_to_lock);
-  if (!control.owns_lock()) {
-    // Another lifecycle/control op is running. The kill switch has already
-    // stopped canary traffic; the MaintainReplication backstop (or the next
-    // sync request) completes the teardown.
-    return;
-  }
-  (void)RollbackLocked(name, version, /*auto_trigger=*/true);
-}
-
 void ShardRouter::ReclaimVersion(Version version) {
   // Chaos site: the swap commit stalls (slow store, straggling drain). The
   // armed latency lands HERE — on the control plane, after the new snapshot
@@ -458,29 +450,47 @@ void ShardRouter::ReclaimVersion(Version version) {
   }
 }
 
-bool ShardRouter::FinishVersion(const RouteDecision& decision,
-                                const Status& status, int64_t start_ns) {
-  const bool fault = IsShardFault(status);
+void ShardRouter::FinishVersion(const RouteDecision& decision,
+                                int64_t start_ns, const Status& status,
+                                int64_t exec_ns) {
+  ShardHealth& health = *health_[decision.shard];
   VersionStats& stats = *decision.stats;
+  const bool fault = IsShardFault(status);
+  const int64_t now_ns = NowNs();
   if (status.ok()) {
+    health.successes.fetch_add(1, std::memory_order_relaxed);
+    health.breaker.OnSuccess(now_ns / 1000);
     stats.successes.fetch_add(1, std::memory_order_relaxed);
   } else if (fault) {
+    (status.IsDeadlineExceeded() ? health.timeouts : health.errors)
+        .fetch_add(1, std::memory_order_relaxed);
+    health.breaker.OnFailure(now_ns / 1000);
     stats.faults.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // No verdict (IsShardFault). A verdictless outcome still owes the
+    // breaker its probe token back, or half-open wedges with every token
+    // burned and no verdict ever coming.
+    health.breaker.OnProbeAbandoned(now_ns / 1000);
   }
   if (status.ok() || fault) {
-    const double latency_us = static_cast<double>(NowNs() - start_ns) / 1000.0;
+    UpdateEwma(health.failure_ewma_bits, fault ? 1.0 : 0.0);
     UpdateEwma(stats.failure_ewma_bits, fault ? 1.0 : 0.0);
-    UpdateEwma(stats.latency_ewma_bits, latency_us);
+    UpdateEwma(stats.latency_ewma_bits,
+               static_cast<double>(now_ns - start_ns) / 1000.0);
+  }
+  // Only a request that executed has a service time to judge.
+  if (exec_ns > 0) {
+    const double service_us = static_cast<double>(exec_ns) / 1000.0;
+    UpdateEwma(stats.service_ewma_bits, service_us);
     if (decision.split != nullptr) {
       // Judged per request, so one preempted request moves the share by
-      // 1/16 instead of moving a latency mean by its full stall.
-      const double stable_us = LoadEwma(decision.baseline->latency_ewma_bits);
+      // 1/16 instead of moving a mean by its full stall.
+      const double stable_us = LoadEwma(decision.baseline->service_ewma_bits);
       const bool slow =
-          stable_us > 0.0 && latency_us > stable_us * kRollbackLatencyX;
+          stable_us > 0.0 && service_us > stable_us * kRollbackLatencyX;
       UpdateEwma(stats.slow_ewma_bits, slow ? 1.0 : 0.0);
     }
   }
-  bool want_rollback = false;
   if (decision.split != nullptr && options_.rollout.auto_rollback) {
     // Verdict is evaluated INSIDE the gate: the rollout (and these stats)
     // cannot be reclaimed until we exit. A canary has one replica, so its
@@ -496,54 +506,14 @@ bool ShardRouter::FinishVersion(const RouteDecision& decision,
         // Kill switch first — lock-free, stops canary traffic NOW; the
         // heavyweight teardown follows outside the gate.
         decision.split->Publish(0, decision.version);
-        want_rollback = true;
       }
     }
   }
   decision.gate->Exit();
-  return want_rollback;
 }
 
 // ---------------------------------------------------------------------------
-// Health, breaker gate, and failover.
-
-void ShardRouter::RecordOutcome(size_t shard, const Status& status) {
-  ShardHealth& health = *health_[shard];
-  const bool fault = IsShardFault(status);
-  if (status.ok()) {
-    health.successes.fetch_add(1, std::memory_order_relaxed);
-  } else if (fault) {
-    (status.IsDeadlineExceeded() ? health.timeouts : health.errors)
-        .fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // No verdict (IsShardFault). A verdictless outcome still owes the
-    // breaker its probe token back, or half-open wedges with every token
-    // burned and no verdict ever coming.
-    health.breaker.OnProbeAbandoned(NowNs() / 1000);
-    return;
-  }
-  UpdateEwma(health.failure_ewma_bits, fault ? 1.0 : 0.0);
-  const int64_t now_us = NowNs() / 1000;
-  if (fault) {
-    health.breaker.OnFailure(now_us);
-  } else {
-    health.breaker.OnSuccess(now_us);
-  }
-}
-
-Status ShardRouter::InjectedShardFault(size_t shard) {
-  // Chaos site: the owning shard has gone unresponsive — the request burns
-  // the armed latency, then fails as a shard fault so the breaker sees it.
-  if (PRETZEL_FAULT_POINT("serving.shard_unresponsive",
-                          static_cast<int64_t>(shard))) {
-    SleepUs(fault::LatencyUs("serving.shard_unresponsive"));
-    Status down = Status::Error("shard " + std::to_string(shard) +
-                                " unresponsive (fault-injected)");
-    RecordOutcome(shard, down);
-    return down;
-  }
-  return Status::OK();
-}
+// Failover.
 
 Result<ShardPlacement> ShardRouter::Failover(const std::string& name,
                                              size_t from) {
@@ -779,7 +749,7 @@ MaintenanceReport ShardRouter::MaintainReplication() {
     for (auto& [name, st] : plans_) {
       // Lifecycle backstop: a canary whose kill switch fired on a thread
       // that could not run the blocking teardown (async completions book
-      // outcomes on executor threads, and TryAutoRollback yields when the
+      // outcomes on executor threads, and a sync request yields when the
       // control plane is busy) is finished below.
       if (st.canary_killed()) {
         killed.push_back(name);
@@ -993,6 +963,7 @@ Result<PlanVersionInfo> ShardRouter::VersionInfo(
   info.active_version = st.active.number;
   info.next_version = st.next_version;
   info.stable_latency_ewma_us = LoadEwma(active.stats.latency_ewma_bits);
+  info.stable_service_ewma_us = LoadEwma(active.stats.service_ewma_bits);
   info.stable_inflight = active.gate.inflight();
   if (st.canary.has_value()) {
     const VersionHandles& canary = *st.canary->handles;
@@ -1007,6 +978,7 @@ Result<PlanVersionInfo> ShardRouter::VersionInfo(
     info.canary_faults = canary.stats.faults.load(std::memory_order_relaxed);
     info.canary_failure_ewma = LoadEwma(canary.stats.failure_ewma_bits);
     info.canary_latency_ewma_us = LoadEwma(canary.stats.latency_ewma_bits);
+    info.canary_service_ewma_us = LoadEwma(canary.stats.service_ewma_bits);
   }
   return info;
 }
@@ -1036,35 +1008,69 @@ std::vector<ShardPlacement> ShardRouter::Replicas(
   return replicas;
 }
 
-// A sync caller may run the auto-rollback teardown itself: it is on no
-// executor and in no completion.
-template <typename T, typename Call>
-Result<T> ShardRouter::Serve(const std::string& name, Call call) {
+template <typename Submit>
+Status ShardRouter::Serve(const std::string& name, bool sync, Submit submit) {
   Result<RouteDecision> route = Route(name);
   if (!route.ok()) {
     return route.status();
   }
   const RouteDecision decision = *route;
   const int64_t start_ns = NowNs();
-  Status fault = InjectedShardFault(decision.shard);
-  Result<T> result =
-      fault.ok() ? call(*shards_[decision.shard]->runtime, decision.plan_id)
-                 : Result<T>(fault);
-  if (fault.ok()) {
-    RecordOutcome(decision.shard, result.status());
+  // The request's completion in this layer: books its outcome and exits
+  // its version gate, once. `this` outlives an async completion because
+  // shards_ (joined first, reverse declaration order) drains its executors
+  // before health_ and the lifecycle pool go away.
+  const auto finish = std::bind_front(&ShardRouter::FinishVersion, this,
+                                      decision, start_ns);
+  Status status;
+  // Chaos site: the owning shard has gone unresponsive — the request burns
+  // the armed latency, then fails as a shard fault so the breaker sees it.
+  if (PRETZEL_FAULT_POINT("serving.shard_unresponsive",
+                          static_cast<int64_t>(decision.shard))) {
+    SleepUs(fault::LatencyUs("serving.shard_unresponsive"));
+    status = Status::Error("shard " + std::to_string(decision.shard) +
+                           " unresponsive (fault-injected)");
+  } else {
+    status = submit(*shards_[decision.shard]->runtime, decision.plan_id,
+                    finish);
   }
-  if (FinishVersion(decision, result.status(), start_ns)) {
-    TryAutoRollback(name, decision.version);
+  if (!status.ok()) {
+    finish(status, 0);  // Refused before its completion could run.
   }
-  return result;
+  // A sync canary request whose kill switch has fired finishes the
+  // teardown when the control plane is free. An async completion must not:
+  // it runs on an executor, or inside the plan's lifecycle ref on this
+  // thread, where Runtime::Retire must never run. The kill switch already
+  // stopped canary traffic; a busy control plane, or an async kill, leaves
+  // the teardown to the next sync request, Promote or the maintenance
+  // backstop.
+  if (sync && decision.split != nullptr &&
+      decision.split->Load().fraction_bp == 0) {
+    std::unique_lock<std::mutex> control(control_mu_, std::try_to_lock);
+    if (control.owns_lock()) {
+      (void)RollbackLocked(name, decision.version, /*auto_trigger=*/true);
+    }
+  }
+  return status;
 }
 
 Result<float> ShardRouter::Predict(const std::string& name,
                                    std::string_view input,
                                    int64_t deadline_ns) {
-  return Serve<float>(name, [&](Runtime& runtime, Runtime::PlanId id) {
-    return runtime.Predict(id, input, deadline_ns);
-  });
+  Result<float> result = Status::Error("pending");
+  Status status = Serve(
+      name, /*sync=*/true,
+      [&](Runtime& runtime, Runtime::PlanId id, const auto& finish) {
+        return runtime.Submit(
+            id, {.input = input,
+                 .deadline_ns = deadline_ns,
+                 .done = [&](Result<float> r, int64_t exec_ns) {
+                   finish(r.status(), exec_ns);
+                   result = std::move(r);
+                 },
+                 .wait = true});
+      });
+  return status.ok() ? result : status;
 }
 
 Result<float> ShardRouter::PredictBinary(const std::string& name,
@@ -1074,52 +1080,43 @@ Result<float> ShardRouter::PredictBinary(const std::string& name,
 }
 
 Status ShardRouter::PredictAsync(const std::string& name, std::string input,
-                                 Runtime::SingleCallback callback,
+                                 std::function<void(Result<float>)> callback,
                                  int64_t deadline_ns) {
-  Result<RouteDecision> route = Route(name);
-  if (!route.ok()) {
-    return route.status();
-  }
-  const RouteDecision decision = *route;
-  const int64_t start_ns = NowNs();
-  if (Status fault = InjectedShardFault(decision.shard); !fault.ok()) {
-    FinishVersion(decision, fault, start_ns);
-    return fault;
-  }
-  // Outcome books from the completion, not the submit: `this` outlives the
-  // callback because shards_ (joined first, reverse declaration order)
-  // drains its executors before health_ and the lifecycle pool go away.
-  // The completion runs on an executor thread, or on this thread before
-  // PredictAsync returns when the shard runs it inline, inside the plan's
-  // lifecycle ref either way. So FinishVersion's rollback verdict is NOT
-  // acted on here — the kill switch it fires stops canary traffic, and a
-  // sync caller or the maintenance backstop finishes the teardown
-  // (Runtime::Retire must never run on an executor or in a completion).
-  Status status = shards_[decision.shard]->runtime->PredictAsync(
-      decision.plan_id, std::move(input),
-      [this, decision, start_ns,
-       done = std::move(callback)](Result<float> result) mutable {
-        RecordOutcome(decision.shard, result.status());
-        FinishVersion(decision, result.status(), start_ns);
-        done(std::move(result));
-      },
-      deadline_ns);
-  if (!status.ok()) {
-    // Admission failed synchronously: the callback never fires, so the
-    // gate exits here, exactly once.
-    RecordOutcome(decision.shard, status);
-    FinishVersion(decision, status, start_ns);
-  }
-  return status;
+  return Serve(
+      name, /*sync=*/false,
+      [&](Runtime& runtime, Runtime::PlanId id, const auto& finish) {
+        return runtime.Submit(
+            id, {.owned = std::move(input),
+                 .deadline_ns = deadline_ns,
+                 .done = [finish, done = std::move(callback)](
+                             Result<float> r, int64_t exec_ns) mutable {
+                   finish(r.status(), exec_ns);
+                   done(std::move(r));
+                 }});
+      });
 }
 
 Result<std::vector<float>> ShardRouter::PredictBatch(
     const std::string& name, const std::vector<std::string>& inputs,
     size_t max_batch, int64_t deadline_ns) {
-  return Serve<std::vector<float>>(
-      name, [&](Runtime& runtime, Runtime::PlanId id) {
-        return runtime.PredictBatch(id, inputs, max_batch, deadline_ns);
+  std::vector<float> scores(inputs.size(), 0.0f);
+  Status status = Serve(
+      name, /*sync=*/true,
+      [&](Runtime& runtime, Runtime::PlanId id, const auto& finish) {
+        // A sync batch has completed when PredictBatch returns; Serve books
+        // an error return, with no service time.
+        int64_t exec_ns = 0;
+        Status batch = runtime.PredictBatch(id, inputs, max_batch, scores,
+                                            deadline_ns, &exec_ns);
+        if (batch.ok()) {
+          finish(batch, exec_ns);
+        }
+        return batch;
       });
+  if (!status.ok()) {
+    return status;
+  }
+  return scores;
 }
 
 ShardedMetrics ShardRouter::GetMetrics() const {

@@ -40,10 +40,12 @@
 // blob — the swap costs O(changed params) bytes, not O(model). The new
 // version starts as a CANARY taking a deterministic hash-fraction of the
 // plan's traffic (exact in the count domain, like the fault layer's
-// probabilities), watched by per-version failure/latency EWMAs; a degraded
-// canary flips its CanarySplit kill switch from the data path and rolls
-// back, a healthy one is Promote()d. Retiring the losing version is
-// epoch-ordered: publish a table that no longer routes to it (RCU grace),
+// probabilities), watched by per-version failure and service-time EWMAs
+// fed from each request's one completion (the Runtime reports its
+// ExecutePlan time, so a queued request and an inline one weigh the same);
+// a degraded canary flips its CanarySplit kill switch from the data path
+// and rolls back, a healthy one is Promote()d. Retiring the losing version
+// is epoch-ordered: publish a table that no longer routes to it (RCU grace),
 // close its VersionGate and wait out the stragglers that routed before the
 // swap, drain its Runtime registrations (Runtime::Retire), then Release its
 // ObjectStore pins and Sweep — resident bytes return to the pre-deploy
@@ -134,7 +136,8 @@ struct RolloutOptions {
   // false disables the controller: rollouts end only by explicit
   // Promote()/Rollback() calls. Its verdict (shard_router.cc) fires at a
   // canary failure EWMA of 0.5, or once half of the canary's recent
-  // requests each took over 8x the stable version's latency EWMA.
+  // requests each took over 8x the stable version's service-time EWMA
+  // (ExecutePlan time, queue wait excluded).
   bool auto_rollback = true;
 };
 
@@ -267,8 +270,12 @@ struct PlanVersionInfo {
   uint64_t canary_routed = 0;
   uint64_t canary_faults = 0;
   double canary_failure_ewma = 0.0;
+  // End-to-end latency EWMAs (routing to completion, queue wait included)
+  // and service-time EWMAs (the Runtime's exec_ns, which the verdict reads).
   double canary_latency_ewma_us = 0.0;
   double stable_latency_ewma_us = 0.0;
+  double canary_service_ewma_us = 0.0;
+  double stable_service_ewma_us = 0.0;
   int64_t stable_inflight = 0;  // Requests currently inside the version gate.
 };
 
@@ -307,7 +314,7 @@ class ShardRouter {
                               std::span<const uint8_t> record,
                               int64_t deadline_ns = 0);
   Status PredictAsync(const std::string& name, std::string input,
-                      Runtime::SingleCallback callback,
+                      std::function<void(Result<float>)> callback,
                       int64_t deadline_ns = 0);
   Result<std::vector<float>> PredictBatch(const std::string& name,
                                           const std::vector<std::string>& inputs,
@@ -416,7 +423,8 @@ class ShardRouter {
     std::atomic<uint64_t> faults{0};  // Errors + shard-attributed timeouts.
     // EWMAs, alpha = 1/16, stored as double bits advanced by CAS.
     std::atomic<uint64_t> failure_ewma_bits{0};
-    std::atomic<uint64_t> latency_ewma_bits{0};
+    std::atomic<uint64_t> latency_ewma_bits{0};  // End to end.
+    std::atomic<uint64_t> service_ewma_bits{0};  // exec_ns.
     // Canary versions only: the share of slow requests (see
     // kRollbackLatencyX in shard_router.cc).
     std::atomic<uint64_t> slow_ewma_bits{0};
@@ -534,27 +542,22 @@ class ShardRouter {
   // Empty when every replica's breaker refuses or the gate is closed.
   std::optional<RouteDecision> Admit(const VersionRouting& version,
                                      int64_t now_us);
-  // The body of the synchronous entry points (Predict, PredictBatch):
-  // Route, the injected shard fault, `call(runtime, plan_id)` on the chosen
-  // shard, RecordOutcome, FinishVersion, and TryAutoRollback when the
-  // verdict asks. PredictAsync keeps its own body: its outcome books from
-  // the completion, where the teardown must not run.
-  template <typename T, typename Call>
-  Result<T> Serve(const std::string& name, Call call);
-  // Books a finished request's outcome into the owning shard's health.
-  void RecordOutcome(size_t shard, const Status& status);
-  // Books the outcome into the decision's per-version stats, evaluates the
-  // canary auto-rollback verdict (firing the kill switch while still inside
-  // the gate), and exits the gate. Returns true when the caller should
-  // complete the rollback via TryAutoRollback — callers on executor threads
-  // (async completions) must NOT: Runtime::Retire blocks there, so they
-  // leave completion to a sync caller or the next maintenance scan.
-  bool FinishVersion(const RouteDecision& decision, const Status& status,
-                     int64_t start_ns);
-  // Completes a kill-switched rollback if the control plane is free; a held
-  // control_mu_ means another lifecycle op is already running and the
-  // backstop in MaintainReplication will finish the job.
-  void TryAutoRollback(const std::string& name, uint64_t version);
+  // The one body of every predict entry point: Route, the injected shard
+  // fault (chaos builds), then `submit(runtime, plan_id, finish)` hands the
+  // request to the chosen shard. `finish(status, exec_ns)` is the request's
+  // completion (FinishVersion), run once from the Runtime's completion; a
+  // request refused before it (an error return) is booked here instead. A
+  // `sync` request that went to a killed canary then finishes the rollback
+  // if the control plane is free.
+  template <typename Submit>
+  Status Serve(const std::string& name, bool sync, Submit submit);
+  // Books a finished request's outcome into the shard's health (breaker
+  // verdict) and the decision's per-version stats — end-to-end latency
+  // since `start_ns`, and the service time `exec_ns` (0 = never executed)
+  // the verdict reads — evaluates the canary auto-rollback verdict (firing
+  // the kill switch while still inside the gate), and exits the gate.
+  void FinishVersion(const RouteDecision& decision, int64_t start_ns,
+                     const Status& status, int64_t exec_ns);
   // Rollback body. REQUIRES control_mu_. expect_version 0 matches any.
   Status RollbackLocked(const std::string& name, uint64_t expect_version,
                         bool auto_trigger);
@@ -564,9 +567,6 @@ class ShardRouter {
   // version's ObjectStore pins, and sweeps the affected segments. REQUIRES
   // control_mu_; must not hold mu_.
   void ReclaimVersion(Version version);
-  // Injected shard-unresponsive fault (chaos builds only): stalls, books a
-  // failure, and yields the error the caller should return.
-  Status InjectedShardFault(size_t shard);
   // Moves `name`'s primary off tripped shard `from`: re-activates a
   // materialized replica on a healthy shard if one exists, else re-compiles
   // through the normal Place path. Serialized by control_mu_.

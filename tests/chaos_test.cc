@@ -1,7 +1,8 @@
 // Chaos suite: every fault-injection site in src/ armed deterministically,
 // with the serving invariants asserted under fire — exactly-once completion,
 // bounded in-flight, and recovery to baseline once the fault clears. Built
-// only under -DPRETZEL_FAULT_INJECT=ON (CI runs it under ASan and TSan);
+// only under -DPRETZEL_FAULT_INJECT=ON (CI runs it in Release, and under
+// ASan and TSan);
 // tools/lint_invariants.py enforces that every site named in src/ appears
 // here. Sites covered:
 //   runtime.pool_exhausted     — vector-pool acquires take the miss path
@@ -15,7 +16,8 @@
 //   oven.compile_fail          — a versioned deploy's compile blows up
 //   store.swap_stall           — version reclamation stalls before draining
 // and, with no fault armed, exactly-once completion through a plan's event
-// queue while its executors are held.
+// queue while its executors are held, and a same-spec canary whose requests
+// queue behind a held executor surviving to Promote.
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -187,7 +189,7 @@ void TestHeldQueueExactlyOnce() {
       const size_t m = models[i];
       const float expect = baseline[m];
       auto status = h.runtime->PredictAsync(
-          h.ids[m], input, [&, i, expect](Result<float> r) {
+          h.ids[m], input, [&, i, expect](Result<float> r, int64_t) {
             CHECK(r.ok());
             CHECK_NEAR(*r, expect, 1e-6);
             completions[i].fetch_add(1);
@@ -291,7 +293,7 @@ void TestExecutorStallBoundedInFlight() {
   size_t max_observed_depth = 0;
   for (size_t i = 0; i < kFlood; ++i) {
     auto status = h.runtime->PredictAsync(
-        h.ids[0], input, [&, i](Result<float> r) {
+        h.ids[0], input, [&, i](Result<float> r, int64_t) {
           CHECK(r.ok());
           completions[i].fetch_add(1);
           waiter.Signal();
@@ -342,8 +344,10 @@ void TestExecutorStallUnderSyncBatches() {
   ropts.max_queued_events_per_plan = 16;
   Harness h(2, 1, ropts);
   const Runtime::PlanId id = h.ids[0];
-  // Long records, so a chunk outlasts an executor's wake-up and the
-  // executors win (and stall on) some chunks.
+  // Long records, and below a per-record ops.slow_kernel stall, so a chunk
+  // outlasts an executor's wake-up and the executors win (and stall on)
+  // some chunks in every build: without it, a Release build's callers
+  // often took every chunk first.
   Rng rng(0x5B);
   std::vector<std::string> inputs(8);
   for (std::string& input : inputs) {
@@ -362,6 +366,9 @@ void TestExecutorStallUnderSyncBatches() {
   stall.latency_us = 1'000;
   stall.budget = 48;
   fault::Arm("runtime.executor_stall", stall);
+  fault::Spec slow;
+  slow.latency_us = 200;
+  fault::Arm("ops.slow_kernel", slow);
 
   constexpr int kCallers = 3;
   constexpr int kBatches = 20;
@@ -999,6 +1006,67 @@ void TestCanaryOutlierNotKilled() {
   CHECK_EQ(router.GetMetrics().auto_rollbacks, uint64_t{0});
 }
 
+// A same-spec canary whose every request waits out a held executor: the
+// stable version's requests run inline (sync), the canary's queue behind
+// an ExecutorHold for about 1 ms. End to end the canary reads far slower
+// than 8x the stable version, yet its service time does not, and the
+// verdict judges service time: the canary survives, and Promote succeeds.
+void TestQueuedCanaryNotKilled() {
+  fault::DisarmAll();
+  const ShardRouterOptions sopts = CanaryRouterOptions();
+  ShardRouter router(sopts);
+  auto sa = SmallSa(2);
+  for (const auto& spec : sa.pipelines()) {
+    CHECK(router.Place(spec).ok());
+  }
+  const PipelineSpec& target = sa.pipelines()[0];
+  const Runtime::PlanId other =
+      router.Placement(sa.pipelines()[1].name)->plan_id;
+  Runtime& runtime = *router.runtime(0);
+  Rng rng(67);
+  const std::string input = sa.SampleInput(rng);
+  DeploySameSpecCanary(router, target, input);
+  // The router's request count for the plan since Place: the warm-up's 64.
+  uint64_t seq = 64;
+  uint64_t canary_requests = 0;
+  while (canary_requests < 2 * sopts.rollout.min_canary_requests) {
+    if (!CanarySplit::InCanary(seq++, sopts.rollout.canary_fraction_bp)) {
+      CHECK(router.Predict(target.name, input).ok());
+      continue;
+    }
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    {
+      ExecutorHold hold(runtime, {other});
+      CHECK(router
+                .PredictAsync(target.name, input,
+                              [&](Result<float> r) {
+                                CHECK(r.ok());
+                                std::lock_guard<std::mutex> lock(mu);
+                                done = true;
+                                cv.notify_one();
+                              })
+                .ok());
+      SleepUs(1'000);
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done; });
+    ++canary_requests;
+  }
+  const PlanVersionInfo info = *router.VersionInfo(target.name);
+  std::printf(
+      "queued canary: end to end %.1f vs %.1f us, service %.1f vs %.1f us\n",
+      info.canary_latency_ewma_us, info.stable_latency_ewma_us,
+      info.canary_service_ewma_us, info.stable_service_ewma_us);
+  CHECK_EQ(info.canary_routed, canary_requests);
+  CHECK(info.canary_latency_ewma_us > 8 * info.stable_latency_ewma_us);
+  CHECK(info.canary_service_ewma_us < 8 * info.stable_service_ewma_us);
+  const Status promoted = router.Promote(target.name);
+  CHECK_MSG(promoted.ok(), "%s", promoted.ToString().c_str());
+  CHECK_EQ(router.GetMetrics().auto_rollbacks, uint64_t{0});
+}
+
 // store.swap_stall: version reclamation stalls at the head of the epoch
 // sweep. The stall must be CONTROL-PLANE ONLY — Promote blocks, but the
 // data path keeps serving the already-published new version the whole time
@@ -1086,6 +1154,8 @@ int main() {
   std::printf("TestMaintenanceFinishesKilledCanary: PASS\n");
   TestCanaryOutlierNotKilled();
   std::printf("TestCanaryOutlierNotKilled: PASS\n");
+  TestQueuedCanaryNotKilled();
+  std::printf("TestQueuedCanaryNotKilled: PASS\n");
   TestSwapStallServesThrough();
   std::printf("TestSwapStallServesThrough: PASS\n");
   return 0;

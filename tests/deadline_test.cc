@@ -78,7 +78,8 @@ void TestExpiredAtAdmission() {
   // Async single: rejected synchronously, the callback never runs.
   std::atomic<int> fired{0};
   Status submitted = h.runtime->PredictAsync(
-      h.ids[0], input, [&](Result<float>) { fired.fetch_add(1); }, past);
+      h.ids[0], input, [&](Result<float>, int64_t) { fired.fetch_add(1); },
+      past);
   CHECK(!submitted.ok());
   CHECK(submitted.IsDeadlineExceeded());
 
@@ -140,7 +141,7 @@ void TestSinglesExpireAtDispatch() {
   for (int i = 0; i < kDoomed; ++i) {
     Status st = h.runtime->PredictAsync(
         h.ids[1], input,
-        [&](Result<float> r) {
+        [&](Result<float> r, int64_t) {
           std::lock_guard<std::mutex> lock(mu);
           ++completed;
           if (!r.ok() && r.status().IsDeadlineExceeded()) {
@@ -281,7 +282,7 @@ void TestDoomedByEstimateShedsEarly() {
   for (int i = 0; i < 4; ++i) {
     Status st = h.runtime->PredictAsync(
         h.ids[1], input,
-        [&](Result<float>) {
+        [&](Result<float>, int64_t) {
           std::lock_guard<std::mutex> lock(mu);
           ++completed;
           cv.notify_one();
@@ -308,7 +309,7 @@ void TestDoomedByEstimateShedsEarly() {
     bool idle_done = false;
     Status idle = h.runtime->PredictAsync(
         h.ids[1], input,
-        [&](Result<float> r) {
+        [&](Result<float> r, int64_t) {
           CHECK(r.ok());
           std::lock_guard<std::mutex> lock(m2);
           idle_done = true;
@@ -329,7 +330,7 @@ void TestDoomedByEstimateShedsEarly() {
   CHECK(h.runtime
             ->PredictAsync(
                 h.ids[1], input,
-                [&](Result<float>) {
+                [&](Result<float>, int64_t) {
                   std::lock_guard<std::mutex> lock(m3);
                   ++drained;
                   cv3.notify_one();
@@ -338,7 +339,8 @@ void TestDoomedByEstimateShedsEarly() {
             .ok());
   Status shed;
   for (int i = 0; i < 3 && !shed.IsResourceExhausted(); ++i) {
-    shed = h.runtime->PredictAsync(h.ids[1], input, [](Result<float>) {},
+    shed = h.runtime->PredictAsync(h.ids[1], input,
+                                   [](Result<float>, int64_t) {},
                                    NowNs() + kMs);
   }
   CHECK(shed.IsResourceExhausted());

@@ -757,7 +757,7 @@ void TestBinaryRequestsThroughBackends() {
     ExecutorHold hold(*shard, {where->plan_id});
     CHECK(shard
               ->PredictAsync(where->plan_id, binary,
-                             [&queued_done](Result<float> r) {
+                             [&queued_done](Result<float> r, int64_t) {
                                CHECK(r.ok());
                                queued_done.store(true);
                              })
@@ -898,7 +898,7 @@ void TestRetryResendsAdmittedBytes() {
     ExecutorHold hold(*shard, {where->plan_id});
     CHECK(shard
               ->PredictAsync(where->plan_id, input,
-                             [&queued_done](Result<float> r) {
+                             [&queued_done](Result<float> r, int64_t) {
                                CHECK(r.ok());
                                queued_done.store(true);
                              })

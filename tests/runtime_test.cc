@@ -1,7 +1,9 @@
 // Runtime: registration (and what it allocates), inline predict, batch
 // fan-out ordering, async completion, error propagation, reservations, the
-// inline-when-idle rule for async singles, caller-assisted synchronous
-// batches, the batch check order, coalescing around a queued chunk, metric
+// inline-when-idle rule for async singles, the service time (exec_ns)
+// every single's completion and every sync batch reports, caller-assisted
+// synchronous batches, the batch check order, coalescing around a queued
+// chunk, metric
 // histograms that count every dispatch across Retire, and bit-exact dense
 // scores on every batch path.
 #include "src/runtime/runtime.h"
@@ -109,7 +111,7 @@ bool SubmitRanInline(Runtime& runtime, Runtime::PlanId id,
   Completion c;
   CHECK(runtime
             .PredictAsync(id, input,
-                          [&c](Result<float> r) { c.Fire(r.ok()); })
+                          [&c](Result<float> r, int64_t) { c.Fire(r.ok()); })
             .ok());
   bool inline_done;
   {
@@ -152,7 +154,7 @@ void TestIdleGroupRunsInline() {
     float score = -1.0f;
     CHECK(h.runtime
               ->PredictAsync(id, h.input,
-                             [&](Result<float> r) {
+                             [&](Result<float> r, int64_t) {
                                score = r.ok() ? *r : -1.0f;
                                c.Fire(r.ok());
                              })
@@ -195,7 +197,9 @@ void TestBusyGroupEnqueuesAndCoalesces() {
       Completion* c = done.back().get();
       CHECK(h.runtime
                 ->PredictAsync(id, h.input,
-                               [c](Result<float> r) { c->Fire(r.ok()); })
+                               [c](Result<float> r, int64_t) {
+                                 c->Fire(r.ok());
+                               })
                 .ok());
     }
     CHECK_EQ(h.Metrics(id).queue_depth, static_cast<size_t>(kSingles));
@@ -259,6 +263,119 @@ void TestSlowPlanEnqueues() {
   CHECK_EQ(h.Metrics(id).caller_dispatches, caller_before);
 }
 
+// exec_ns reaches the completion on every path that runs a single (sync
+// inline, reserved sync, async inline, async queued) and through a
+// caller-assisted sync batch. A queued single's exec_ns excludes its wait:
+// it reads under a tenth of the hold its end-to-end time includes.
+void TestExecNsOnEveryPath() {
+  struct Seen {
+    std::atomic<bool> done{false};
+    std::atomic<int64_t> exec_ns{0};
+    std::atomic<int64_t> done_ns{0};
+    std::thread::id thread;
+  };
+  const auto single = [](Seen& seen) {
+    return [&seen](Result<float> r, int64_t exec_ns) {
+      CHECK(r.ok());
+      seen.thread = std::this_thread::get_id();
+      seen.exec_ns.store(exec_ns);
+      seen.done_ns.store(NowNs());
+      seen.done.store(true);
+    };
+  };
+  const auto await = [](Seen& seen) {
+    while (!seen.done.load()) {
+      std::this_thread::yield();
+    }
+  };
+  Harness h(/*executors=*/1, /*pipelines=*/2, /*reserve_first=*/true);
+  const Runtime::PlanId reserved = h.ids[0];
+  const Runtime::PlanId id = h.ids[1];
+  const std::thread::id caller = std::this_thread::get_id();
+  {  // Sync inline: done on this thread before Submit returns.
+    Seen seen;
+    CHECK(h.runtime
+              ->Submit(id, {.input = h.input, .done = single(seen),
+                            .wait = true})
+              .ok());
+    CHECK(seen.done.load() && seen.thread == caller);
+    CHECK(seen.exec_ns.load() > 0);
+  }
+  {  // Reserved sync: a dedicated executor runs it; Submit waits.
+    Seen seen;
+    CHECK(h.runtime
+              ->Submit(reserved, {.input = h.input, .done = single(seen),
+                                  .wait = true})
+              .ok());
+    CHECK(seen.done.load() && seen.thread != caller);
+    CHECK(seen.exec_ns.load() > 0);
+  }
+  {  // Async inline.
+    AwaitIdleGroup(*h.runtime, id, h.input);
+    Seen seen;
+    for (int attempt = 0; attempt < 2000 && seen.thread != caller;
+         ++attempt) {
+      seen.done.store(false);
+      CHECK(h.runtime->PredictAsync(id, h.input, single(seen)).ok());
+      await(seen);
+      SleepUs(seen.thread == caller ? 0 : 1000);
+    }
+    CHECK(seen.thread == caller);
+    CHECK(seen.exec_ns.load() > 0);
+  }
+  {  // Async queued behind a held executor.
+    constexpr int64_t kHoldNs = 5'000'000;
+    Seen seen;
+    int64_t submit_ns = 0;
+    {
+      ExecutorHold hold(*h.runtime, {h.ids[1]});
+      submit_ns = NowNs();
+      CHECK(h.runtime->PredictAsync(id, h.input, single(seen)).ok());
+      SleepUs(kHoldNs / 1000);
+      CHECK(!seen.done.load());
+    }
+    await(seen);
+    std::printf("queued single: exec %lld ns, end to end %lld ns\n",
+                static_cast<long long>(seen.exec_ns.load()),
+                static_cast<long long>(seen.done_ns.load() - submit_ns));
+    CHECK(seen.thread != caller);
+    CHECK(seen.exec_ns.load() > 0 && seen.exec_ns.load() < kHoldNs / 10);
+    CHECK(seen.done_ns.load() - submit_ns >= kHoldNs);
+  }
+  {  // Caller-assisted sync batch: with the executor held, this thread takes
+     // every chunk, and exec_ns sums their kernel time.
+    const std::vector<std::string> inputs(8, h.input);
+    std::vector<float> out(inputs.size());
+    const uint64_t caller_before = h.Metrics(id).caller_dispatches;
+    int64_t exec_ns = 0;
+    {
+      ExecutorHold hold(*h.runtime, {h.ids[1]});
+      const int64_t start_ns = NowNs();
+      CHECK(h.runtime
+                ->PredictBatch(id, inputs, /*max_batch=*/2, out, 0, &exec_ns)
+                .ok());
+      CHECK(exec_ns > 0 && exec_ns <= NowNs() - start_ns);
+    }
+    CHECK_EQ(h.Metrics(id).caller_dispatches, caller_before + 4);
+  }
+#if defined(PRETZEL_FAULT_INJECT)
+  {  // An executor stall is part of the stalled single's service time.
+    fault::DisarmAll();
+    fault::Spec stall;
+    stall.latency_us = 2'000;
+    stall.budget = 1;
+    stall.arg = static_cast<int64_t>(id);
+    fault::Arm("runtime.executor_stall", stall);
+    Seen seen;
+    CHECK(h.runtime->PredictAsync(id, h.input, single(seen)).ok());
+    await(seen);
+    CHECK_EQ(fault::Fires("runtime.executor_stall"), uint64_t{1});
+    fault::DisarmAll();
+    CHECK(seen.exec_ns.load() >= 2'000'000);
+  }
+#endif
+}
+
 // A callback that resubmits to its own plan: the resubmission comes from a
 // thread already doing runtime work, so it enqueues instead of nesting — a
 // 100,000-long chain completes on a flat stack.
@@ -273,7 +390,7 @@ void TestResubmittingCallbackDoesNotRecurse() {
   std::atomic<uintptr_t> sp_lo{UINTPTR_MAX};
   std::atomic<uintptr_t> sp_hi{0};
   const std::thread::id caller = std::this_thread::get_id();
-  std::function<void(Result<float>)> step = [&](Result<float> r) {
+  Runtime::SingleCallback step = [&](Result<float> r, int64_t) {
     CHECK(r.ok());
     int local = 0;
     const auto sp = reinterpret_cast<uintptr_t>(&local);
@@ -312,7 +429,7 @@ bool RetireWaitsForQuantum(Harness& h, Runtime::PlanId id) {
     const std::thread::id self = std::this_thread::get_id();
     CHECK(h.runtime
               ->PredictAsync(id, h.input,
-                             [&](Result<float> r) {
+                             [&](Result<float> r, int64_t) {
                                CHECK(r.ok());
                                ran_inline.store(std::this_thread::get_id() ==
                                                 self);
@@ -333,7 +450,8 @@ bool RetireWaitsForQuantum(Harness& h, Runtime::PlanId id) {
   CHECK(exited.load());
   submitter.join();
   CHECK(h.Metrics(id).retired);
-  Status refused = h.runtime->PredictAsync(id, h.input, [](Result<float>) {});
+  Status refused =
+      h.runtime->PredictAsync(id, h.input, [](Result<float>, int64_t) {});
   CHECK(refused.code() == StatusCode::kNotFound);
   return ran_inline.load();
 }
@@ -828,7 +946,7 @@ void TestChunkAtCursorWaitsForNextQuantum() {
     const std::string name = "s" + std::to_string(singles.size());
     CHECK(h.runtime
               ->PredictAsync(p, h.input,
-                             [&record, c, name](Result<float> r) {
+                             [&record, c, name](Result<float> r, int64_t) {
                                record(name);
                                c->Fire(r.ok());
                              })
@@ -925,7 +1043,9 @@ void TestHistogramsCountEveryDispatch() {
       Completion* c = queued.back().get();
       CHECK(h.runtime
                 ->PredictAsync(p, h.input,
-                               [c](Result<float> r) { c->Fire(r.ok()); })
+                               [c](Result<float> r, int64_t) {
+                                 c->Fire(r.ok());
+                               })
                 .ok());
     }
   }
@@ -1030,7 +1150,7 @@ void TestDenseBatchPathsMatchExecutePlan() {
       Completion* c = done.back().get();
       CHECK(runtime
                 .PredictAsync(id, inputs[i],
-                              [&singles, c, i](Result<float> r) {
+                              [&singles, c, i](Result<float> r, int64_t) {
                                 if (r.ok()) {
                                   singles[i] = *r;
                                 }
@@ -1201,6 +1321,7 @@ int main() {
   TestBusyGroupEnqueuesAndCoalesces();
   TestReservedPlanNeverInline();
   TestSlowPlanEnqueues();
+  TestExecNsOnEveryPath();
   TestResubmittingCallbackDoesNotRecurse();
   TestRetireWaitsForInlineQuantum();
   TestHeldExecutorCallerRunsSyncBatch();

@@ -109,7 +109,7 @@ void TestErrorCallbackExactlyOnce() {
   std::atomic<int> single_fired{0};
   bool single_done = false;
   Status single_status;
-  st = runtime.PredictAsync(*id, "nope", [&](Result<float> r) {
+  st = runtime.PredictAsync(*id, "nope", [&](Result<float> r, int64_t) {
     single_fired.fetch_add(1);
     std::lock_guard<std::mutex> lock(mu);
     single_status = r.status();
@@ -167,7 +167,7 @@ void TestNoHeadOfLineBlocking() {
   bool singles_done = false;
   for (int i = 0; i < kSingles; ++i) {
     Status s = runtime.PredictAsync(ids[1], sa.SampleInput(rng),
-                                    [&](Result<float> r) {
+                                    [&](Result<float> r, int64_t) {
                                       CHECK(r.ok());
                                       last_single_ns.store(NowNs());
                                       if (singles_left.fetch_sub(1) == 1) {
@@ -314,7 +314,7 @@ void TestEventChainDeepBacklog() {
       for (size_t i = 0; i < kPerProducer; ++i) {
         Status st = runtime.PredictAsync(
             ids[(p + i) % ids.size()], sa.SampleInput(rng),
-            [&, p, i](Result<float> r) {
+            [&, p, i](Result<float> r, int64_t) {
               CHECK(r.ok());
               CHECK_EQ(fired[p][i].exchange(1), uint32_t{0});  // Exactly once.
               completed.fetch_add(1);
@@ -436,7 +436,7 @@ void TestRegisterWhilePredicting() {
     while (registering.load()) {
       outstanding.fetch_add(1);
       Status st = runtime.PredictAsync(ids[1], sa.SampleInput(rng),
-                                       [&](Result<float> r) {
+                                       [&](Result<float> r, int64_t) {
                                          CHECK(r.ok());
                                          outstanding.fetch_sub(1);
                                        });

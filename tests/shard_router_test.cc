@@ -9,8 +9,9 @@
 // swaps and replication flapping racing live predicts, one-entry routing
 // publication, unchanged plans' shared routing entries surviving
 // another plan's churn, Place's allocations not growing with the number of
-// plans placed, and lock-free name lookups racing thousands of Places
-// across the name index's growths (ASan+TSan in CI).
+// plans placed, the allocation calls of an inline async single, and
+// lock-free name lookups racing thousands of Places across the name
+// index's growths (ASan+TSan in CI).
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
@@ -1149,6 +1150,58 @@ void TestPlaceCostFlatInPlanCount() {
   CHECK(router.Placement(specs[kPlans - 1].name).ok());
 }
 
+// Allocation calls an async single makes when it runs inline through
+// ShardRouter::PredictAsync (record bytes and callback built beforehand):
+// the router's completion wrapper, and nothing per request in the Runtime.
+// The request carrier passes exec_ns back without another wrapper.
+constexpr size_t kInlineAsyncAllocCalls = 1;
+
+void TestInlineAsyncAllocations() {
+  auto sa = SmallSa(1);
+  const PipelineSpec& spec = sa.pipelines()[0];
+  ShardRouterOptions sopts;
+  sopts.num_shards = 1;
+  sopts.runtime.num_executors = 1;
+  ShardRouter router(sopts);
+  CHECK(router.Place(spec).ok());
+  Rng rng(71);
+  const std::string input = sa.SampleInput(rng);
+  const std::thread::id caller = std::this_thread::get_id();
+  size_t inline_runs = 0;
+  size_t max_calls = 0;
+  for (int attempt = 0; attempt < 4000 && inline_runs < 16; ++attempt) {
+    std::string record = input;
+    std::atomic<bool> done{false};
+    std::atomic<bool> on_caller{false};
+    std::function<void(Result<float>)> callback = [&](Result<float> r) {
+      CHECK(r.ok());
+      on_caller.store(std::this_thread::get_id() == caller);
+      done.store(true);
+    };
+    t_alloc_calls = 0;
+    t_count_allocs = true;
+    const Status status =
+        router.PredictAsync(spec.name, std::move(record), std::move(callback));
+    t_count_allocs = false;
+    CHECK(status.ok());
+    const bool ran_inline = done.load() && on_caller.load();
+    while (!done.load()) {
+      std::this_thread::yield();
+    }
+    if (!ran_inline) {
+      SleepUs(1000);  // Queued: let the executor park again.
+    } else if (++inline_runs > 8) {
+      // Warm-up runs may grow pools and buffers; count the later ones.
+      max_calls = std::max(max_calls, t_alloc_calls);
+    }
+  }
+  std::printf("inline async single: %zu allocation calls (%zu inline runs)\n",
+              max_calls, inline_runs);
+  CHECK(inline_runs == 16);
+  CHECK_MSG(max_calls <= kInlineAsyncAllocCalls,
+            "an inline async single made %zu allocation calls", max_calls);
+}
+
 // Lock-free lookups race Places across the name index's growths: one
 // writer places 2,000 names (the cells double 8 times) while readers look
 // up names already placed and the next few about to be. A name whose Place
@@ -1228,6 +1281,7 @@ int main() {
   TestPublishBuildsOneEntry();
   TestSharedEntriesSurviveOtherPlanChurn();
   TestPlaceCostFlatInPlanCount();
+  TestInlineAsyncAllocations();
   TestLookupsRacePlacesAcrossGrowth();
   std::printf("shard_router_test: PASS\n");
   return 0;
